@@ -20,6 +20,11 @@ directly:
   computed **once** and shared across the t/f/e views — they differ only in
   the propagation operator applied on top of it.
 
+The kernels compose a few forward/backward primitives, each owning its
+epoch-reused buffers: sparse propagation, linear, dropout, ReLU, ELU, and
+the L-layer GCN stack that plain GCN and every GNAT view share.  Each
+kernel adds only its model-specific code.
+
 The contract is *bit-identity*, in the tradition of PR 1's incremental
 PEEGA scorer and PR 3's SGC memo: every float operation of the autodiff
 path is replicated with the same NumPy kernels in the same order (IEEE-754
@@ -44,7 +49,7 @@ Engine selection (``train_node_classifier(..., engine=...)``):
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,34 +80,21 @@ except Exception:  # pragma: no cover - depends on scipy internals
     _csr_matvecs = None
 
 
-def _spmm(matrix: sp.csr_matrix, dense: np.ndarray, out: Optional[np.ndarray]):
-    """``matrix @ dense`` into a reused buffer when the kernel is reachable.
+def _spmm(
+    matrix: sp.csr_matrix, dense: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """``matrix @ dense`` into ``out``, or into a fresh array when ``out=None``.
 
     SciPy's ``_mul_multivector`` allocates a zeroed result and accumulates
-    with ``csr_matvecs`` — doing the same into ``out`` is bit-identical
-    while skipping the per-epoch allocation.
+    with ``csr_matvecs`` — doing the same directly is bit-identical while
+    skipping the scipy dispatch (and, into ``out``, the allocation).
     """
-    if out is None or _csr_matvecs is None or not dense.flags.c_contiguous:
-        return matrix @ dense
-    out[...] = 0.0
-    _csr_matvecs(
-        matrix.shape[0],
-        matrix.shape[1],
-        dense.shape[1],
-        matrix.indptr,
-        matrix.indices,
-        matrix.data,
-        dense.ravel(),
-        out.ravel(),
-    )
-    return out
-
-
-def _spmm_fresh(matrix: sp.csr_matrix, dense: np.ndarray) -> np.ndarray:
-    """``matrix @ dense`` as a fresh allocation, minus the scipy dispatch."""
     if _csr_matvecs is None or not dense.flags.c_contiguous:
         return matrix @ dense
-    out = np.zeros((matrix.shape[0], dense.shape[1]))
+    if out is None:
+        out = np.zeros((matrix.shape[0], dense.shape[1]))
+    else:
+        out[...] = 0.0
     _csr_matvecs(
         matrix.shape[0],
         matrix.shape[1],
@@ -156,20 +148,20 @@ class MultiViewForward:
 # Closed-form loss: masked cross-entropy from raw logits
 # ----------------------------------------------------------------------
 class _MaskedCrossEntropy:
-    """Bit-exact replica of ``F.cross_entropy(logits, labels, mask)``.
+    """Bit-exact replica of ``F.cross_entropy(logits, labels, train_mask)``
+    over a graph's (n, classes) logits.
 
     Forward stores the log-softmax (reused by backward); backward returns
     d(loss)/d(logits).  The gradient buffer is epoch-reused.
     """
 
-    def __init__(
-        self, labels: np.ndarray, mask: Optional[np.ndarray], shape: tuple[int, int]
-    ) -> None:
-        targets = np.asarray(labels, dtype=np.int64)
-        if mask is None:
+    def __init__(self, graph, classes: int) -> None:
+        targets = np.asarray(graph.labels, dtype=np.int64)
+        shape = (len(targets), classes)
+        if graph.train_mask is None:
             rows = np.arange(len(targets))
         else:
-            rows = np.flatnonzero(np.asarray(mask))
+            rows = np.flatnonzero(np.asarray(graph.train_mask))
         if len(rows) == 0:
             raise ShapeError("nll_loss mask selects no rows")
         self.rows = rows
@@ -204,139 +196,244 @@ class _MaskedCrossEntropy:
 
 
 # ----------------------------------------------------------------------
+# Layer primitives: each owns its epoch-reused buffers
+# ----------------------------------------------------------------------
+def _operator_pair(operator: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """``(A, Aᵀ)`` as CSR, shared by every propagation over ``A``."""
+    matrix = operator.tocsr()
+    return matrix, matrix.T.tocsr()
+
+
+class _Propagate:
+    """Sparse propagation ``A @ x``; its backward is ``Aᵀ @ g``.  With
+    ``fresh=True`` the forward allocates its output (final logits)."""
+
+    def __init__(self, pair, shape: tuple[int, int], fresh: bool = False) -> None:
+        self.matrix, self.matrix_t = pair
+        self._out = None if fresh else np.empty(shape)
+        self._grad = np.empty(shape)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return _spmm(self.matrix, x, self._out)
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        return _spmm(self.matrix_t, g, self._grad)
+
+
+class _Linear:
+    """``x @ W``; backward returns ``(dW, dx)``, with ``dx = None`` (the
+    GEMM skipped) when built with ``input_grad=False``, as for features."""
+
+    def __init__(self, weight, rows: int, input_grad: bool = True) -> None:
+        self.weight = weight
+        self.x: Optional[np.ndarray] = None
+        self.out = np.empty((rows, weight.shape[1]))
+        self._gw = np.empty(weight.shape)
+        self._gx = np.empty((rows, weight.shape[0])) if input_grad else None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.x = x
+        return np.matmul(x, self.weight.data, out=self.out)
+
+    def backward(self, g: np.ndarray):
+        gw = np.matmul(self.x.T, g, out=self._gw)
+        if self._gx is None:
+            return gw, None
+        return gw, np.matmul(g, self.weight.data.T, out=self._gx)
+
+
+class _Dropout:
+    """Inverted dropout: the draws and expression of ``F.dropout`` from the
+    model's own ``_dropout_rng``, into reused buffers (bool -> float division
+    is the exact astype-then-divide arithmetic).  Identity at rate 0."""
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self._rand = np.empty(shape)
+        self._keepb = np.empty(shape, dtype=bool)
+        self._keep = np.empty(shape)
+        self._out = np.empty(shape)
+        self.keep: Optional[np.ndarray] = None
+
+    def forward(self, x: np.ndarray, model) -> np.ndarray:
+        rate = model.dropout
+        self.keep = None
+        if not rate > 0.0:
+            return x
+        model._dropout_rng.random(out=self._rand)
+        np.greater_equal(self._rand, rate, out=self._keepb)
+        self.keep = np.divide(self._keepb, 1.0 - rate, out=self._keep)
+        return np.multiply(x, self.keep, out=self._out)
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        """The mask multiply, in place on ``g``."""
+        if self.keep is not None:
+            np.multiply(g, self.keep, out=g)
+        return g
+
+
+class _ReLU:
+    """``max(x, 0)``; backward masks by ``x > 0`` in place."""
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.out = np.empty(shape)
+        self._mask = np.empty(shape, dtype=bool)
+        self.x: Optional[np.ndarray] = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self.x = x
+        return np.maximum(x, 0.0, out=self.out)
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        np.greater(self.x, 0, out=self._mask)
+        return np.multiply(g, self._mask, out=g)
+
+
+class _ELU:
+    """ELU at alpha=1 — ``np.where(x > 0, x, exp(min(x, 0)) - 1)`` — via
+    masked copies; backward is ``g * where(x > 0, 1, elu + 1)`` in place."""
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.out = np.empty(shape)
+        self._pos = np.empty(shape, dtype=bool)
+        self._neg = np.empty(shape, dtype=bool)
+        self._tmp = np.empty(shape)
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        np.greater(x, 0, out=self._pos)
+        np.minimum(x, 0.0, out=self._tmp)
+        np.exp(self._tmp, out=self._tmp)
+        np.subtract(self._tmp, 1.0, out=self._tmp)
+        np.copyto(self.out, x)
+        np.logical_not(self._pos, out=self._neg)
+        np.copyto(self.out, self._tmp, where=self._neg)
+        return self.out
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        np.add(self.out, 1.0, out=self._tmp)
+        np.multiply(g, self._tmp, out=self._tmp)
+        np.copyto(g, self._tmp, where=self._neg)
+        return g
+
+
+class _GCNStack:
+    """The L-layer GCN ``hⁱ = A·(dropout(relu(hⁱ⁻¹))·Wⁱ) + bⁱ`` over one operator.
+
+    Layer 0 (no activation, no dropout, no input gradient) takes its
+    support ``X·W⁰`` as an argument, so GNAT's views can share it.
+    """
+
+    def __init__(self, model: GCN, operator: sp.spmatrix, features: np.ndarray) -> None:
+        self.model = model
+        self.features = features
+        pair = _operator_pair(operator)
+        layers = model.layers
+        n = features.shape[0]
+        last = len(layers) - 1
+        self.linears = [
+            _Linear(l.weight, n, input_grad=i > 0) for i, l in enumerate(layers)
+        ]
+        # Only the first of several views runs layer 0's forward; every
+        # view's backward still needs its input.
+        self.linears[0].x = features
+        self.props = [
+            _Propagate(pair, (n, l.weight.shape[1]), fresh=i == last)
+            for i, l in enumerate(layers)
+        ]
+        inputs = [(n, l.weight.shape[0]) for l in layers[1:]]
+        self.relus = [None] + [_ReLU(shape) for shape in inputs]
+        self.dropouts = [None] + [_Dropout(shape) for shape in inputs]
+        self._gb = [np.empty(l.bias.shape) for l in layers]
+        self.hidden0: Optional[np.ndarray] = None
+
+    def support0(self) -> np.ndarray:
+        """``X @ W⁰`` into layer 0's buffer."""
+        return self.linears[0].forward(self.features)
+
+    def _propagate(self, i: int, support: np.ndarray) -> np.ndarray:
+        h = self.props[i].forward(support)
+        return np.add(h, self.model.layers[i].bias.data, out=h)
+
+    def train_logits(self, support: np.ndarray) -> np.ndarray:
+        """Training forward from layer 0's support."""
+        h = self.hidden0 = self._propagate(0, support)
+        for i in range(1, len(self.model.layers)):
+            x = self.dropouts[i].forward(self.relus[i].forward(h), self.model)
+            h = self._propagate(i, self.linears[i].forward(x))
+        return h
+
+    def eval_logits(self, support: Optional[np.ndarray] = None) -> np.ndarray:
+        """Eval-mode logits from layer 0's support, or — deferred, with
+        ``support=None`` — for the weights the LAST :meth:`train_logits` used.
+
+        Dropout never reaches layer 0, so the training forward's layer-0
+        output is already the eval-mode one.  The tail writes fresh arrays
+        only, so it may run between a training forward and its backward.
+        """
+        h = self.hidden0 if support is None else self._propagate(0, support)
+        for layer in self.model.layers[1:]:
+            h = _spmm(self.props[0].matrix, np.maximum(h, 0.0) @ layer.weight.data)
+            np.add(h, layer.bias.data, out=h)
+        return h
+
+    def backward(self, g: np.ndarray) -> list:
+        """Per-layer ``(dW, db)`` from the gradient of the logits."""
+        grads = []
+        for i in range(len(self.model.layers) - 1, -1, -1):
+            gb = np.sum(g, axis=0, out=self._gb[i])
+            gw, g = self.linears[i].backward(self.props[i].backward(g))
+            if i > 0:
+                g = self.relus[i].backward(self.dropouts[i].backward(g))
+            grads.append((gw, gb))
+        return grads[::-1]
+
+
+# ----------------------------------------------------------------------
 # Fused kernels
 # ----------------------------------------------------------------------
 class _FusedGCN:
-    """Closed-form trainer kernel for a plain L-layer sparse-operator GCN."""
+    """Closed-form trainer kernel for a plain L-layer sparse-operator GCN:
+    one :class:`_GCNStack` per operator (one here; one per view in the
+    :class:`_FusedMultiView` subclass) over a shared ``X @ W⁰``."""
 
-    def __init__(self, model: GCN, adjacency: sp.spmatrix, graph) -> None:
+    def __init__(self, model: GCN, operators: Sequence[sp.spmatrix], graph) -> None:
         self.model = model
-        matrix = adjacency.tocsr()
-        self.matrix = matrix
-        self.matrix_t = matrix.T.tocsr()
-        self.features = np.asarray(graph.features, dtype=np.float64)
-        layers = model.layers
-        n = self.features.shape[0]
-        self.loss = _MaskedCrossEntropy(
-            graph.labels, graph.train_mask, (n, layers[-1].weight.shape[1])
-        )
-        # Epoch-reused buffers.  The final logits are deliberately NOT
-        # buffered: the trainer keeps them alive as best-epoch validation
-        # logits, so they must be fresh allocations every epoch.
-        self._support = [np.empty((n, l.weight.shape[1])) for l in layers]
-        self._prop = [np.empty((n, l.weight.shape[1])) for l in layers[:-1]]
-        self._gs = [np.empty((n, l.weight.shape[1])) for l in layers]
-        self._posmask = [np.empty((n, l.weight.shape[1]), dtype=bool) for l in layers[:-1]]
-        self._act = [None] + [np.empty((n, l.weight.shape[0])) for l in layers[1:]]
-        self._drop = [None] + [np.empty((n, l.weight.shape[0])) for l in layers[1:]]
-        self._rand = [None] + [np.empty((n, l.weight.shape[0])) for l in layers[1:]]
-        self._keepmask = [None] + [
-            np.empty((n, l.weight.shape[0]), dtype=bool) for l in layers[1:]
-        ]
-        self._keep = [None] + [np.empty((n, l.weight.shape[0])) for l in layers[1:]]
-        self._grad_in = [None] + [np.empty((n, l.weight.shape[0])) for l in layers[1:]]
-        self._grad_w = [np.empty(l.weight.shape) for l in layers]
-        self._grad_b = [np.empty(l.bias.shape) for l in layers]
-        self._inputs: list[Optional[np.ndarray]] = [None] * len(layers)
-        self._preacts: list[Optional[np.ndarray]] = [None] * len(layers)
-        self._keeps: list[Optional[np.ndarray]] = [None] * len(layers)
+        features = np.asarray(graph.features, dtype=np.float64)
+        self.stacks = [_GCNStack(model, op, features) for op in operators]
+        self.loss = _MaskedCrossEntropy(graph, model.layers[-1].weight.shape[1])
+
+    def _output(self, logits: list[np.ndarray], training: bool) -> np.ndarray:
+        return logits[0]
+
+    def _stack_grads(self, g: np.ndarray) -> list[np.ndarray]:
+        return [g]
 
     def train_forward(self) -> tuple[float, np.ndarray]:
-        model = self.model
-        rate = model.dropout
-        rng = model._dropout_rng
-        last = len(model.layers) - 1
-        h = self.features
-        for i, layer in enumerate(model.layers):
-            if i > 0:
-                a = np.maximum(h, 0.0, out=self._act[i])
-                if rate > 0.0:
-                    # Same draws, same expression as F.dropout — just into
-                    # reused buffers (bool -> float division is the exact
-                    # astype-then-divide arithmetic).
-                    rng.random(out=self._rand[i])
-                    np.greater_equal(self._rand[i], rate, out=self._keepmask[i])
-                    keep = np.divide(
-                        self._keepmask[i], 1.0 - rate, out=self._keep[i]
-                    )
-                    h = np.multiply(a, keep, out=self._drop[i])
-                else:
-                    keep = None
-                    h = a
-                self._keeps[i] = keep
-            self._inputs[i] = h
-            support = np.matmul(h, layer.weight.data, out=self._support[i])
-            if i < last:
-                out = _spmm(self.matrix, support, self._prop[i])
-                np.add(out, layer.bias.data, out=out)
-                self._preacts[i] = out
-            else:
-                # The trainer keeps final logits alive across epochs (they
-                # become the best-epoch validation logits), so they must be
-                # a fresh allocation — but the bias add can still be
-                # in-place on the freshly-owned array.
-                out = _spmm_fresh(self.matrix, support)
-                np.add(out, layer.bias.data, out=out)
-            h = out
-        return self.loss.forward(h), h
+        support = self.stacks[0].support0()
+        logits = [stack.train_logits(support) for stack in self.stacks]
+        out = self._output(logits, training=True)
+        return self.loss.forward(out), out
 
     def backward(self) -> None:
-        layers = self.model.layers
-        g = self.loss.backward()
-        for i in range(len(layers) - 1, -1, -1):
-            layer = layers[i]
-            layer.bias.grad = np.sum(g, axis=0, out=self._grad_b[i])
-            gs = _spmm(self.matrix_t, g, self._gs[i])
-            layer.weight.grad = np.matmul(self._inputs[i].T, gs, out=self._grad_w[i])
-            if i > 0:
-                # Feature grad of layer 0 is never consumed — skip it; for
-                # i > 0 chain through dropout (mask multiply) and relu.
-                gh = np.matmul(gs, layer.weight.data.T, out=self._grad_in[i])
-                if self._keeps[i] is not None:
-                    np.multiply(gh, self._keeps[i], out=gh)
-                np.greater(self._preacts[i - 1], 0, out=self._posmask[i - 1])
-                g = np.multiply(gh, self._posmask[i - 1], out=gh)
+        grads = self._stack_grads(self.loss.backward())
+        views = [stack.backward(g) for stack, g in zip(self.stacks, grads)]
+        # Reverse-view left fold = autodiff's accumulation order.
+        for i, layer in enumerate(self.model.layers):
+            w_acc, b_acc = views[-1][i]
+            for view in views[-2::-1]:
+                w_acc = w_acc + view[i][0]
+                b_acc = b_acc + view[i][1]
+            layer.weight.grad, layer.bias.grad = w_acc, b_acc
 
     def eval_forward(self) -> np.ndarray:
-        layers = self.model.layers
-        h = self.features
-        for i, layer in enumerate(layers):
-            if i > 0:
-                h = np.maximum(h, 0.0, out=self._act[i])
-            support = np.matmul(h, layer.weight.data, out=self._support[i])
-            h = self.matrix @ support
-            h = h + layer.bias.data
-        return h
+        support = self.stacks[0].support0()
+        logits = [stack.eval_logits(support) for stack in self.stacks]
+        return self._output(logits, training=False)
 
     def deferred_eval_forward(self) -> np.ndarray:
-        """Eval logits for the weights the LAST ``train_forward`` used.
-
-        Dropout only applies to inputs of layers > 0, so layer 0's training
-        output is already the eval-mode one — reuse it and recompute just
-        the (hidden-dim-cheap) tail without dropout, skipping the dominant
-        ``X @ W⁰`` GEMM.  Valid only right after ``train_forward`` (the
-        trainer's deferred-validation protocol guarantees that).
-        """
-        layers = self.model.layers
-        last = len(layers) - 1
-        h = self._preacts[0]
-        for i in range(1, len(layers)):
-            layer = layers[i]
-            if i == 1:
-                # train_forward already computed relu(preacts[0]) into
-                # _act[1] (pre-dropout), and backward never reads it —
-                # reuse instead of recomputing the activation.
-                a = self._act[1]
-            else:
-                a = np.maximum(h, 0.0, out=self._act[i])
-            support = np.matmul(a, layer.weight.data, out=self._support[i])
-            if i < last:
-                h = self.matrix @ support
-                h = h + layer.bias.data
-            else:
-                h = _spmm_fresh(self.matrix, support)
-                np.add(h, layer.bias.data, out=h)
-        return h
+        """Eval logits for the weights the LAST ``train_forward`` used: only
+        the hidden-dim tails, skipping ``X @ W⁰`` and the first propagation."""
+        logits = [stack.eval_logits() for stack in self.stacks]
+        return self._output(logits, training=False)
 
 
 class _FusedSGC:
@@ -351,179 +448,53 @@ class _FusedSGC:
         self.model = model
         self.adjacency = adjacency
         self.features = Tensor(graph.features)
-        n = self.features.shape[0]
-        self.loss = _MaskedCrossEntropy(
-            graph.labels, graph.train_mask, (n, model.weight.shape[1])
-        )
-        self._grad_w = np.empty(model.weight.shape)
+        self.loss = _MaskedCrossEntropy(graph, model.weight.shape[1])
+        self._linear = _Linear(model.weight, self.features.shape[0], input_grad=False)
         self._grad_b = np.empty(model.bias.shape)
-        self._prop: Optional[np.ndarray] = None
 
     def train_forward(self) -> tuple[float, np.ndarray]:
-        model = self.model
-        self._prop = model._propagated(self.adjacency, self.features).data
-        logits = self._prop @ model.weight.data + model.bias.data
+        logits = self.eval_forward()
         return self.loss.forward(logits), logits
 
     def backward(self) -> None:
-        model = self.model
         g = self.loss.backward()
-        model.bias.grad = np.sum(g, axis=0, out=self._grad_b)
-        model.weight.grad = np.matmul(self._prop.T, g, out=self._grad_w)
+        self.model.bias.grad = np.sum(g, axis=0, out=self._grad_b)
+        self.model.weight.grad, _ = self._linear.backward(g)
 
     def eval_forward(self) -> np.ndarray:
-        model = self.model
-        prop = model._propagated(self.adjacency, self.features).data
-        return prop @ model.weight.data + model.bias.data
+        prop = self.model._propagated(self.adjacency, self.features).data
+        return self._linear.forward(prop) + self.model.bias.data
 
 
-class _FusedMultiView:
+class _FusedMultiView(_FusedGCN):
     """Closed-form kernel for GNAT's shared-weight multi-view GCN.
 
-    Replicates :class:`MultiViewForward` bit for bit.  ``X @ W⁰`` is
-    computed once per epoch and shared across views (the views differ only
-    in the propagation operator, so the per-view autodiff recomputations
-    are value-identical).  Backward runs each view's chain independently,
-    then folds the per-view parameter gradients in *reverse* view order —
-    the order autodiff's topological sweep accumulates them in, which
-    matters because float addition is not associative.
+    Replicates :class:`MultiViewForward` bit for bit with one stack per
+    view.  ``X @ W⁰`` is computed once per epoch and shared across views
+    (the views differ only in the propagation operator, so the per-view
+    autodiff recomputations are value-identical).  The views' softmaxes
+    are averaged; backward runs each view's chain independently, then folds
+    the per-view parameter gradients in reverse view order — the order
+    autodiff's topological sweep accumulates them in, which matters
+    because float addition is not associative.
     """
 
-    def __init__(self, model: GCN, operators: Sequence[sp.spmatrix], graph) -> None:
-        self.model = model
-        self.operators = [op.tocsr() for op in operators]
-        self.operators_t = [op.T.tocsr() for op in self.operators]
-        self.features = np.asarray(graph.features, dtype=np.float64)
-        layers = model.layers
-        n = self.features.shape[0]
-        views = len(self.operators)
-        self.inv_views = 1.0 / float(views)
-        self.loss = _MaskedCrossEntropy(
-            graph.labels, graph.train_mask, (n, layers[-1].weight.shape[1])
-        )
-        self._support0 = np.empty((n, layers[0].weight.shape[1]))
-        self._support = [None] + [
-            np.empty((n, l.weight.shape[1])) for l in layers[1:]
-        ]
-        self._grad_in = [None] + [
-            np.empty((n, l.weight.shape[0])) for l in layers[1:]
-        ]
-        self._inputs = [[None] * len(layers) for _ in range(views)]
-        self._preacts = [[None] * len(layers) for _ in range(views)]
-        self._keeps = [[None] * len(layers) for _ in range(views)]
-        self._probs: list[Optional[np.ndarray]] = [None] * views
-        self._t2: Optional[np.ndarray] = None
-
-    def _view_logits(self, view: int, support0: np.ndarray, training: bool) -> np.ndarray:
-        model = self.model
-        layers = model.layers
-        op = self.operators[view]
-        rate = model.dropout
-        rng = model._dropout_rng
-        last = len(layers) - 1
-        h = op @ support0
-        h = h + layers[0].bias.data
-        if 0 < last:
-            self._preacts[view][0] = h
-        for i in range(1, len(layers)):
-            layer = layers[i]
-            a = np.maximum(h, 0.0)
-            if training and rate > 0.0:
-                keep = (rng.random(a.shape) >= rate).astype(np.float64) / (1.0 - rate)
-                x = a * keep
-            else:
-                keep, x = None, a
-            self._keeps[view][i] = keep
-            self._inputs[view][i] = x
-            support = np.matmul(x, layer.weight.data, out=self._support[i])
-            h = op @ support
-            h = h + layer.bias.data
-            if i < last:
-                self._preacts[view][i] = h
-        return h
-
-    def _forward(self, training: bool) -> np.ndarray:
-        support0 = np.matmul(
-            self.features, self.model.layers[0].weight.data, out=self._support0
-        )
-        probs: Optional[np.ndarray] = None
-        for view in range(len(self.operators)):
-            z = self._view_logits(view, support0, training)
+    def _output(self, logits: list[np.ndarray], training: bool) -> np.ndarray:
+        probs = []
+        for z in logits:
             shifted = np.exp(z - z.max(axis=1, keepdims=True))
-            p = shifted / shifted.sum(axis=1, keepdims=True)
-            self._probs[view] = p
-            probs = p if probs is None else probs + p
-        t2 = probs * self.inv_views + 1e-12
-        self._t2 = t2
+            probs.append(shifted / shifted.sum(axis=1, keepdims=True))
+        total = probs[0]
+        for p in probs[1:]:
+            total = total + p
+        t2 = total * (1.0 / float(len(probs))) + 1e-12
+        if training:
+            self._probs, self._t2 = probs, t2
         return np.log(t2)
 
-    def train_forward(self) -> tuple[float, np.ndarray]:
-        logits = self._forward(training=True)
-        return self.loss.forward(logits), logits
-
-    def backward(self) -> None:
-        model = self.model
-        layers = model.layers
-        depth = len(layers)
-        views = len(self.operators)
-        dlogits = self.loss.backward()
-        dt2 = dlogits / self._t2
-        dprobs = dt2 * self.inv_views
-        w_parts = [[None] * depth for _ in range(views)]
-        b_parts = [[None] * depth for _ in range(views)]
-        for view in range(views):
-            op_t = self.operators_t[view]
-            p = self._probs[view]
-            inner = (dprobs * p).sum(axis=1, keepdims=True)
-            g = p * (dprobs - inner)
-            for i in range(depth - 1, 0, -1):
-                layer = layers[i]
-                b_parts[view][i] = g.sum(axis=0)
-                gs = op_t @ g
-                w_parts[view][i] = self._inputs[view][i].T @ gs
-                gh = np.matmul(gs, layer.weight.data.T, out=self._grad_in[i])
-                if self._keeps[view][i] is not None:
-                    np.multiply(gh, self._keeps[view][i], out=gh)
-                g = gh * (self._preacts[view][i - 1] > 0)
-            b_parts[view][0] = g.sum(axis=0)
-            gs0 = op_t @ g
-            w_parts[view][0] = self.features.T @ gs0
-        # Reverse-view left fold = autodiff's accumulation order.
-        for i in range(depth):
-            w_acc = w_parts[views - 1][i]
-            b_acc = b_parts[views - 1][i]
-            for view in range(views - 2, -1, -1):
-                w_acc = w_acc + w_parts[view][i]
-                b_acc = b_acc + b_parts[view][i]
-            layers[i].weight.grad = w_acc
-            layers[i].bias.grad = b_acc
-
-    def eval_forward(self) -> np.ndarray:
-        return self._forward(training=False)
-
-    def deferred_eval_forward(self) -> np.ndarray:
-        """Eval logits for the weights the LAST ``train_forward`` used.
-
-        Each view's layer-0 output carries no dropout, so the training
-        forward already computed the eval-mode one — recompute only the
-        hidden-dim tails, skipping the shared ``X @ W⁰`` GEMM *and* every
-        view's first sparse propagation.
-        """
-        layers = self.model.layers
-        probs: Optional[np.ndarray] = None
-        for view in range(len(self.operators)):
-            op = self.operators[view]
-            h = self._preacts[view][0]
-            for i in range(1, len(layers)):
-                layer = layers[i]
-                a = np.maximum(h, 0.0)
-                support = np.matmul(a, layer.weight.data, out=self._support[i])
-                h = op @ support
-                h = h + layer.bias.data
-            shifted = np.exp(h - h.max(axis=1, keepdims=True))
-            p = shifted / shifted.sum(axis=1, keepdims=True)
-            probs = p if probs is None else probs + p
-        return np.log(probs * self.inv_views + 1e-12)
+    def _stack_grads(self, g: np.ndarray) -> list[np.ndarray]:
+        dprobs = (g / self._t2) * (1.0 / float(len(self._probs)))
+        return [p * (dprobs - (dprobs * p).sum(axis=1, keepdims=True)) for p in self._probs]
 
 
 class _FusedGAT:
@@ -547,58 +518,42 @@ class _FusedGAT:
         self.notmask = ~self.mask
         self.features = np.asarray(graph.features, dtype=np.float64)
         n, in_dim = self.features.shape
-        heads = model.heads
-        d = heads[0].weight.shape[1]
-        out_dim = model.out_layer.weight.shape[1]
-        width = d * len(heads)
-        self.head_dim = d
-        self.loss = _MaskedCrossEntropy(graph.labels, graph.train_mask, (n, out_dim))
-        # Per-attention-layer state (heads + the output layer).
-        self._h1 = [np.empty((n, d)) for _ in heads]
-        self._att = [np.empty((n, n)) for _ in heads]
-        self._pos = [np.empty((n, n), dtype=bool) for _ in heads]
-        self._H = np.empty((n, out_dim))
-        self._att_o = np.empty((n, n))
-        self._pos_o = np.empty((n, n), dtype=bool)
-        self._gw = [np.empty(h.weight.shape) for h in heads] + [
-            np.empty(model.out_layer.weight.shape)
+        d = model.heads[0].weight.shape[1]
+        width = d * len(model.heads)
+        self._heads = [slice(k * d, (k + 1) * d) for k in range(len(model.heads))]
+        self.loss = _MaskedCrossEntropy(graph, model.out_layer.weight.shape[1])
+        # Attention layers: the heads, then the output layer (the only one
+        # whose input carries a gradient).
+        self.layers = list(model.heads) + [model.out_layer]
+        self._linears = [
+            _Linear(layer.weight, n, input_grad=layer is model.out_layer)
+            for layer in self.layers
         ]
-        # Concat / ELU / dropout stages.
+        self._att = [np.empty((n, n)) for _ in self.layers]
+        self._pos = [np.empty((n, n), dtype=bool) for _ in self.layers]
+        self._gh1 = [np.empty(linear.out.shape) for linear in self._linears]
+        self._drop_in = _Dropout((n, in_dim))
         self._merged = np.empty((n, width))
-        self._elu = np.empty((n, width))
-        self._elupos = np.empty((n, width), dtype=bool)
-        self._dropped = np.empty((n, width))
-        self._wide = np.empty((n, width))  # scratch (ELU tail + its backward)
-        self._wideb = np.empty((n, width), dtype=bool)
-        self._rand0 = np.empty((n, in_dim))
-        self._keep0b = np.empty((n, in_dim), dtype=bool)
-        self._keep0 = np.empty((n, in_dim))
-        self._x = np.empty((n, in_dim))
-        self._rand1 = np.empty((n, width))
-        self._keep1b = np.empty((n, width), dtype=bool)
-        self._keep1 = np.empty((n, width))
+        self._elu = _ELU((n, width))
+        self._drop_hidden = _Dropout((n, width))
         # (n, n) scratch shared by every attention layer's forward/backward.
         self._S = np.empty((n, n))
         self._T = np.empty((n, n))
         self._B = np.empty((n, n), dtype=bool)
         self._row = np.empty((n, 1))
-        # Backward buffers.
-        self._gH = np.empty((n, out_dim))
-        self._ghead = np.empty((n, d))
-        self._x_in: Optional[np.ndarray] = None
-        self._e_in: Optional[np.ndarray] = None
 
-    def _attention(self, x, layer, h1buf, attbuf, posbuf):
-        """One masked-attention layer forward; returns its ``h¹``."""
+    def _attention(self, k: int, x: np.ndarray) -> np.ndarray:
+        """Attention layer ``k``'s forward into its buffers; returns ``h¹``."""
+        layer, att, pos = self.layers[k], self._att[k], self._pos[k]
         S, row = self._S, self._row
-        h1 = np.matmul(x, layer.weight.data, out=h1buf)
+        h1 = self._linears[k].forward(x)
         src = h1 @ layer.attn_src.data
         dst = h1 @ layer.attn_dst.data
         np.add(src, dst.T, out=S)
         # leaky_relu: np.where(pre > 0, pre, slope * pre), via masked copy.
-        np.greater(S, 0, out=posbuf)
+        np.greater(S, 0, out=pos)
         np.multiply(S, layer.slope, out=self._T)
-        np.logical_not(posbuf, out=self._B)
+        np.logical_not(pos, out=self._B)
         np.copyto(S, self._T, where=self._B)
         np.copyto(S, _NEG_INF, where=self.notmask)
         # softmax: exp(a - rowmax) / rowsum.  Off-support entries sit at
@@ -608,18 +563,21 @@ class _FusedGAT:
         # slow path the autodiff oracle pays on every masked entry.
         np.max(S, axis=1, keepdims=True, out=row)
         np.subtract(S, row, out=S)
-        np.copyto(attbuf, 0.0)
-        np.exp(S, out=attbuf, where=self.mask)
-        np.sum(attbuf, axis=1, keepdims=True, out=row)
-        np.divide(attbuf, row, out=attbuf)
+        np.copyto(att, 0.0)
+        np.exp(S, out=att, where=self.mask)
+        np.sum(att, axis=1, keepdims=True, out=row)
+        np.divide(att, row, out=att)
         return h1
 
-    def _attention_backward(self, gout, layer, h1, att, pos, gh1buf, x_in, gwbuf):
-        """Backward of one attention layer; returns the grad w.r.t. ``x``-side
-        ``h¹`` caller input (i.e. d loss / d h¹ fully accumulated)."""
+    def _attention_backward(self, k: int, gout: np.ndarray) -> Optional[np.ndarray]:
+        """Backward of attention layer ``k`` from the gradient of its output
+        ``att @ h¹``: sets the layer's grads, returns its input gradient
+        (None for the heads, whose input is the features)."""
+        layer, att, pos = self.layers[k], self._att[k], self._pos[k]
+        h1 = self._linears[k].out
         S, T, row = self._S, self._T, self._row
         # h¹'s first gradient contribution: the attention product.
-        gh1 = np.matmul(att.T, gout, out=gh1buf)
+        gh1 = np.matmul(att.T, gout, out=self._gh1[k])
         datt = np.matmul(gout, h1.T, out=S)
         # softmax backward: out * (g - (g*out).sum(axis=1)).
         np.multiply(datt, att, out=T)
@@ -640,80 +598,34 @@ class _FusedGAT:
         layer.attn_dst.grad = h1.T @ ddst
         np.add(gh1, dsrc @ layer.attn_src.data.T, out=gh1)
         layer.attn_src.grad = h1.T @ dsrc
-        layer.weight.grad = np.matmul(x_in.T, gh1, out=gwbuf)
-        return gh1
+        layer.weight.grad, gx = self._linears[k].backward(gh1)
+        return gx
 
-    def _merge_forward(self, x, training):
-        """Heads -> concat -> ELU (+ training dropout) -> input of out layer."""
-        model = self.model
-        d = self.head_dim
-        for i, head in enumerate(model.heads):
-            h1 = self._attention(x, head, self._h1[i], self._att[i], self._pos[i])
-            np.matmul(self._att[i], h1, out=self._merged[:, i * d : (i + 1) * d])
-        m = self._merged
-        # elu: np.where(a > 0, a, exp(min(a, 0)) - 1) at alpha=1.
-        np.greater(m, 0, out=self._elupos)
-        np.minimum(m, 0.0, out=self._wide)
-        np.exp(self._wide, out=self._wide)
-        np.subtract(self._wide, 1.0, out=self._wide)
-        np.copyto(self._elu, m)
-        np.logical_not(self._elupos, out=self._wideb)
-        np.copyto(self._elu, self._wide, where=self._wideb)
-        rate = model.dropout
-        if training and rate > 0.0:
-            model._dropout_rng.random(out=self._rand1)
-            np.greater_equal(self._rand1, rate, out=self._keep1b)
-            np.divide(self._keep1b, 1.0 - rate, out=self._keep1)
-            return np.multiply(self._elu, self._keep1, out=self._dropped)
-        return self._elu
+    def _logits(self, x: np.ndarray, training: bool) -> np.ndarray:
+        """Heads -> concat -> ELU (+ training dropout) -> output layer."""
+        for k, cols in enumerate(self._heads):
+            h1 = self._attention(k, x)
+            np.matmul(self._att[k], h1, out=self._merged[:, cols])
+        e = self._elu.forward(self._merged)
+        if training:
+            e = self._drop_hidden.forward(e, self.model)
+        H = self._attention(len(self.layers) - 1, e)
+        return self._att[-1] @ H  # fresh: the trainer keeps logits alive
 
     def train_forward(self) -> tuple[float, np.ndarray]:
-        model = self.model
-        rate = model.dropout
-        x = self.features
-        if rate > 0.0:
-            # Same draws, same expression as F.dropout, into reused buffers.
-            model._dropout_rng.random(out=self._rand0)
-            np.greater_equal(self._rand0, rate, out=self._keep0b)
-            np.divide(self._keep0b, 1.0 - rate, out=self._keep0)
-            x = np.multiply(self.features, self._keep0, out=self._x)
-        self._x_in = x
-        e = self._merge_forward(x, training=True)
-        self._e_in = e
-        H = self._attention(e, model.out_layer, self._H, self._att_o, self._pos_o)
-        logits = self._att_o @ H  # fresh: the trainer keeps logits alive
+        x = self._drop_in.forward(self.features, self.model)
+        logits = self._logits(x, training=True)
         return self.loss.forward(logits), logits
 
     def backward(self) -> None:
-        model = self.model
-        g = self.loss.backward()
-        gH = self._attention_backward(
-            g, model.out_layer, self._H, self._att_o, self._pos_o,
-            self._gH, self._e_in, self._gw[-1],
-        )
-        ge = np.matmul(gH, model.out_layer.weight.data.T, out=self._wide)
-        if model.dropout > 0.0:
-            np.multiply(ge, self._keep1, out=ge)
-        # elu backward: g * where(m > 0, 1, elu + 1), via masked copy.
-        tail = self._merged  # safe: forward state now consumed
-        np.add(self._elu, 1.0, out=tail)
-        np.multiply(ge, tail, out=tail)
-        np.logical_not(self._elupos, out=self._wideb)
-        np.copyto(ge, tail, where=self._wideb)
+        ge = self._attention_backward(len(self.layers) - 1, self.loss.backward())
+        self._elu.backward(self._drop_hidden.backward(ge))
         # concat backward: slice per head, reverse construction order.
-        d = self.head_dim
-        for i in reversed(range(len(model.heads))):
-            self._attention_backward(
-                ge[:, i * d : (i + 1) * d], model.heads[i],
-                self._h1[i], self._att[i], self._pos[i],
-                self._ghead, self._x_in, self._gw[i],
-            )
+        for k in reversed(range(len(self._heads))):
+            self._attention_backward(k, ge[:, self._heads[k]])
 
     def eval_forward(self) -> np.ndarray:
-        model = self.model
-        e = self._merge_forward(self.features, training=False)
-        H = self._attention(e, model.out_layer, self._H, self._att_o, self._pos_o)
-        return self._att_o @ H
+        return self._logits(self.features, training=False)
 
 
 class _FusedRGCN:
@@ -730,87 +642,60 @@ class _FusedRGCN:
     afterwards), so :meth:`deferred_eval_forward` just returns them.
     """
 
-    def __init__(self, model, operators, graph, beta_kl: float) -> None:
+    def __init__(self, model, operators, graph, loss) -> None:
         self.model = model
-        adj_mean, adj_var = operators
-        self.am = adj_mean.tocsr()
-        self.av = adj_var.tocsr()
-        self.am_t = self.am.T.tocsr()
-        self.av_t = self.av.T.tocsr()
+        mean_op, var_op = (_operator_pair(op) for op in operators)
         self.features = np.asarray(graph.features, dtype=np.float64)
-        self.beta_kl = float(beta_kl)
+        self.beta_kl = float(loss.beta_kl)
         n = self.features.shape[0]
         d = model.w_mean_1.shape[1]
         c = model.w_mean_2.shape[1]
-        self.loss = _MaskedCrossEntropy(graph.labels, graph.train_mask, (n, c))
-        # Epoch-reused buffers; μ₂ is deliberately fresh every epoch (the
-        # trainer keeps it alive as deferred validation logits).
-        self._xm1 = np.empty((n, d))
-        self._sm1 = np.empty((n, d))
-        self._mean1 = np.empty((n, d))
-        self._pos_m1 = np.empty((n, d), dtype=bool)
-        self._xv1 = np.empty((n, d))
-        self._sv1 = np.empty((n, d))
-        self._pos_v1 = np.empty((n, d), dtype=bool)
-        self._rv1 = np.empty((n, d))
+        self.loss = _MaskedCrossEntropy(graph, c)
+        # Layer 1: μ₁ = elu(A_m X W_m1) and σ₁ = relu(A_v X W_v1) + 1e-6.
+        self._lin_m1 = _Linear(model.w_mean_1, n, input_grad=False)
+        self._prop_m1 = _Propagate(mean_op, (n, d))
+        self._elu = _ELU((n, d))
+        self._lin_v1 = _Linear(model.w_var_1, n, input_grad=False)
+        self._prop_v1 = _Propagate(var_op, (n, d))
+        self._relu_v1 = _ReLU((n, d))
+        # Layer 2 over the attention-weighted moments.  μ₂ is deliberately
+        # fresh every epoch (the trainer keeps it alive as deferred
+        # validation logits).
+        self._lin_m2 = _Linear(model.w_mean_2, n)
+        self._prop_m2 = _Propagate(mean_op, (n, c), fresh=True)
+        self._lin_v2 = _Linear(model.w_var_2, n)
+        self._prop_v2 = _Propagate(var_op, (n, c))
+        self._relu_v2 = _ReLU((n, c))
+        # Elementwise couplings, their gradients, and scratch.
         self._var1 = np.empty((n, d))
         self._att = np.empty((n, d))
         self._ma = np.empty((n, d))
         self._p1 = np.empty((n, d))
         self._p2 = np.empty((n, d))
-        self._xm2 = np.empty((n, c))
-        self._xv2 = np.empty((n, c))
-        self._sv2 = np.empty((n, c))
-        self._pos_v2 = np.empty((n, c), dtype=bool)
-        self._rv2 = np.empty((n, c))
-        self._var2 = np.empty((n, c))
-        self._sqrt = np.empty((n, c))
-        self._mm = np.empty((n, c))
         self._td = np.empty((n, d))
-        self._tc = np.empty((n, c))
-        self._negb = np.empty((n, d), dtype=bool)
-        self._gv2 = np.empty((n, c))
-        self._gm2 = np.empty((n, c))
-        self._gxm2 = np.empty((n, c))
-        self._gxv2 = np.empty((n, c))
-        self._gma = np.empty((n, d))
         self._gp1 = np.empty((n, d))
         self._gatt = np.empty((n, d))
         self._gvar1 = np.empty((n, d))
         self._gmean1 = np.empty((n, d))
-        self._gxm1 = np.empty((n, d))
-        self._gxv1 = np.empty((n, d))
-        self._gw = {
-            name: np.empty(getattr(model, name).shape)
-            for name in ("w_mean_1", "w_var_1", "w_mean_2", "w_var_2")
-        }
+        self._var2 = np.empty((n, c))
+        self._sqrt = np.empty((n, c))
+        self._mm = np.empty((n, c))
+        self._tc = np.empty((n, c))
+        self._gv2 = np.empty((n, c))
+        self._gm2 = np.empty((n, c))
         self._mean2: Optional[np.ndarray] = None
         self._noise: Optional[np.ndarray] = None
 
     def _mean_path(self) -> np.ndarray:
         """First layer (both chains) + second mean layer; returns fresh μ₂."""
-        model = self.model
         x = self.features
-        xm1 = np.matmul(x, model.w_mean_1.data, out=self._xm1)
-        sm1 = _spmm(self.am, xm1, self._sm1)
-        # elu: np.where(a > 0, a, exp(min(a, 0)) - 1) at alpha=1.
-        np.greater(sm1, 0, out=self._pos_m1)
-        np.minimum(sm1, 0.0, out=self._td)
-        np.exp(self._td, out=self._td)
-        np.subtract(self._td, 1.0, out=self._td)
-        np.copyto(self._mean1, sm1)
-        np.logical_not(self._pos_m1, out=self._negb)
-        np.copyto(self._mean1, self._td, where=self._negb)
-        xv1 = np.matmul(x, model.w_var_1.data, out=self._xv1)
-        sv1 = _spmm(self.av, xv1, self._sv1)
-        np.greater(sv1, 0, out=self._pos_v1)
-        rv1 = np.maximum(sv1, 0.0, out=self._rv1)
+        mean1 = self._elu.forward(self._prop_m1.forward(self._lin_m1.forward(x)))
+        rv1 = self._relu_v1.forward(self._prop_v1.forward(self._lin_v1.forward(x)))
         var1 = np.add(rv1, 1e-6, out=self._var1)
-        np.multiply(var1, -model.gamma, out=self._att)
+        np.multiply(var1, -self.model.gamma, out=self._att)
         np.exp(self._att, out=self._att)
-        np.multiply(self._mean1, self._att, out=self._ma)
-        xm2 = np.matmul(self._ma, model.w_mean_2.data, out=self._xm2)
-        return _spmm_fresh(self.am, xm2)
+        np.multiply(mean1, self._att, out=self._ma)
+        return self._prop_m2.forward(self._lin_m2.forward(self._ma))
 
     def train_forward(self) -> tuple[float, np.ndarray]:
         model = self.model
@@ -819,10 +704,7 @@ class _FusedRGCN:
         self._mean2 = mean2
         p1 = np.multiply(self._var1, self._att, out=self._p1)
         p2 = np.multiply(p1, self._att, out=self._p2)
-        xv2 = np.matmul(p2, model.w_var_2.data, out=self._xv2)
-        sv2 = _spmm(self.av, xv2, self._sv2)
-        np.greater(sv2, 0, out=self._pos_v2)
-        rv2 = np.maximum(sv2, 0.0, out=self._rv2)
+        rv2 = self._relu_v2.forward(self._prop_v2.forward(self._lin_v2.forward(p2)))
         var2 = np.add(rv2, 1e-6, out=self._var2)
         # KL(N(μ,σ) ‖ N(0,1)) = 0.5 · mean_v Σ_c (μ² + σ − log σ − 1).
         t = np.multiply(mean2, mean2, out=self._mm)
@@ -840,13 +722,11 @@ class _FusedRGCN:
 
     def backward(self) -> None:
         model = self.model
-        n, c = self._var2.shape
-        x = self.features
+        n = self.features.shape[0]
         # The KL chain runs first in autodiff's reverse post-order.  Its
         # upstream is the constant (β·0.5)/n broadcast over (n, c).
         v = (self.beta_kl * 0.5) * (1.0 / float(n))
-        var2 = self._var2
-        gv2 = np.divide(-v, var2, out=self._gv2)
+        gv2 = np.divide(-v, self._var2, out=self._gv2)
         np.add(gv2, v, out=gv2)
         gm2 = np.multiply(self._mean2, v, out=self._gm2)
         np.add(gm2, gm2, out=gm2)
@@ -858,38 +738,24 @@ class _FusedRGCN:
         np.divide(t, self._sqrt, out=t)
         np.add(gv2, t, out=gv2)
         # Variance chain (processed before the mean chain): σ₂ -> W_v2, p2.
-        np.multiply(gv2, self._pos_v2, out=gv2)
-        gxv2 = _spmm(self.av_t, gv2, self._gxv2)
-        model.w_var_2.grad = np.matmul(
-            self._p2.T, gxv2, out=self._gw["w_var_2"]
-        )
-        gp2 = np.matmul(gxv2, model.w_var_2.data.T, out=self._td)
+        gxv2 = self._prop_v2.backward(self._relu_v2.backward(gv2))
+        model.w_var_2.grad, gp2 = self._lin_v2.backward(gxv2)
         gp1 = np.multiply(gp2, self._att, out=self._gp1)
         gatt = np.multiply(gp2, self._p1, out=self._gatt)
         gvar1 = np.multiply(gp1, self._att, out=self._gvar1)
         np.add(gatt, np.multiply(gp1, self._var1, out=self._td), out=gatt)
         # Mean chain: μ₂ -> W_m2, (μ₁·α).
-        gxm2 = _spmm(self.am_t, gm2, self._gxm2)
-        model.w_mean_2.grad = np.matmul(
-            self._ma.T, gxm2, out=self._gw["w_mean_2"]
-        )
-        gma = np.matmul(gxm2, model.w_mean_2.data.T, out=self._gma)
+        model.w_mean_2.grad, gma = self._lin_m2.backward(self._prop_m2.backward(gm2))
         gmean1 = np.multiply(gma, self._att, out=self._gmean1)
-        np.add(gatt, np.multiply(gma, self._mean1, out=self._td), out=gatt)
+        np.add(gatt, np.multiply(gma, self._elu.out, out=self._td), out=gatt)
         # Attention α = exp(−γ·σ₁): chain into σ₁ after p1's contribution.
         np.multiply(gatt, self._att, out=gatt)
         np.multiply(gatt, -model.gamma, out=self._td)
         np.add(gvar1, self._td, out=gvar1)
-        np.multiply(gvar1, self._pos_v1, out=gvar1)
-        gxv1 = _spmm(self.av_t, gvar1, self._gxv1)
-        model.w_var_1.grad = np.matmul(x.T, gxv1, out=self._gw["w_var_1"])
-        # elu backward: g * where(s > 0, 1, elu + 1).
-        np.add(self._mean1, 1.0, out=self._td)
-        np.multiply(gmean1, self._td, out=self._td)
-        np.logical_not(self._pos_m1, out=self._negb)
-        np.copyto(gmean1, self._td, where=self._negb)
-        gxm1 = _spmm(self.am_t, gmean1, self._gxm1)
-        model.w_mean_1.grad = np.matmul(x.T, gxm1, out=self._gw["w_mean_1"])
+        gxv1 = self._prop_v1.backward(self._relu_v1.backward(gvar1))
+        model.w_var_1.grad, _ = self._lin_v1.backward(gxv1)
+        gxm1 = self._prop_m1.backward(self._elu.backward(gmean1))
+        model.w_mean_1.grad, _ = self._lin_m1.backward(gxm1)
 
     def eval_forward(self) -> np.ndarray:
         # Eval-mode logits are the propagated means; the σ₂/KL/sampling tail
@@ -903,6 +769,66 @@ class _FusedRGCN:
         eval-mode logits — so deferred validation costs nothing at all.
         """
         return self._mean2
+
+
+class _GatedLayer:
+    """One SimPGCN layer: ``g·(A_t s) + (1−g)·(A_f s) + (x k)·s`` with
+    support ``s = x W``, gate ``g = σ(x w_g + b_g)`` and self term ``k``."""
+
+    def __init__(self, layer, topo, feat, rows: int, input_grad: bool) -> None:
+        self.layer = layer
+        width = layer.weight.shape[1]
+        self._support = _Linear(layer.weight, rows, input_grad)
+        self._gate = _Linear(layer.gate_w, rows, input_grad)
+        self._self = _Linear(layer.self_coeff, rows, input_grad)
+        self._topo = _Propagate(topo, (rows, width))
+        self._feat = _Propagate(feat, (rows, width))
+        self._gs = np.empty((rows, width))
+        self._t = np.empty((rows, width))
+        self._saved: tuple = ()
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        s = self._support.forward(x)
+        gpre = self._gate.forward(x) + self.layer.gate_b.data
+        gate = 1.0 / (1.0 + np.exp(-gpre))
+        tp = self._topo.forward(s)
+        fp = self._feat.forward(s)
+        sc = self._self.forward(x)
+        om = 1.0 - gate
+        self._saved = (s, tp, fp, gate, om, sc)
+        z = np.multiply(gate, tp)
+        np.add(z, np.multiply(om, fp), out=z)
+        np.add(z, np.multiply(sc, s), out=z)
+        return z
+
+    def backward(self, g: np.ndarray, gx: Optional[np.ndarray] = None):
+        """Set the layer's grads from the output gradient ``g``; fold its
+        input-gradient terms onto ``gx`` (holding the SSL chain's) in
+        autodiff's order: self term, support, gate."""
+        layer, t = self.layer, self._t
+        s, tp, fp, gate, om, sc = self._saved
+        # self term (last constructed, first in reverse post-order).
+        np.multiply(g, s, out=t)
+        gsc = t.sum(axis=1, keepdims=True)
+        gs = np.multiply(g, sc, out=self._gs)
+        layer.self_coeff.grad, gx_self = self._self.backward(gsc)
+        # feature-graph term, then topology term.
+        np.multiply(g, fp, out=t)
+        gom = t.sum(axis=1, keepdims=True)
+        np.add(gs, self._feat.backward(np.multiply(g, om, out=t)), out=gs)
+        ggate = -gom
+        np.multiply(g, tp, out=t)
+        ggate = ggate + t.sum(axis=1, keepdims=True)
+        np.add(gs, self._topo.backward(np.multiply(g, gate, out=t)), out=gs)
+        layer.weight.grad, gx_support = self._support.backward(gs)
+        # sigmoid gate backward: g * gate * (1 - gate).
+        ggpre = ggate * gate * om
+        layer.gate_b.grad = ggpre.sum(axis=0)
+        layer.gate_w.grad, gx_gate = self._gate.backward(ggpre)
+        if gx is not None:
+            for part in (gx_self, gx_support, gx_gate):
+                np.add(gx, part, out=gx)
+        return gx
 
 
 class _FusedSimPGCN:
@@ -922,78 +848,26 @@ class _FusedSimPGCN:
 
     def __init__(self, model, operators, graph, ssl) -> None:
         self.model = model
-        adj_topo, adj_feat = operators
-        self.at = adj_topo.tocsr()
-        self.af = adj_feat.tocsr()
-        self.at_t = self.at.T.tocsr()
-        self.af_t = self.af.T.tocsr()
+        topo, feat = (_operator_pair(op) for op in operators)
         self.features = np.asarray(graph.features, dtype=np.float64)
         self.ssl = ssl
         n = self.features.shape[0]
-        d = model.layer1.weight.shape[1]
-        c = model.layer2.weight.shape[1]
-        self.loss = _MaskedCrossEntropy(graph.labels, graph.train_mask, (n, c))
-        self._s1 = np.empty((n, d))
-        self._tp1 = np.empty((n, d))
-        self._fp1 = np.empty((n, d))
-        self._z1 = np.empty((n, d))
-        self._pos1 = np.empty((n, d), dtype=bool)
-        self._h = np.empty((n, d))
-        self._s2 = np.empty((n, c))
-        self._tp2 = np.empty((n, c))
-        self._fp2 = np.empty((n, c))
-        self._td = np.empty((n, d))
-        self._tc = np.empty((n, c))
-        self._gs1 = np.empty((n, d))
-        self._gs2 = np.empty((n, c))
-        self._gprop = np.empty((n, c))
-        self._gpropd = np.empty((n, d))
-        self._layer_state = [{}, {}]
-        self._gw = [
-            {
-                "weight": np.empty(layer.weight.shape),
-                "gate_w": np.empty(layer.gate_w.shape),
-                "self_coeff": np.empty(layer.self_coeff.shape),
-            }
-            for layer in (model.layer1, model.layer2)
-        ]
-
-    def _layer_forward(self, layer, xin, sbuf, tpbuf, fpbuf, state):
-        """One adaptive layer: gate·topo + (1−gate)·feat + self·support."""
-        s = np.matmul(xin, layer.weight.data, out=sbuf)
-        gpre = xin @ layer.gate_w.data + layer.gate_b.data
-        gate = 1.0 / (1.0 + np.exp(-gpre))
-        tp = _spmm(self.at, s, tpbuf)
-        fp = _spmm(self.af, s, fpbuf)
-        sc = xin @ layer.self_coeff.data
-        om = 1.0 - gate
-        state["gate"], state["om"], state["sc"] = gate, om, sc
-        z = np.multiply(gate, tp)
-        np.add(z, np.multiply(om, fp), out=z)
-        np.add(z, np.multiply(sc, s), out=z)
-        return z
+        self.loss = _MaskedCrossEntropy(graph, model.layer2.weight.shape[1])
+        self._layer1 = _GatedLayer(model.layer1, topo, feat, n, input_grad=False)
+        self._relu = _ReLU((n, model.layer1.weight.shape[1]))
+        self._layer2 = _GatedLayer(model.layer2, topo, feat, n, input_grad=True)
 
     def _forward(self) -> np.ndarray:
-        model = self.model
-        z1 = self._layer_forward(
-            model.layer1, self.features, self._s1, self._tp1, self._fp1,
-            self._layer_state[0],
-        )
-        np.copyto(self._z1, z1)
-        np.greater(self._z1, 0, out=self._pos1)
-        h = np.maximum(self._z1, 0.0, out=self._h)
-        return self._layer_forward(
-            model.layer2, h, self._s2, self._tp2, self._fp2,
-            self._layer_state[1],
-        )
+        h = self._relu.forward(self._layer1.forward(self.features))
+        return self._layer2.forward(h)  # fresh: the trainer reuses it
 
     def train_forward(self) -> tuple[float, np.ndarray]:
-        logits = self._forward()  # fresh: the trainer reuses training logits
+        logits = self._forward()
         ce = self.loss.forward(logits)
         # SSL term, drawn from the same stream the autodiff closure uses.
         pairs = self.ssl.draw_pairs()
         targets = self.ssl.pair_targets(pairs)
-        h = self._h
+        h = self._relu.out
         diff = h[pairs[:, 0]] - h[pairs[:, 1]]
         pred = diff @ self.model.ssl_head.data
         resid = pred.reshape(-1) - targets
@@ -1001,45 +875,6 @@ class _FusedSimPGCN:
         sslval = sq.sum() * (1.0 / float(sq.size))
         self._pairs, self._diff, self._resid = pairs, diff, resid
         return ce + self.ssl.weight * sslval, logits
-
-    def _layer_backward(self, layer, g, xin, s, tp, fp, state, gsbuf, gw, gx):
-        """Backward of one adaptive layer.
-
-        When ``gx`` is given it already holds the SSL chain's gradient on
-        this layer's input; the layer's own contributions fold on top in
-        autodiff's accumulation order (self term, then support, then gate).
-        ``gx=None`` skips the input gradient (the feature layer)."""
-        gate, om, sc = state["gate"], state["om"], state["sc"]
-        wide = g.shape[1] == self._tc.shape[1]
-        t = self._tc if wide else self._td
-        prop = self._gprop if wide else self._gpropd
-        # self term (last constructed, first in reverse post-order).
-        np.multiply(g, s, out=t)
-        gsc = t.sum(axis=1, keepdims=True)
-        gs = np.multiply(g, sc, out=gsbuf)
-        if gx is not None:
-            np.add(gx, gsc @ layer.self_coeff.data.T, out=gx)
-        layer.self_coeff.grad = np.matmul(xin.T, gsc, out=gw["self_coeff"])
-        # feature-graph term, then topology term.
-        np.multiply(g, fp, out=t)
-        gom = t.sum(axis=1, keepdims=True)
-        gfp = np.multiply(g, om, out=t)
-        np.add(gs, _spmm(self.af_t, gfp, prop), out=gs)
-        ggate = -gom
-        np.multiply(g, tp, out=t)
-        ggate = ggate + t.sum(axis=1, keepdims=True)
-        gtp = np.multiply(g, gate, out=t)
-        np.add(gs, _spmm(self.at_t, gtp, prop), out=gs)
-        if gx is not None:
-            np.add(gx, gs @ layer.weight.data.T, out=gx)
-        layer.weight.grad = np.matmul(xin.T, gs, out=gw["weight"])
-        # sigmoid gate backward: g * gate * (1 - gate).
-        ggpre = ggate * gate * om
-        layer.gate_b.grad = ggpre.sum(axis=0)
-        if gx is not None:
-            np.add(gx, ggpre @ layer.gate_w.data.T, out=gx)
-        layer.gate_w.grad = np.matmul(xin.T, ggpre, out=gw["gate_w"])
-        return gx
 
     def backward(self) -> None:
         model = self.model
@@ -1053,25 +888,15 @@ class _FusedSimPGCN:
         gpred = gresid.reshape(m, 1)
         model.ssl_head.grad = diff.T @ gpred
         gdiff = gpred @ model.ssl_head.data.T
-        scatter_r = sp.csr_matrix(
-            (np.ones(m), (pairs[:, 1], np.arange(m))), shape=(n, m)
-        )
-        scatter_l = sp.csr_matrix(
-            (np.ones(m), (pairs[:, 0], np.arange(m))), shape=(n, m)
+        scatter_l, scatter_r = (
+            sp.csr_matrix((np.ones(m), (pairs[:, k], np.arange(m))), shape=(n, m))
+            for k in (0, 1)
         )
         gh = scatter_r @ (-gdiff)
         gh = gh + scatter_l @ gdiff
         # Classification chain: layer 2 folds its four h-contributions on top.
-        g = self.loss.backward()
-        gh = self._layer_backward(
-            model.layer2, g, self._h, self._s2, self._tp2, self._fp2,
-            self._layer_state[1], self._gs2, self._gw[1], gh,
-        )
-        np.multiply(gh, self._pos1, out=gh)
-        self._layer_backward(
-            model.layer1, gh, self.features, self._s1, self._tp1, self._fp1,
-            self._layer_state[0], self._gs1, self._gw[0], None,
-        )
+        gh = self._layer2.backward(self.loss.backward(), gh)
+        self._layer1.backward(self._relu.backward(gh))
 
     def eval_forward(self) -> np.ndarray:
         return self._forward()
@@ -1085,12 +910,6 @@ def _is_plain_bound_forward(forward: Callable, model) -> bool:
     return (
         getattr(forward, "__self__", None) is model
         and getattr(forward, "__func__", None) is type(model).forward
-    )
-
-
-def _gcn_fusible(model: GCN) -> bool:
-    return 0.0 <= model.dropout < 1.0 and all(
-        layer.bias is not None for layer in model.layers
     )
 
 
@@ -1149,56 +968,38 @@ def make_fused_kernel(
     if loss_fn is not None:
         # Only the two recognized defense loss terms fuse; anything else is
         # an arbitrary closure the kernels cannot replicate.
-        if isinstance(loss_fn, KLLoss):
-            if type(model) is not GaussianGCNModel:
-                return _ineligible(
-                    strict,
-                    f"KLLoss pairs with GaussianGCNModel, not {type(model).__name__}",
-                )
-            if loss_fn.model is not model:
-                return _ineligible(
-                    strict, "the KLLoss is bound to a different model instance"
-                )
-            if not _is_plain_bound_forward(forward, model):
-                return _ineligible(
-                    strict, "the forward is wrapped or overridden, not GaussianGCNModel.forward"
-                )
-            reason = _operator_pair_reason(adjacency, ("mean", "variance"))
+        for loss_cls, model_cls, operator_names, kernel_cls in (
+            (KLLoss, GaussianGCNModel, ("mean", "variance"), _FusedRGCN),
+            (SSLLoss, SimPGCNModel, ("topology", "feature-graph"), _FusedSimPGCN),
+        ):
+            if not isinstance(loss_fn, loss_cls):
+                continue
+            term, owner = loss_cls.__name__, model_cls.__name__
+            if type(model) is not model_cls:
+                reason = f"{term} pairs with {owner}, not {type(model).__name__}"
+            elif loss_fn.model is not model:
+                reason = f"the {term} is bound to a different model instance"
+            elif not _is_plain_bound_forward(forward, model):
+                reason = f"the forward is wrapped or overridden, not {owner}.forward"
+            else:
+                reason = _operator_pair_reason(adjacency, operator_names)
             if reason is not None:
                 return _ineligible(strict, reason)
-            return _FusedRGCN(model, adjacency, graph, loss_fn.beta_kl)
-        if isinstance(loss_fn, SSLLoss):
-            if type(model) is not SimPGCNModel:
-                return _ineligible(
-                    strict,
-                    f"SSLLoss pairs with SimPGCNModel, not {type(model).__name__}",
-                )
-            if loss_fn.model is not model:
-                return _ineligible(
-                    strict, "the SSLLoss is bound to a different model instance"
-                )
-            if not _is_plain_bound_forward(forward, model):
-                return _ineligible(
-                    strict, "the forward is wrapped or overridden, not SimPGCNModel.forward"
-                )
-            reason = _operator_pair_reason(adjacency, ("topology", "feature-graph"))
-            if reason is not None:
-                return _ineligible(strict, reason)
-            return _FusedSimPGCN(model, adjacency, graph, loss_fn)
+            return kernel_cls(model, adjacency, graph, loss_fn)
         name = getattr(type(loss_fn), "__qualname__", type(loss_fn).__name__)
         if name in ("function", "lambda"):
             name = getattr(loss_fn, "__qualname__", repr(loss_fn))
         return _ineligible(strict, f"custom loss_fn {name!r} is not a recognized loss term")
-    if isinstance(forward, MultiViewForward):
-        target = forward.model
-        if target is not model:
+    multi_view = isinstance(forward, MultiViewForward)
+    if multi_view:
+        if forward.model is not model:
             return _ineligible(
                 strict, "the MultiViewForward wraps a different model instance"
             )
-        if type(target) is not GCN:
+        if type(model) is not GCN:
             return _ineligible(
                 strict,
-                f"multi-view fusion covers plain GCN, not {type(target).__name__}",
+                f"multi-view fusion covers plain GCN, not {type(model).__name__}",
             )
         for i, op in enumerate(forward.operators):
             if not sp.issparse(op):
@@ -1206,34 +1007,34 @@ def make_fused_kernel(
                     strict,
                     f"view operator {i} is a dense {type(op).__name__}, not scipy.sparse",
                 )
-        if not _gcn_fusible(target):
-            return _ineligible(
-                strict, "the GCN has dropout >= 1 or bias-free layers"
-            )
-        return _FusedMultiView(target, forward.operators, graph)
-    if not _is_plain_bound_forward(forward, model):
+    elif not _is_plain_bound_forward(forward, model):
         return _ineligible(
             strict,
             f"the forward is wrapped or overridden, not {type(model).__name__}.forward",
         )
-    if type(model) is GAT:
+    elif type(model) is GAT:
         # GAT's kernel only reads the adjacency's support pattern, so dense
         # adjacencies are as fusible as sparse ones.
         if not 0.0 <= model.dropout < 1.0:
             return _ineligible(strict, f"GAT dropout {model.dropout} is outside [0, 1)")
         return _FusedGAT(model, adjacency, graph)
-    if not sp.issparse(adjacency):
+    elif not sp.issparse(adjacency):
         return _ineligible(
             strict,
             f"the adjacency operator is a dense {type(adjacency).__name__}, "
             "not scipy.sparse (e.g. GCN-SVD's low-rank dense operator)",
         )
     if type(model) is GCN:
-        if not _gcn_fusible(model):
+        if not (
+            0.0 <= model.dropout < 1.0
+            and all(layer.bias is not None for layer in model.layers)
+        ):
             return _ineligible(
                 strict, "the GCN has dropout >= 1 or bias-free layers"
             )
-        return _FusedGCN(model, adjacency, graph)
+        if multi_view:
+            return _FusedMultiView(model, forward.operators, graph)
+        return _FusedGCN(model, [adjacency], graph)
     if type(model) is SGC:
         return _FusedSGC(model, adjacency, graph)
     return _ineligible(
@@ -1262,17 +1063,12 @@ def training_matches_eval(model, forward: Callable, loss_fn: Optional[Callable])
             and _is_plain_bound_forward(forward, model)
         )
     if isinstance(forward, MultiViewForward):
-        target = forward.model
-        if target is not model:
+        if forward.model is not model:
             return False
-    elif _is_plain_bound_forward(forward, model):
-        target = model
-    else:
+    elif not _is_plain_bound_forward(forward, model):
         return False
-    if type(target) is SGC:
+    if type(model) is SGC:
         return True
-    if type(target) is GAT:
-        return target.dropout <= 0.0
-    return type(target) is GCN and (
-        target.dropout <= 0.0 or len(target.layers) == 1
-    )
+    if type(model) is GAT:
+        return model.dropout <= 0.0
+    return type(model) is GCN and (model.dropout <= 0.0 or len(model.layers) == 1)

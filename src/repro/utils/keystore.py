@@ -17,9 +17,6 @@ module closes ROADMAP item 5's refactor rider: a single
   ``--cache-bytes``, env ``REPRO_CACHE_BYTES``) caps the *sum* of all
   registered stores, which is exactly the single eviction/capacity policy
   the always-on service layer (ROADMAP item 3) needs;
-* **optional spill-to-disk** — a store constructed with ``spill_dir`` +
-  ``dump``/``load`` callbacks writes evicted payloads to disk and reloads
-  them on the next hit instead of recomputing;
 * **pinning** — entries whose only copy lives in memory (a poison graph
   with no checkpoint archive behind it) are never evicted.
 
@@ -36,7 +33,6 @@ deadlock-free.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import os
 import sys
@@ -44,8 +40,7 @@ import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Callable, Hashable, Optional, Union
+from typing import Any, Hashable, Optional
 
 from ..errors import ConfigError
 
@@ -130,8 +125,6 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    spills: int = 0
-    spill_hits: int = 0
     rejected_pins: int = 0
     entries: int = 0
     bytes: int = 0
@@ -141,20 +134,14 @@ class StoreStats:
 
 
 class KeyedArtifactStore:
-    """Byte-accounted, LRU-evicted, optionally disk-spilling keyed store.
+    """Byte-accounted, LRU-evicted keyed store.
 
     Parameters
     ----------
     name:
-        Label for :func:`cache_report` and spill filenames.
+        Label for :func:`cache_report`.
     capacity_bytes / max_entries:
         Per-store ceilings (``None`` = only the global budget applies).
-    spill_dir, dump, load:
-        When all three are given, evicted payloads are written via
-        ``dump(value, path)`` and transparently reloaded with
-        ``load(path)`` on the next :meth:`get` — a spill hit re-admits the
-        entry (which may evict something else).  Spill files are removed
-        on :meth:`clear` and on re-admission.
     """
 
     def __init__(
@@ -162,24 +149,15 @@ class KeyedArtifactStore:
         name: str,
         capacity_bytes: Optional[int] = None,
         max_entries: Optional[int] = None,
-        spill_dir: Optional[Union[str, Path]] = None,
-        dump: Optional[Callable[[Any, Path], None]] = None,
-        load: Optional[Callable[[Path], Any]] = None,
     ) -> None:
         if capacity_bytes is not None and capacity_bytes < 0:
             raise ConfigError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
         if max_entries is not None and max_entries < 1:
             raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
-        if (spill_dir is not None) and (dump is None or load is None):
-            raise ConfigError("spill_dir requires both dump and load callbacks")
         self.name = name
         self.capacity_bytes = capacity_bytes
         self.max_entries = max_entries
-        self.spill_dir = Path(spill_dir) if spill_dir is not None else None
-        self._dump = dump
-        self._load = load
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
-        self._spilled: dict[Hashable, Path] = {}
         self._stats = StoreStats()
         self.total_bytes = 0
         with _lock:
@@ -187,33 +165,16 @@ class KeyedArtifactStore:
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, default: Any = None) -> Any:
-        """The cached value, reloaded from spill if needed, else ``default``."""
+        """The cached value, else ``default``."""
         with _lock:
             entry = self._entries.get(key)
-            if entry is not None:
-                entry.tick = next(_tick)
-                self._entries.move_to_end(key)
-                self._stats.hits += 1
-                return entry.value
-            path = self._spilled.get(key)
-            if path is None:
+            if entry is None:
                 self._stats.misses += 1
                 return default
-        # Load outside the lock (disk I/O), re-admit under it.
-        try:
-            value = self._load(path)  # type: ignore[misc]
-        except Exception:
-            # A vanished or corrupt spill file is just a cache miss.
-            with _lock:
-                self._spilled.pop(key, None)
-                self._stats.misses += 1
-            return default
-        with _lock:
-            self._spilled.pop(key, None)
-        path.unlink(missing_ok=True)
-        self._stats.spill_hits += 1
-        self.put(key, value)
-        return value
+            entry.tick = next(_tick)
+            self._entries.move_to_end(key)
+            self._stats.hits += 1
+            return entry.value
 
     def put(
         self,
@@ -265,25 +226,18 @@ class KeyedArtifactStore:
                 entry.pinned = False
 
     def discard(self, key: Hashable) -> None:
-        """Drop ``key`` (memory and spill) if present."""
+        """Drop ``key`` if present."""
         with _lock:
             entry = self._entries.pop(key, None)
             if entry is not None:
                 self.total_bytes -= entry.nbytes
-            path = self._spilled.pop(key, None)
-        if path is not None:
-            path.unlink(missing_ok=True)
 
     def clear(self) -> None:
-        """Drop every entry and spill file; reset the counters."""
+        """Drop every entry; reset the counters."""
         with _lock:
             self._entries.clear()
             self.total_bytes = 0
-            spilled = list(self._spilled.values())
-            self._spilled.clear()
             self._stats = StoreStats()
-        for path in spilled:
-            path.unlink(missing_ok=True)
 
     def __len__(self) -> int:
         with _lock:
@@ -291,7 +245,7 @@ class KeyedArtifactStore:
 
     def __contains__(self, key: Hashable) -> bool:
         with _lock:
-            return key in self._entries or key in self._spilled
+            return key in self._entries
 
     def keys(self) -> list:
         with _lock:
@@ -304,7 +258,6 @@ class KeyedArtifactStore:
             stats["bytes"] = self.total_bytes
             stats["capacity_bytes"] = self.capacity_bytes
             stats["max_entries"] = self.max_entries
-            stats["spilled"] = len(self._spilled)
             return stats
 
     # ------------------------------------------------------------------
@@ -315,28 +268,10 @@ class KeyedArtifactStore:
         return None
 
     def _evict_one(self, key: Hashable) -> None:
-        """Remove ``key``, spilling its payload first when configured.
-
-        Caller holds the lock.  The dump itself happens while holding it
-        too — spills are rare (eviction-only) and the alternative invites
-        a torn store under concurrent eviction.
-        """
+        """Remove ``key``; caller holds the lock."""
         entry = self._entries.pop(key)
         self.total_bytes -= entry.nbytes
         self._stats.evictions += 1
-        if self.spill_dir is not None:
-            digest = hashlib.blake2b(
-                repr(key).encode(), digest_size=12
-            ).hexdigest()
-            path = self.spill_dir / f"{self.name}-{digest}.spill"
-            try:
-                self.spill_dir.mkdir(parents=True, exist_ok=True)
-                self._dump(entry.value, path)  # type: ignore[misc]
-            except Exception:
-                path.unlink(missing_ok=True)  # spill is best-effort
-            else:
-                self._spilled[key] = path
-                self._stats.spills += 1
 
     def _enforce_local(self) -> None:
         """Evict (globally-oldest-first is irrelevant within one store —
@@ -387,14 +322,11 @@ def _resolved_budget() -> Optional[int]:
     return _budget_bytes
 
 
-def _enforce_global() -> None:
+def _evict_down_to(stores: list[KeyedArtifactStore], target: int) -> None:
     """Caller holds the lock: evict the globally least-recently-used
-    evictable entry (across stores) until the shared budget holds."""
-    budget = _resolved_budget()
-    if budget is None:
-        return
-    stores = _live_stores()
-    while sum(s.total_bytes for s in stores) > budget:
+    evictable entry (across ``stores``) until they hold ``target`` bytes
+    or less, or everything left is pinned."""
+    while sum(s.total_bytes for s in stores) > target:
         oldest_store: Optional[KeyedArtifactStore] = None
         oldest_key: Optional[Hashable] = None
         oldest_tick = None
@@ -406,8 +338,16 @@ def _enforce_global() -> None:
             if oldest_tick is None or tick < oldest_tick:
                 oldest_store, oldest_key, oldest_tick = store, key, tick
         if oldest_store is None:
-            break  # everything left is pinned
+            return
         oldest_store._evict_one(oldest_key)
+
+
+def _enforce_global() -> None:
+    """Caller holds the lock: evict globally-LRU-first until the shared
+    budget holds."""
+    budget = _resolved_budget()
+    if budget is not None:
+        _evict_down_to(_live_stores(), budget)
 
 
 def set_cache_bytes(total: Optional[int]) -> None:
@@ -446,21 +386,7 @@ def evict_fraction(fraction: float = 0.5) -> int:
     with _lock:
         stores = _live_stores()
         before = sum(s.total_bytes for s in stores)
-        target = int(before * (1.0 - fraction))
-        while sum(s.total_bytes for s in stores) > target:
-            oldest_store: Optional[KeyedArtifactStore] = None
-            oldest_key: Optional[Hashable] = None
-            oldest_tick = None
-            for store in stores:
-                key = store._lru_evictable()
-                if key is None:
-                    continue
-                tick = store._entries[key].tick
-                if oldest_tick is None or tick < oldest_tick:
-                    oldest_store, oldest_key, oldest_tick = store, key, tick
-            if oldest_store is None:
-                break
-            oldest_store._evict_one(oldest_key)
+        _evict_down_to(stores, int(before * (1.0 - fraction)))
         return before - sum(s.total_bytes for s in stores)
 
 

@@ -671,3 +671,98 @@ class TestSweepEquivalence:
 
         assert runs["autodiff-serial"] == runs["auto-serial"]
         assert runs["auto-serial"] == runs["auto-parallel"]
+
+
+# ---------------------------------------------------------------------------
+# Deferred validation: the shortcut equals a full eval forward
+
+
+def _deferred_kernels(graph):
+    """(label, kernel, generators) for every kernel with a deferred eval.
+
+    Each model is first trained for a few epochs so the weights are not at
+    their initialization; dropout 0.5 makes the training forward stochastic,
+    which is exactly when the trainer defers validation.
+    """
+    adjacency = gcn_normalize(graph.adjacency)
+    setups = []
+    for layers in (2, 3):
+        model = GCN(
+            graph.num_features, graph.num_classes, hidden_dim=8,
+            num_layers=layers, dropout=0.5, seed=layers,
+        )
+        setups.append((f"gcn-{layers}", model, adjacency, model.forward, None))
+    model = GCN(graph.num_features, graph.num_classes, hidden_dim=8, dropout=0.5, seed=4)
+    operators = [adjacency, gcn_normalize(sp.eye(graph.num_nodes, format="csr"))]
+    setups.append(
+        ("multiview", model, operators[0], MultiViewForward(model, operators), None)
+    )
+    model, operators, loss = rgcn_setup(graph, seed=5)
+    setups.append(("rgcn", model, operators, model.forward, loss))
+    short = TrainConfig(epochs=5, patience=10)
+    kernels = []
+    for label, model, adj, forward, loss_fn in setups:
+        train_node_classifier(
+            model, graph, short, adjacency=adj, forward=forward, loss_fn=loss_fn,
+            engine="fused",
+        )
+        model.train()
+        kernel = make_fused_kernel(model, graph, adj, forward, loss_fn, strict=True)
+        generators = [
+            getattr(model, name)
+            for name in ("_dropout_rng", "_sample_rng")
+            if hasattr(model, name)
+        ]
+        kernels.append((label, model, kernel, generators))
+    return kernels
+
+
+class TestDeferredEval:
+    def test_deferred_equals_fresh_eval_forward(self, small_cora):
+        for label, _, kernel, _ in _deferred_kernels(small_cora):
+            for _ in range(2):  # a second draw of the dropout/sampling streams
+                kernel.train_forward()
+                deferred = kernel.deferred_eval_forward()
+                fresh = kernel.eval_forward()
+                assert np.array_equal(deferred, fresh), label
+
+    def test_deferred_leaves_backward_untouched(self, small_cora):
+        for label, model, kernel, generators in _deferred_kernels(small_cora):
+            states = [gen.bit_generator.state for gen in generators]
+            kernel.train_forward()
+            kernel.backward()
+            expected = [param.grad.copy() for param in model.parameters()]
+            for gen, state in zip(generators, states):
+                gen.bit_generator.state = state
+            kernel.train_forward()
+            kernel.deferred_eval_forward()
+            kernel.backward()
+            for param, grad in zip(model.parameters(), expected):
+                assert np.array_equal(param.grad, grad), label
+
+
+class TestKernelNames:
+    """``benchmarks/e2e/spans.py`` derives its ``nn.fastpath.<Model>.<phase>``
+    metric names from the kernel class and method names pinned here."""
+
+    def test_every_kernel_class_and_phase(self, tiny_graph):
+        adjacency = gcn_normalize(tiny_graph.adjacency)
+        gcn = GCN(tiny_graph.num_features, tiny_graph.num_classes, seed=0)
+        sgc = SGC(tiny_graph.num_features, tiny_graph.num_classes, seed=0)
+        gat = GAT(tiny_graph.num_features, tiny_graph.num_classes, seed=0)
+        views = MultiViewForward(gcn, [adjacency, adjacency])
+        rgcn, rgcn_ops, kl = rgcn_setup(tiny_graph, seed=0, hidden=4)
+        simp, simp_ops, ssl = simpgcn_setup(tiny_graph, seed=0, hidden=4, knn_k=2)
+        setups = {
+            "_FusedGCN": (gcn, adjacency, gcn.forward, None),
+            "_FusedSGC": (sgc, adjacency, sgc.forward, None),
+            "_FusedMultiView": (gcn, adjacency, views, None),
+            "_FusedGAT": (gat, adjacency, gat.forward, None),
+            "_FusedRGCN": (rgcn, rgcn_ops, rgcn.forward, kl),
+            "_FusedSimPGCN": (simp, simp_ops, simp.forward, ssl),
+        }
+        for name, (model, adj, forward, loss_fn) in setups.items():
+            kernel = make_fused_kernel(model, tiny_graph, adj, forward, loss_fn)
+            assert type(kernel).__name__ == name
+            for method in ("train_forward", "backward", "eval_forward"):
+                assert callable(getattr(kernel, method, None)), (name, method)

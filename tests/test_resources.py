@@ -5,7 +5,7 @@ Covers the contracts in docs/resource_governance.md:
 * :class:`MemoryBudget` watermarks fire on upward crossings and re-arm on
   the way down (scripted RSS readers — no real allocation games).
 * :class:`KeyedArtifactStore` enforces per-store and *global* byte budgets
-  LRU-first, never evicts pinned entries, and spills/reloads when told to.
+  LRU-first and never evicts pinned entries.
 * ``require_free_disk`` / ``with_disk_retry`` turn ENOSPC into structured,
   retryable :class:`ResourceError` s — chaos-driven by ``disk_full`` rules.
 * The degradation ladders actually recover: an OOM-killed ``--jobs N``
@@ -17,7 +17,6 @@ Covers the contracts in docs/resource_governance.md:
 from __future__ import annotations
 
 import os
-import pickle
 import warnings
 
 import numpy as np
@@ -231,24 +230,6 @@ class TestKeyedArtifactStore:
         report = cache_report()
         assert report["budget_bytes"] == 3 * 1024
         assert report["total_bytes"] <= 3 * 1024
-
-    def test_spill_and_reload(self, tmp_path):
-        store = KeyedArtifactStore(
-            "t-spill",
-            max_entries=1,
-            spill_dir=tmp_path,
-            dump=lambda value, path: path.write_bytes(pickle.dumps(value)),
-            load=lambda path: pickle.loads(path.read_bytes()),
-        )
-        store.put("x", np.arange(8))
-        store.put("y", np.arange(8))  # evicts + spills x
-        assert store.stats()["spills"] == 1
-        assert list(tmp_path.glob("t-spill-*.spill"))
-        np.testing.assert_array_equal(store.get("x"), np.arange(8))
-        # The spill hit re-admitted x, which in turn evicted + spilled y.
-        assert store.stats()["spill_hits"] == 1
-        assert store.stats()["spills"] == 2
-        assert store.keys() == ["x"] and "y" in store
 
     def test_evict_fraction_is_the_watermark_callback(self):
         store = KeyedArtifactStore("t-watermark")
