@@ -10,7 +10,6 @@ from .config import (
 )
 from .parallel import (
     ParallelTrialExecutor,
-    SerialTrialExecutor,
     SweepPlan,
     SweepRuntime,
     TrialTask,
@@ -57,7 +56,6 @@ __all__ = [
     "SweepPlan",
     "SweepRuntime",
     "TrialTask",
-    "SerialTrialExecutor",
     "ParallelTrialExecutor",
     "make_executor",
     "assemble_table",

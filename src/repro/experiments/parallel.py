@@ -1,33 +1,32 @@
-"""Parallel sweep execution: a process-pool trial scheduler with
+"""Sweep execution: one DAG scheduler, two places a trial can run, and a
 deterministic merge.
 
 The paper's accuracy grids are embarrassingly parallel — hundreds of
-independent (attacker, defender, seed) trials — but the serial runner
-executes them one at a time.  This module turns a sweep into an explicit
-dependency DAG and executes it on a pool of worker processes without
-changing a single reported number:
+independent (attacker, defender, seed) trials.  This module turns a sweep
+into an explicit dependency DAG and executes it without changing a single
+reported number:
 
 :class:`SweepPlan`
-    Topologically ordered list of :class:`TrialTask` s in *canonical order*
-    — exactly the order the serial runner visits trials.  Poison-graph
-    generation (one ``attack`` task per attacked row) precedes the row's
-    defense trials; everything else is independent and fans out.
+    Topologically ordered list of :class:`TrialTask` s in *canonical order*.
+    Poison-graph generation (one ``attack`` task per attacked row) precedes
+    the row's defense trials; everything else is independent and fans out.
 
-:class:`SerialTrialExecutor` / :class:`ParallelTrialExecutor`
-    Run a plan and return ``{task.index: TrialOutcome}``.  The serial
-    executor reproduces today's in-process semantics exactly (shared
-    supervisor, ambient fault injector, quarantine, cell abandonment).
-    The parallel executor dispatches ready tasks to a
-    ``ProcessPoolExecutor``; workers return structured outcomes (never
-    raise ``Exception``), quarantine lives in the parent scheduler, and
-    journal writes stay in the parent so checkpoint/resume is
-    crash-consistent under any completion order.
+:class:`ParallelTrialExecutor`
+    The scheduler: it releases ready tasks, resolves cached poisons and
+    quarantined methods without running them, and journals each cell the
+    moment it completes.  With ``jobs == 1`` (``--jobs 1``, the default)
+    every trial runs in the calling process, in canonical order; with
+    ``jobs >= 2`` trials run on a ``ProcessPoolExecutor`` and workers
+    return structured outcomes (never raise ``Exception``).  Both places
+    run the same trial body, :func:`trial_body`.  Quarantine and journal
+    writes stay in the scheduler, so checkpoint/resume is crash-consistent
+    under any completion order.
 
 :func:`assemble_table`
     Deterministic merge: outcomes are folded into an
     :class:`~repro.experiments.runner.AccuracyTable` in canonical order,
     so completion order can never change a cell, the failure appendix, or
-    a mean/stddev.  Parallel output is bit-identical to serial output.
+    a mean/stddev.  Parallel output is bit-identical to in-process output.
 
 Determinism rests on two facts the test suite pins down: every trial is
 explicitly seeded (``make_defender(seed)``, per-attempt reseeds via
@@ -39,7 +38,7 @@ Fault injection crosses the process boundary explicitly: each task ships a
 copy of the active injector's specs plus the trial's canonical per-site
 ordinal, and the worker seeds a fresh injector with it
 (:meth:`~repro.utils.faults.FaultInjector.seed_counters`), so ``at=N``
-rules fire on the same trial as in a serial run.  ``times=N`` rules
+rules fire on the same trial as in an in-process run.  ``times=N`` rules
 become per-trial budgets in workers (each worker's injector counts its
 own firings); sweep-global ``times`` accounting cannot exist without
 cross-process synchronization and is documented as per-trial in
@@ -70,7 +69,14 @@ from ..graph import Graph
 from ..utils import cancellation, faults
 from ..utils.snapshots import TrialSnapshotter
 from ..utils.blas import cpu_count, limit_blas_threads, plan_worker_threads
-from ..utils.resources import MAX_DEGRADE_LEVEL, budget_from_env, degraded_footprint, install_budget
+from ..utils.resources import (
+    MAX_DEGRADE_LEVEL,
+    budget_check,
+    budget_from_env,
+    degraded_footprint,
+    install_budget,
+)
+from .config import make_attacker, make_defender
 from .supervisor import (
     RESEED_STRIDE,
     TrialFailure,
@@ -85,9 +91,9 @@ __all__ = [
     "TrialTask",
     "SweepPlan",
     "SweepRuntime",
-    "SerialTrialExecutor",
     "ParallelTrialExecutor",
     "make_executor",
+    "trial_body",
     "assemble_table",
 ]
 
@@ -102,7 +108,7 @@ CLEAN_ROW = "Clean"
 class TrialTask:
     """One node of the sweep DAG.
 
-    ``index`` is the task's position in canonical (serial) order and is the
+    ``index`` is the task's position in canonical (in-process) order and is the
     key every executor reports outcomes under.  ``depends_on`` is the index
     of the attack task whose poison graph this defense trial trains on
     (``None`` for attack tasks and for the Clean row).  ``site_ordinal`` is
@@ -206,53 +212,50 @@ class SweepPlan:
 
 @dataclass
 class SweepRuntime:
-    """What an executor needs from the :class:`ExperimentRunner`.
+    """What the scheduler needs from the :class:`ExperimentRunner`.
 
-    The serial executor calls ``run_attack``/``run_defense`` (closures over
-    the runner's shared supervisor, so quarantine and retry state behave
-    exactly as before).  The parallel executor instead ships
-    ``config``/``policy``/graph references to workers and uses the
-    ``poison_*`` callbacks to keep the parent's poison cache and the
-    checkpoint authoritative.  ``record_cell`` journals a completed cell
-    the moment its last seed lands — crash-consistent in both modes.
+    ``supervisor`` is the runner's shared supervisor: in-process trials run
+    through it and pool workers build their own from its policy.  The
+    ``poison_*`` callbacks keep the runner's poison cache and the
+    checkpoint authoritative, ``record_cell`` journals a completed cell the
+    moment its last seed lands, and ``snapshot_path`` names a trial's
+    mid-trial snapshot archive (``None`` without a checkpoint; see
+    :mod:`repro.utils.snapshots`).
     """
 
     dataset: str
     rate: float
     scale: float
     dataset_seed: int
-    policy: TrialPolicy
+    supervisor: TrialSupervisor
     clean_graph: Callable[[], Graph]
-    run_attack: Callable[[TrialKey], TrialOutcome]
-    run_defense: Callable[[TrialKey, Graph], TrialOutcome]
     poison_lookup: Callable[[str], Optional[AttackResult]]
     poison_path: Callable[[str], Optional[str]]
     store_poison: Callable[[str, AttackResult], Optional[str]]
     record_cell: Callable[[str, str, list[float]], None]
+    snapshot_path: Callable[[TrialKey], Optional[str]]
     validate: str = "strict"
-    # Mid-trial snapshot archive for a trial key (None without a
-    # checkpoint): workers snapshot into it and resumed/requeued attempts
-    # restore from it.  See repro.utils.snapshots.
-    snapshot_path: Optional[Callable[[TrialKey], Optional[str]]] = None
 
 
 class _CellTracker:
-    """Journals each cell as soon as all of its seed trials have succeeded."""
+    """Journals each cell as soon as all of its seed trials have succeeded.
+
+    Every task is offered at most once, so a cell with a failed seed never
+    collects its full set of values.
+    """
 
     def __init__(self, plan: SweepPlan, record_cell: Callable[[str, str, list[float]], None]):
         self._expected = {cell: len(tasks) for cell, tasks in plan.cell_tasks.items()}
         self._values: dict[tuple[str, str], dict[int, float]] = {}
-        self._failed: set[tuple[str, str]] = set()
         self._record = record_cell
 
     def offer(self, task: TrialTask, outcome: TrialOutcome) -> None:
-        cell = (task.key.attacker, task.key.defender)
         if not outcome.ok:
-            self._failed.add(cell)
             return
+        cell = (task.key.attacker, task.key.defender)
         values = self._values.setdefault(cell, {})
         values[task.key.seed] = float(outcome.value)
-        if cell not in self._failed and len(values) == self._expected[cell]:
+        if len(values) == self._expected[cell]:
             self._record(
                 task.key.attacker,
                 task.key.defender,
@@ -260,66 +263,48 @@ class _CellTracker:
             )
 
 
-# ---------------------------------------------------------------------------
-# Serial execution (reference semantics)
+def trial_body(
+    kind: str, key: TrialKey, graph: Graph, validate: str
+) -> Callable[[int], Any]:
+    """The one trial body, ``fn(attempt)``, wherever the trial runs.
 
-
-class SerialTrialExecutor:
-    """In-process executor with exactly the historical serial semantics.
-
-    Trials run through the runner's shared :class:`TrialSupervisor` under
-    the ambient fault injector; a failed seed abandons the rest of its
-    cell, and a failed attack skips the whole row.  This is the executor
-    ``--jobs 1`` uses and the reference the parallel path must match bit
-    for bit.
+    An ``attack`` trial generates the row's poison from the clean
+    ``graph``; a ``defense`` trial fits one defender seed on ``graph`` and
+    returns its test accuracy.  Attempt ``a`` reseeds by
+    ``a * RESEED_STRIDE``, so a retried trial reseeds identically in the
+    calling process and in a pool worker.
     """
+    if kind == "attack":
 
-    jobs = 1
+        def attack(attempt: int) -> AttackResult:
+            budget_check(f"attack {key.attacker} on {key.dataset}")
+            faults.perturb(
+                "attacker",
+                dataset=key.dataset,
+                attacker=key.attacker,
+                rate=key.rate,
+                attempt=attempt,
+            )
+            attacker = make_attacker(key.attacker, key.dataset, seed=attempt * RESEED_STRIDE)
+            return attacker.attack(graph, perturbation_rate=key.rate, validate=validate)
 
-    def __init__(self) -> None:
-        self.timings: Optional[SweepTimings] = None
+        return attack
 
-    def run(self, plan: SweepPlan, runtime: SweepRuntime) -> dict[int, TrialOutcome]:
-        timings = SweepTimings(jobs=1)
-        timings.start()
-        self.timings = timings
-        outcomes: dict[int, TrialOutcome] = {}
-        cells = _CellTracker(plan, runtime.record_cell)
-        abandoned: set[tuple[str, str]] = set()
-        row_graphs: dict[str, Graph] = {}
-        try:
-            for task in plan.tasks:
-                if task.kind == "attack":
-                    started = time.monotonic()
-                    outcome = runtime.run_attack(task.key)
-                    timings.record(
-                        task.key.label(), "attack", time.monotonic() - started
-                    )
-                    outcomes[task.index] = outcome
-                    if outcome.ok:
-                        row_graphs[task.key.attacker] = outcome.value.poisoned
-                    continue
+    def defend(attempt: int) -> float:
+        faults.perturb(
+            "defender",
+            dataset=key.dataset,
+            attacker=key.attacker,
+            defender=key.defender,
+            seed=key.seed,
+            attempt=attempt,
+        )
+        defender = make_defender(
+            key.defender, key.dataset, seed=key.seed + attempt * RESEED_STRIDE
+        )
+        return defender.fit(graph, validate=validate).test_accuracy
 
-                cell = (task.key.attacker, task.key.defender)
-                if cell in abandoned:
-                    continue
-                if task.depends_on is not None:
-                    dep = outcomes.get(task.depends_on)
-                    if dep is None or not dep.ok:
-                        continue  # row's attack failed: cell is n/a
-                    graph = row_graphs[task.key.attacker]
-                else:
-                    graph = runtime.clean_graph()
-                started = time.monotonic()
-                outcome = runtime.run_defense(task.key, graph)
-                timings.record(task.key.label(), "defense", time.monotonic() - started)
-                outcomes[task.index] = outcome
-                cells.offer(task, outcome)
-                if not outcome.ok:
-                    abandoned.add(cell)
-        finally:
-            timings.finish()
-        return outcomes
+    return defend
 
 
 # ---------------------------------------------------------------------------
@@ -472,17 +457,14 @@ class _WorkerResult:
 def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
     """Run one supervised trial inside a pool worker.
 
-    Mirrors the serial trial bodies (:meth:`ExperimentRunner.attack` /
-    ``_defense_trial``) exactly: same fault-injection context, same
-    per-attempt reseeding, same supervisor semantics.  A fresh injector is
-    installed per task — also overriding any ambient injector inherited
-    through ``fork`` — seeded with the trial's canonical site ordinal so
-    index-based fault rules fire on the same trial as in a serial run.
+    Runs the same :func:`trial_body` under the same supervisor semantics
+    as an in-process trial.  A fresh injector is installed per task — also
+    overriding any ambient injector inherited through ``fork`` — seeded
+    with the trial's canonical site ordinal so index-based fault rules fire
+    on the same trial as in an in-process run.
     ``InjectedKill``/``KeyboardInterrupt`` propagate out of this function;
     the pool pickles them back to the parent, which aborts the sweep.
     """
-    from .config import make_attacker, make_defender
-
     started = time.monotonic()
     key = payload.key
     specs = [
@@ -506,40 +488,9 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
         site = "attacker" if payload.kind == "attack" else "defender"
         injector.seed_counters({site: payload.site_ordinal})
     supervisor = TrialSupervisor(payload.policy)
-    graph = _worker_graph(payload.graph_ref)
-
-    if payload.kind == "attack":
-
-        def trial(attempt: int) -> AttackResult:
-            faults.perturb(
-                "attacker",
-                dataset=key.dataset,
-                attacker=key.attacker,
-                rate=key.rate,
-                attempt=attempt,
-            )
-            attacker = make_attacker(key.attacker, key.dataset, seed=attempt * RESEED_STRIDE)
-            return attacker.attack(
-                graph, perturbation_rate=key.rate, validate=payload.validate
-            )
-
-    else:
-
-        def trial(attempt: int) -> float:
-            faults.perturb(
-                "defender",
-                dataset=key.dataset,
-                attacker=key.attacker,
-                defender=key.defender,
-                seed=key.seed,
-                attempt=attempt,
-            )
-            seed = key.seed + attempt * RESEED_STRIDE
-            return (
-                make_defender(key.defender, key.dataset, seed=seed)
-                .fit(graph, validate=payload.validate)
-                .test_accuracy
-            )
+    trial = trial_body(
+        payload.kind, key, _worker_graph(payload.graph_ref), payload.validate
+    )
 
     beacon = None
     if payload.beacon_path is not None:
@@ -578,25 +529,35 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
 
 
 # ---------------------------------------------------------------------------
-# Parallel execution
+# Scheduling
 
 
 class ParallelTrialExecutor:
-    """Dispatches ready trials to a process pool; merges deterministically.
+    """The sweep scheduler: releases ready trials, merges deterministically.
 
-    Scheduling: every task with no unmet dependency is submitted up front;
-    a row's defense tasks are released when its attack lands (or resolved
-    from the shared poison cache without ever hitting the pool).
-    Quarantine lives here in the parent — the first failure arriving for a
-    quarantine key synthesizes failures for every not-yet-dispatched task
-    sharing it, mirroring the supervisor's skip-after-first-failure
-    contract.  In-flight trials of a just-quarantined method are left to
-    finish; the canonical merge (:func:`assemble_table`) normalizes any
-    extra failures away, which is why completion order cannot leak into
-    the output.
+    Scheduling: every task with no unmet dependency is ready up front; a
+    row's defense tasks are released when its attack lands (or resolved
+    from the shared poison cache without running anything).  Quarantine
+    lives here: the first failure for a quarantine key synthesizes failures
+    for every not-yet-dispatched task sharing it, so a broken method fails
+    once and is skipped thereafter.
 
-    ``BaseException`` from a worker (injected kill, operator interrupt)
-    drains the pool and propagates, exactly like the serial path.
+    Where a trial runs depends on ``jobs``:
+
+    * ``jobs == 1`` — in the calling process, through the runner's shared
+      :class:`TrialSupervisor`, under the ambient fault injector and the
+      task's snapshot sink, on the runner's in-memory graphs.  Each result
+      is processed before the next task is dispatched, so trials run in
+      exactly ``plan.tasks`` order — the order ``at=N`` counters,
+      sweep-global ``times=N`` budgets and the journal depend on.  No pool,
+      beacon or worker graph cache is created.
+    * ``jobs >= 2`` — on a process pool.  In-flight trials of a
+      just-quarantined method are left to finish; the canonical merge
+      (:func:`assemble_table`) normalizes any extra failures away, which is
+      why completion order cannot leak into the output.
+
+    ``BaseException`` from a trial (injected kill, operator interrupt)
+    drains the pool, if any, and propagates.
 
     Worker *death* (kernel OOM kill, segfault, injected ``oomkill``) is
     not fatal: the scheduler salvages every future that finished before
@@ -616,11 +577,8 @@ class ParallelTrialExecutor:
         heartbeat_interval: Optional[float] = None,
         kill_grace_seconds: float = 2.0,
     ) -> None:
-        if jobs < 2:
-            raise ConfigError(
-                f"ParallelTrialExecutor needs jobs >= 2, got {jobs}; "
-                "use SerialTrialExecutor (--jobs 1) instead"
-            )
+        if jobs < 1:
+            raise ConfigError(f"jobs must be >= 1, got {jobs}")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ConfigError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
@@ -671,6 +629,7 @@ class ParallelTrialExecutor:
             timings.finish()
             return outcomes
 
+        in_process = self.jobs == 1
         cells = _CellTracker(plan, runtime.record_cell)
         quarantine: dict[tuple, TrialFailure] = {}
         graph_refs: dict[str, tuple] = {
@@ -709,12 +668,42 @@ class ParallelTrialExecutor:
         # process's clock — (beat count, monotonic time it was first seen).
         # No cross-process clock comparison is ever made.
         beacon_dir: Optional[str] = None
-        if self.heartbeat_interval is not None:
+        if self.heartbeat_interval is not None and not in_process:
             beacon_dir = tempfile.mkdtemp(prefix="repro-beacons-")
         progress: dict[int, tuple[int, float]] = {}
 
-        def submit(pool: ProcessPoolExecutor, task: TrialTask) -> None:
-            """Resolve a ready task from caches/quarantine or dispatch it."""
+        def check_shutdown() -> None:
+            if cancellation.shutdown_requested():
+                raise cancellation.CancelledError(
+                    cancellation.CAUSE_SHUTDOWN,
+                    "sweep interrupted by shutdown request",
+                )
+
+        def set_poison(attacker: str, result: AttackResult, path) -> None:
+            # Workers load the persisted archive; in-process trials (and
+            # sweeps without a checkpoint) train on the in-memory poison.
+            graph_refs[attacker] = (
+                ("npz", str(path))
+                if path is not None and not in_process
+                else ("inline", result.poisoned)
+            )
+
+        def run_here(task: TrialTask, graph_ref: tuple) -> None:
+            """Run one trial in this process, then process its result."""
+            check_shutdown()
+            graph = runtime.clean_graph() if graph_ref[0] == "dataset" else graph_ref[1]
+            path = runtime.snapshot_path(task.key)
+            sink = TrialSnapshotter(path) if path is not None else None
+            started = time.monotonic()
+            with cancellation.trial_scope(sink=sink):
+                outcome = runtime.supervisor.run(
+                    task.key, trial_body(task.kind, task.key, graph, runtime.validate)
+                )
+            process(None, task, _WorkerResult(outcome, (), started, time.monotonic()))
+
+        def submit(pool: Optional[ProcessPoolExecutor], task: TrialTask) -> None:
+            """Resolve a ready task from caches/quarantine, or run it: here
+            when there is no pool, else on the pool."""
             failure = quarantine.get(task.key.quarantine_key())
             if failure is not None:
                 outcome = TrialOutcome(key=task.key, failure=failure)
@@ -728,9 +717,8 @@ class ParallelTrialExecutor:
                     # Shared poison cache hit: resolve without touching the
                     # pool and without re-persisting (the archive's mtime is
                     # part of the resume contract).
-                    path = runtime.poison_path(task.key.attacker)
-                    graph_refs[task.key.attacker] = (
-                        ("npz", path) if path is not None else ("inline", cached.poisoned)
+                    set_poison(
+                        task.key.attacker, cached, runtime.poison_path(task.key.attacker)
                     )
                     outcome = TrialOutcome(key=task.key, value=cached, attempts=0)
                     outcomes[task.index] = outcome
@@ -740,10 +728,13 @@ class ParallelTrialExecutor:
                 graph_ref = graph_refs[CLEAN_ROW]
             else:
                 graph_ref = graph_refs[task.key.attacker]
+            if pool is None:
+                run_here(task, graph_ref)
+                return
             payload = _TaskPayload(
                 kind=task.kind,
                 key=task.key,
-                policy=runtime.policy,
+                policy=runtime.supervisor.policy,
                 graph_ref=graph_ref,
                 fault_specs=fault_specs,
                 site_ordinal=task.site_ordinal,
@@ -751,11 +742,7 @@ class ParallelTrialExecutor:
                 degrade=degrade_levels.get(task.index, 0),
                 prior_kills=kill_counts.get(task.index, 0),
                 task_index=task.index,
-                snapshot_path=(
-                    runtime.snapshot_path(task.key)
-                    if runtime.snapshot_path is not None
-                    else None
-                ),
+                snapshot_path=runtime.snapshot_path(task.key),
                 beacon_path=(
                     os.path.join(beacon_dir, f"beacon_{task.index}.json")
                     if beacon_dir is not None
@@ -772,24 +759,21 @@ class ParallelTrialExecutor:
                 pending.append(task)
 
         def attack_done(
-            pool: ProcessPoolExecutor, task: TrialTask, outcome: TrialOutcome
+            pool: Optional[ProcessPoolExecutor], task: TrialTask, outcome: TrialOutcome
         ) -> None:
             """Store the row's poison and release its waiting defense tasks."""
             if outcome.ok:
-                result = outcome.value
-                path = runtime.store_poison(task.key.attacker, result)
-                graph_refs[task.key.attacker] = (
-                    ("npz", str(path)) if path is not None else ("inline", result.poisoned)
-                )
+                path = runtime.store_poison(task.key.attacker, outcome.value)
+                set_poison(task.key.attacker, outcome.value, path)
             for dependent in waiting.pop(task.index, ()):
                 if outcome.ok:
                     submit(pool, dependent)
                 # else: dependents stay without outcomes → n/a cells
 
         def process(
-            pool: ProcessPoolExecutor, task: TrialTask, result: _WorkerResult
+            pool: Optional[ProcessPoolExecutor], task: TrialTask, result: _WorkerResult
         ) -> None:
-            """Merge one worker result into the parent's bookkeeping."""
+            """Merge one trial result into the scheduler's bookkeeping."""
             outcome = result.outcome
             outcomes[task.index] = outcome
             timings.record(
@@ -915,7 +899,7 @@ class ParallelTrialExecutor:
                 if proc.is_alive():
                     proc.terminate()
 
-        pool = self._make_pool()
+        pool = None if in_process else self._make_pool()
         pending.extend(task for task in plan.tasks if task.depends_on is None)
         # A timed wait keeps the scheduler responsive to shutdown requests
         # (the SIGINT handler only flips a flag) and paces beacon scans at
@@ -928,11 +912,7 @@ class ParallelTrialExecutor:
         try:
             while True:
                 try:
-                    if cancellation.shutdown_requested():
-                        raise cancellation.CancelledError(
-                            cancellation.CAUSE_SHUTDOWN,
-                            "sweep interrupted by shutdown request",
-                        )
+                    check_shutdown()
                     # Snapshot: submit() re-parks tasks on `pending` when the
                     # pool is broken, and those must not respin this pass.
                     batch, pending[:] = list(pending), []
@@ -968,23 +948,22 @@ class ParallelTrialExecutor:
                         process(pool, task, result)
                 except BrokenProcessPool:
                     pool = recover(pool)
-        except cancellation.CancelledError:
-            # Graceful shutdown: SIGTERM the workers so in-flight trials
-            # snapshot at their next poll site and exit, then drain the
-            # (broken) pool.  The journal holds every completed cell and
-            # the snapshots hold every interrupted trial, so --resume
-            # finishes the sweep bit-identically.
-            terminate_workers(pool)
-            pool.shutdown(wait=True, cancel_futures=True)
-            raise
-        except BaseException:
-            # Injected kill / operator interrupt: drop queued work, let
-            # in-flight trials drain, then propagate — the checkpoint holds
-            # every cell journalled so far, so --resume picks up from here.
-            pool.shutdown(wait=True, cancel_futures=True)
+        except BaseException as error:
+            # Graceful shutdown first SIGTERMs the workers so in-flight
+            # trials snapshot at their next poll site and exit (an
+            # in-process trial already did).  Any interrupt then drops
+            # queued work and drains the pool before propagating.  The
+            # journal holds every completed cell and the snapshots every
+            # interrupted trial, so --resume finishes the sweep
+            # bit-identically.
+            if pool is not None:
+                if isinstance(error, cancellation.CancelledError):
+                    terminate_workers(pool)
+                pool.shutdown(wait=True, cancel_futures=True)
             raise
         else:
-            pool.shutdown(wait=True)
+            if pool is not None:
+                pool.shutdown(wait=True)
         finally:
             if beacon_dir is not None:
                 shutil.rmtree(beacon_dir, ignore_errors=True)
@@ -1019,7 +998,8 @@ def make_executor(
     heartbeat_interval: Optional[float] = None,
     kill_grace_seconds: float = 2.0,
 ):
-    """The executor for ``--jobs N``: serial for 1, process pool otherwise.
+    """The executor for ``--jobs N``: trials run in this process for 1, on a
+    process pool otherwise.
 
     ``jobs`` above the machine's usable core count (``total_cores``
     overrides detection, like :func:`~repro.utils.blas.plan_worker_threads`)
@@ -1030,8 +1010,6 @@ def make_executor(
     semantic choice, not just a speedup, so a 1-core machine still gets a
     pool, only a smaller one.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     cores = cpu_count() if total_cores is None else int(total_cores)
     if cores < 1:
         raise ConfigError(f"total_cores must be >= 1, got {total_cores}")
@@ -1044,8 +1022,6 @@ def make_executor(
             stacklevel=2,
         )
         jobs = limit
-    if jobs == 1:
-        return SerialTrialExecutor()
     return ParallelTrialExecutor(
         jobs,
         blas_threads=blas_threads,
@@ -1067,12 +1043,12 @@ def assemble_table(
     """Fold outcomes into an :class:`AccuracyTable` in canonical order.
 
     The iteration order here — rows, then defenders, then seeds, with a
-    row's attack failure noted before its cells — IS the serial execution
-    order, so the table and the failure appendix are identical no matter
-    when each trial actually finished.  Only the canonically-first failure
-    per quarantine key is kept: a serial sweep records exactly that one
-    (later trials are skipped by quarantine), so normalizing to it makes
-    parallel output bit-identical.
+    row's attack failure noted before its cells — IS the in-process
+    execution order, so the table and the failure appendix are identical no
+    matter when each trial actually finished.  Only the canonically-first
+    failure per quarantine key is kept: an in-process sweep records exactly
+    that one (later trials are skipped by quarantine), so normalizing to it
+    makes parallel output bit-identical.
     """
     from .runner import AccuracyTable, CellResult
 

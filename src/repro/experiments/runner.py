@@ -20,30 +20,20 @@ sweep resumes bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
 
-from ..attacks.base import AttackResult, Attacker
+from ..attacks.base import AttackResult
 from ..datasets import load_dataset
 from ..defenses.base import Defender
 from ..graph import Graph
-from ..utils import cancellation, faults
 from ..utils.keystore import KeyedArtifactStore
-from ..utils.snapshots import TrialSnapshotter
-from ..utils.resources import budget_check
-from .config import ExperimentScale, defender_names_for, make_attacker, make_defender
-from .supervisor import (
-    RESEED_STRIDE,
-    SweepCheckpoint,
-    TrialFailure,
-    TrialKey,
-    TrialSupervisor,
-)
+from .config import ExperimentScale, defender_names_for, make_defender
+from .supervisor import SweepCheckpoint, TrialFailure, TrialKey, TrialSupervisor
 
 __all__ = ["CellResult", "AccuracyTable", "ExperimentRunner"]
-
-_RESEED_STRIDE = RESEED_STRIDE  # backward-compatible alias
 
 CLEAN_ROW = "Clean"
 
@@ -124,7 +114,7 @@ class ExperimentRunner:
         self.supervisor = supervisor
         self.checkpoint = checkpoint
         # Trial executor for grid sweeps (see repro.experiments.parallel):
-        # None means a fresh SerialTrialExecutor per sweep (--jobs 1).
+        # None means a fresh in-process executor per sweep (--jobs 1).
         self.executor = executor
         # Graph contract validation policy, threaded through dataset loads,
         # attack entry points, and defender fits (see repro.graph.validate).
@@ -157,57 +147,48 @@ class ExperimentRunner:
         # instance.
         return (dataset.lower(), attacker_name, rate, self.dataset_seed, self.config.scale)
 
+    def _poison_lookup(
+        self, dataset: str, attacker_name: str, rate: float
+    ) -> Optional[AttackResult]:
+        """The row's poison from the cache, else from the checkpoint, else ``None``."""
+        key = self._poison_key(dataset, attacker_name, rate)
+        result = self._poisons.get(key)
+        if result is None and self.checkpoint is not None:
+            result = self.checkpoint.load_poison(*key)
+            if result is not None:
+                # The archive backs this entry, so it may be evicted and
+                # transparently reloaded here on the next lookup.
+                self._poisons.put(key, result)
+        return result
+
+    def _store_poison(
+        self, dataset: str, attacker_name: str, rate: float, result: AttackResult
+    ) -> Optional[Path]:
+        """Cache a fresh poison and persist it; returns the archive path."""
+        key = self._poison_key(dataset, attacker_name, rate)
+        self._poisons.put(key, result, pinned=True)
+        if self.checkpoint is None:
+            return None
+        path = self.checkpoint.save_poison(*key, result)
+        self._poisons.unpin(key)
+        return path
+
     def attack(
-        self,
-        dataset: str,
-        attacker_name: str,
-        rate: Optional[float] = None,
-        attacker: Optional[Attacker] = None,
-        attempt: int = 0,
+        self, dataset: str, attacker_name: str, rate: Optional[float] = None
     ) -> AttackResult:
         """Run (or fetch the cached) attack on a dataset.
 
-        ``attempt`` reseeds the attacker on supervised retries (attempt 0
-        keeps the historical seed-0 behaviour).
+        A cache miss runs attempt 0 of the sweep's attack trial body
+        (:func:`~repro.experiments.parallel.trial_body`) on the clean graph.
         """
+        from .parallel import trial_body
+
         rate = self.config.rate if rate is None else rate
-        key = self._poison_key(dataset, attacker_name, rate)
-        result = self._poisons.get(key)
+        result = self._poison_lookup(dataset, attacker_name, rate)
         if result is None:
-            if self.checkpoint is not None:
-                cached = self.checkpoint.load_poison(
-                    dataset.lower(), attacker_name, rate, self.dataset_seed, self.config.scale
-                )
-                if cached is not None:
-                    # The archive backs this entry, so it may be evicted and
-                    # transparently reloaded here on the next lookup.
-                    self._poisons.put(key, cached)
-                    return cached
-            budget_check(f"attack {attacker_name} on {dataset}")
-            faults.perturb(
-                "attacker",
-                dataset=dataset.lower(),
-                attacker=attacker_name,
-                rate=rate,
-                attempt=attempt,
-            )
-            attacker = attacker or make_attacker(
-                attacker_name, dataset, seed=attempt * _RESEED_STRIDE
-            )
-            result = attacker.attack(
-                self.graph(dataset), perturbation_rate=rate, validate=self.validate
-            )
-            self._poisons.put(key, result, pinned=True)
-            if self.checkpoint is not None:
-                self.checkpoint.save_poison(
-                    dataset.lower(),
-                    attacker_name,
-                    rate,
-                    self.dataset_seed,
-                    self.config.scale,
-                    result,
-                )
-                self._poisons.unpin(key)
+            key = TrialKey(dataset=dataset.lower(), attacker=attacker_name, rate=rate)
+            result = trial_body("attack", key, self.graph(dataset), self.validate)(0)
+            self._store_poison(dataset, attacker_name, rate, result)
         return result
 
     # ------------------------------------------------------------------
@@ -229,117 +210,44 @@ class ExperimentRunner:
         return CellResult.from_values(values)
 
     # -- supervised sweep ----------------------------------------------
-    def _defense_trial(
-        self,
-        key: TrialKey,
-        graph: Graph,
-        dataset: str,
-    ) -> Callable[[int], float]:
-        """A supervised trial callable: fit one defender seed on ``graph``."""
-
-        def run(attempt: int) -> float:
-            faults.perturb(
-                "defender",
-                dataset=dataset.lower(),
-                attacker=key.attacker,
-                defender=key.defender,
-                seed=key.seed,
-                attempt=attempt,
-            )
-            seed = key.seed + attempt * _RESEED_STRIDE
-            return (
-                make_defender(key.defender, dataset, seed=seed)
-                .fit(graph, validate=self.validate)
-                .test_accuracy
-            )
-
-        return run
-
     def _sweep_runtime(self, dataset: str, rate: float, supervisor: TrialSupervisor):
-        """The :class:`~repro.experiments.parallel.SweepRuntime` adapter
-        executors use to reach this runner's caches and checkpoint."""
+        """The :class:`~repro.experiments.parallel.SweepRuntime` adapter the
+        scheduler uses to reach this runner's caches and checkpoint."""
         from .parallel import SweepRuntime
 
-        def trial_sink(key: TrialKey):
-            # One snapshot archive per trial key, living next to the journal:
-            # interrupted trials resume mid-flight on the next attempt (or
-            # the next --resume invocation) instead of restarting.
-            if self.checkpoint is None:
-                return None
-            return TrialSnapshotter(self.checkpoint.snapshot_path(key))
-
-        def run_attack(key: TrialKey):
-            with cancellation.trial_scope(sink=trial_sink(key)):
-                return supervisor.run(
-                    key,
-                    lambda attempt: self.attack(
-                        dataset, key.attacker, rate, attempt=attempt
-                    ),
-                )
-
-        def run_defense(key: TrialKey, graph: Graph):
-            with cancellation.trial_scope(sink=trial_sink(key)):
-                return supervisor.run(key, self._defense_trial(key, graph, dataset))
-
-        def poison_lookup(attacker_name: str) -> Optional[AttackResult]:
-            key = self._poison_key(dataset, attacker_name, rate)
-            result = self._poisons.get(key)
-            if result is None and self.checkpoint is not None:
-                result = self.checkpoint.load_poison(
-                    dataset.lower(), attacker_name, rate, self.dataset_seed, self.config.scale
-                )
-                if result is not None:
-                    self._poisons.put(key, result)
-            return result
+        checkpoint = self.checkpoint
 
         def poison_path(attacker_name: str) -> Optional[str]:
-            if self.checkpoint is None:
+            if checkpoint is None:
                 return None
-            path = self.checkpoint.poison_path(
-                dataset.lower(), attacker_name, rate, self.dataset_seed, self.config.scale
-            )
+            path = checkpoint.poison_path(*self._poison_key(dataset, attacker_name, rate))
             return str(path) if path.exists() else None
 
-        def store_poison(attacker_name: str, result: AttackResult):
-            key = self._poison_key(dataset, attacker_name, rate)
-            self._poisons.put(key, result, pinned=True)
-            if self.checkpoint is not None:
-                digest = self.checkpoint.save_poison(
-                    dataset.lower(),
-                    attacker_name,
-                    rate,
-                    self.dataset_seed,
-                    self.config.scale,
-                    result,
-                )
-                self._poisons.unpin(key)
-                return digest
-            return None
-
         def record_cell(attacker_name: str, defender_name: str, values: list[float]):
-            if self.checkpoint is not None:
-                self.checkpoint.record_cell(
+            if checkpoint is not None:
+                checkpoint.record_cell(
                     dataset.lower(), attacker_name, rate, defender_name, values
                 )
 
         def snapshot_path(key: TrialKey) -> Optional[str]:
-            if self.checkpoint is None:
-                return None
-            return str(self.checkpoint.snapshot_path(key))
+            # One snapshot archive per trial key, living next to the journal:
+            # interrupted trials resume mid-flight on the next attempt (or
+            # the next --resume invocation) instead of restarting.
+            return None if checkpoint is None else str(checkpoint.snapshot_path(key))
 
         return SweepRuntime(
             dataset=dataset,
             rate=rate,
             scale=self.config.scale,
             dataset_seed=self.dataset_seed,
-            policy=supervisor.policy,
+            supervisor=supervisor,
             validate=self.validate,
             clean_graph=lambda: self.graph(dataset),
-            run_attack=run_attack,
-            run_defense=run_defense,
-            poison_lookup=poison_lookup,
+            poison_lookup=lambda name: self._poison_lookup(dataset, name, rate),
             poison_path=poison_path,
-            store_poison=store_poison,
+            store_poison=lambda name, result: self._store_poison(
+                dataset, name, rate, result
+            ),
             record_cell=record_cell,
             snapshot_path=snapshot_path,
         )
@@ -355,11 +263,12 @@ class ExperimentRunner:
         """Regenerate a Table IV/V/VI-style grid for ``dataset``.
 
         The sweep is planned as a dependency DAG and handed to the runner's
-        trial executor (serial by default; a
-        :class:`~repro.experiments.parallel.ParallelTrialExecutor` fans
-        trials out to worker processes with bit-identical results — see
+        :class:`~repro.experiments.parallel.ParallelTrialExecutor`, which
+        runs trials in this process by default or fans them out to worker
+        processes with bit-identical results (see
         ``docs/parallel_sweeps.md``).  Every trial runs under the
-        :class:`TrialSupervisor` retry/deadline/quarantine policy; failed
+        :class:`TrialSupervisor` retry/deadline policy and the scheduler's
+        quarantine; failed
         cells come back as ``None`` with their :class:`TrialFailure`
         records on ``table.failures`` and journalled to the checkpoint.
         Interrupts (``KeyboardInterrupt`` or an injected kill) propagate —
@@ -367,7 +276,7 @@ class ExperimentRunner:
         after the last completed cell.
         """
         from .config import ATTACKER_NAMES
-        from .parallel import SerialTrialExecutor, SweepPlan, assemble_table
+        from .parallel import ParallelTrialExecutor, SweepPlan, assemble_table
 
         attackers = attackers if attackers is not None else list(ATTACKER_NAMES)
         defenders = defenders if defenders is not None else defender_names_for(dataset)
@@ -391,11 +300,11 @@ class ExperimentRunner:
             seeds=self.config.seeds,
             completed=set(cached),
         )
-        executor = self.executor or SerialTrialExecutor()
+        executor = self.executor or ParallelTrialExecutor(1)
         outcomes = executor.run(plan, self._sweep_runtime(dataset, rate, supervisor))
         table = assemble_table(plan, outcomes, cached)
-        # Failures are journalled at merge time, in canonical order, in both
-        # execution modes; a kill loses at most failure records (cells are
+        # Failures are journalled at merge time, in canonical order, wherever
+        # the trials ran; a kill loses at most failure records (cells are
         # journalled the moment they complete), and the lost trials simply
         # rerun on --resume.
         if self.checkpoint is not None:

@@ -8,9 +8,9 @@ two pieces the runner composes:
 :class:`TrialSupervisor`
     Runs one trial callable with a wall-clock deadline, bounded retries with
     exponential backoff and per-attempt reseeding, and converts exhausted
-    retries into structured :class:`TrialFailure` records.  Repeated-failure
-    *quarantine* ensures a permanently broken method fails once and is
-    skipped thereafter instead of burning its retry budget in every row.
+    retries into structured :class:`TrialFailure` records.  (Quarantine —
+    a permanently broken method fails once and is skipped thereafter —
+    lives in the sweep scheduler, :mod:`repro.experiments.parallel`.)
 
 :class:`SweepCheckpoint`
     An append-only JSONL journal of completed cells plus poison graphs
@@ -74,10 +74,12 @@ __all__ = [
 PathLike = Union[str, Path]
 
 # Odd prime stride separating per-attempt reseeds from the base seed range,
-# so retry seeds never collide with another trial's base seed.  Shared by
-# the serial runner and the pool workers so a retried trial reseeds
-# identically no matter which process runs it.
+# so retry seeds never collide with another trial's base seed.
 RESEED_STRIDE = 1_000_003
+
+# How long a deadline-cancelled trial gets to reach its next poll site and
+# unwind before the supervisor stops waiting for its thread.
+_DEADLINE_GRACE_SECONDS = 1.0
 
 
 def _memory_exhaustion(error: BaseException) -> bool:
@@ -179,9 +181,6 @@ class TrialPolicy:
     deadline_seconds: Optional[float] = None
     backoff_seconds: float = 0.05
     backoff_factor: float = 2.0
-    # How long a deadline-cancelled trial gets to reach its next poll site
-    # and unwind before the supervisor stops waiting for its thread.
-    grace_seconds: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -193,10 +192,6 @@ class TrialPolicy:
         if self.backoff_seconds < 0:
             raise ConfigError(
                 f"backoff_seconds must be non-negative, got {self.backoff_seconds}"
-            )
-        if self.grace_seconds < 0:
-            raise ConfigError(
-                f"grace_seconds must be non-negative, got {self.grace_seconds}"
             )
 
     def backoff_for(self, attempt: int) -> float:
@@ -235,25 +230,16 @@ class TrialSupervisor:
         self.policy = policy or TrialPolicy()
         self.failures: list[TrialFailure] = []
         self._sleep = sleep
-        self._quarantine: dict[tuple, TrialFailure] = {}
 
     # ------------------------------------------------------------------
-    def quarantined(self, key: TrialKey) -> Optional[TrialFailure]:
-        """The failure that quarantined ``key``'s method, if any."""
-        return self._quarantine.get(key.quarantine_key())
-
     def run(self, key: TrialKey, fn: Callable[[int], Any]) -> TrialOutcome:
         """Run ``fn(attempt)`` under the policy; never raises ``Exception``.
 
         Returns a :class:`TrialOutcome` whose ``failure`` is set when every
-        attempt failed; the failure is also appended to :attr:`failures`
-        and the trial's method is quarantined.  Non-``Exception``
-        ``BaseException`` (operator interrupts) propagate immediately.
+        attempt failed; the failure is also appended to :attr:`failures`.
+        Non-``Exception`` ``BaseException`` (operator interrupts) propagate
+        immediately.
         """
-        quarantining = self.quarantined(key)
-        if quarantining is not None:
-            return TrialOutcome(key=key, failure=quarantining)
-
         started = time.perf_counter()
         last_error: Optional[BaseException] = None
         last_tb = ""
@@ -314,7 +300,6 @@ class TrialSupervisor:
             traceback=last_tb,
         )
         self.failures.append(failure)
-        self._quarantine[key.quarantine_key()] = failure
         return TrialOutcome(
             key=key,
             failure=failure,
@@ -391,7 +376,7 @@ class TrialSupervisor:
                 cancellation.CAUSE_DEADLINE,
                 f"trial {key.label()} exceeded its {deadline:g}s deadline",
             )
-            worker.join(self.policy.grace_seconds)
+            worker.join(_DEADLINE_GRACE_SECONDS)
         raise DeadlineError(
             f"trial {key.label()} exceeded its {deadline:g}s deadline "
             f"on attempt {attempt + 1}",

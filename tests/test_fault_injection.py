@@ -25,6 +25,7 @@ from repro.experiments import (
     TrialSupervisor,
     evaluate_shape_claims,
     format_accuracy_table,
+    make_executor,
     render_comparison,
     render_failure_appendix,
 )
@@ -177,25 +178,6 @@ class TestTrialSupervisor:
         assert "ValueError" in failure.traceback
         assert failure.elapsed_seconds >= 0
         assert supervisor.failures == [failure]
-
-    def test_quarantine_skips_without_new_failure(self):
-        supervisor = TrialSupervisor(
-            TrialPolicy(max_attempts=1), sleep=lambda _: None
-        )
-        first = TrialKey("cora", "Clean", 0.1, "GCN-SVD", 0)
-        later = TrialKey("cora", "PEEGA", 0.1, "GCN-SVD", 1)
-        calls = []
-
-        def broken(attempt):
-            calls.append(attempt)
-            raise RuntimeError("boom")
-
-        assert not supervisor.run(first, broken).ok
-        outcome = supervisor.run(later, broken)  # same defender → quarantined
-        assert not outcome.ok
-        assert outcome.failure is supervisor.failures[0]
-        assert len(supervisor.failures) == 1
-        assert calls == [0]  # the quarantined trial never ran
 
     def test_deadline_kills_hang(self):
         supervisor = TrialSupervisor(
@@ -373,6 +355,8 @@ class TestChaosSweep:
             assert table.rows[attacker]["GCN"] is not None
             assert table.rows[attacker]["GCN-SVD"] is None
         assert table.num_failed_cells == 2
+        # Only the first trial's two attempts fired: quarantined trials never ran.
+        assert len(injector.events) == 2
 
     def test_failing_attacker_yields_na_row(self):
         injector = FaultInjector(
@@ -411,22 +395,39 @@ class TestChaosSweep:
         assert tables_identical(reference, resumed)
         assert resumed.failures == []
 
-    def test_resumed_sweep_skips_completed_attack(self, tmp_path, monkeypatch):
-        checkpoint = SweepCheckpoint(tmp_path)
-        ExperimentRunner(TINY, checkpoint=checkpoint).accuracy_table(
-            "cora", attackers=ATTACKERS, defenders=["GCN"]
-        )
-        # A resumed runner must not invoke any attacker at all.
-        from repro.experiments import runner as runner_module
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_resumed_sweep_skips_completed_attack(self, tmp_path, monkeypatch, jobs):
+        reference = ExperimentRunner(
+            TINY, checkpoint=SweepCheckpoint(tmp_path)
+        ).accuracy_table("cora", attackers=ATTACKERS, defenders=DEFENDERS)
+        # Drop one cell of the attacked row: the resume must run that cell's
+        # trials on the persisted poison, so the plan keeps the row's attack.
+        journal = tmp_path / "journal.jsonl"
+        records = [json.loads(line) for line in journal.read_text().splitlines()]
+        kept = [
+            r for r in records
+            if not (r["attacker"] == "PEEGA" and r.get("defender") == "GCN-SVD")
+        ]
+        assert len(kept) == len(records) - 1
+        journal.write_text("".join(json.dumps(r) + "\n" for r in kept))
+        [poison] = tmp_path.glob("poison_*.npz")
+        poison_mtime = poison.stat().st_mtime_ns
+
+        # The attack trial must be resolved from the archive, never run.
+        from repro.experiments import parallel
 
         def exploding_attacker(*args, **kwargs):
             raise AssertionError("attack re-ran on resume")
 
-        monkeypatch.setattr(runner_module, "make_attacker", exploding_attacker)
+        monkeypatch.setattr(parallel, "make_attacker", exploding_attacker)
         resumed = ExperimentRunner(
-            TINY, checkpoint=SweepCheckpoint(tmp_path, resume=True)
-        ).accuracy_table("cora", attackers=ATTACKERS, defenders=["GCN"])
-        assert resumed.rows["PEEGA"]["GCN"] is not None
+            TINY,
+            checkpoint=SweepCheckpoint(tmp_path, resume=True),
+            executor=make_executor(jobs),
+        ).accuracy_table("cora", attackers=ATTACKERS, defenders=DEFENDERS)
+        assert resumed.failures == []
+        assert tables_identical(reference, resumed)
+        assert poison.stat().st_mtime_ns == poison_mtime
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from repro.experiments import (
     ExperimentRunner,
     ExperimentScale,
     ParallelTrialExecutor,
-    SerialTrialExecutor,
     SweepCheckpoint,
     SweepPlan,
     SweepTimings,
@@ -115,7 +114,7 @@ def journal_records(checkpoint_dir):
 class TestParallelSerialEquivalence:
     def test_clean_sweep_bit_identical(self, tmp_path):
         serial_dir, parallel_dir = tmp_path / "serial", tmp_path / "parallel"
-        serial, _, _ = run_sweep(jobs=1, checkpoint=SweepCheckpoint(serial_dir))
+        serial, in_process, _ = run_sweep(jobs=1, checkpoint=SweepCheckpoint(serial_dir))
         parallel, executor, _ = run_sweep(jobs=JOBS, checkpoint=SweepCheckpoint(parallel_dir))
 
         assert cells_of(serial) == cells_of(parallel)
@@ -125,6 +124,10 @@ class TestParallelSerialEquivalence:
         assert executor.timings.jobs == JOBS
         assert len(executor.timings.trials) == 1 + 2 * len(DEFENDERS) * CONFIG.seeds
         assert executor.timings.makespan_seconds > 0
+        # In-process, the same scheduler timed the same trials with no queue.
+        assert in_process.timings.jobs == 1
+        assert len(in_process.timings.trials) == len(executor.timings.trials)
+        assert all(t.queue_seconds == 0 for t in in_process.timings.trials)
 
     def test_permanent_defender_failure_identical(self, tmp_path):
         spec = "defender:throw:defender=GCN-SVD"
@@ -324,7 +327,10 @@ class TestSweepPlan:
 
 class TestExecutorFactory:
     def test_jobs_one_is_serial(self):
-        assert isinstance(make_executor(1), SerialTrialExecutor)
+        # --jobs 1 is the same scheduler, running trials in this process.
+        executor = make_executor(1)
+        assert isinstance(executor, ParallelTrialExecutor)
+        assert executor.jobs == 1
 
     def test_jobs_many_is_parallel(self):
         # total_cores pins capacity so the assertion holds on any machine.
@@ -337,7 +343,7 @@ class TestExecutorFactory:
         with pytest.raises(ConfigError):
             make_executor(0)
         with pytest.raises(ConfigError):
-            ParallelTrialExecutor(1)
+            ParallelTrialExecutor(0)
 
 
 class TestBlasGovernance:

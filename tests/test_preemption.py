@@ -27,6 +27,7 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -387,9 +388,10 @@ class TestParallelPreemption:
 # CLI: graceful shutdown and resume (satellite 2)
 
 
+REPO_ROOT = Path(__file__).resolve().parents[1]
 CLI_ARGS = [
     "table", "cora", "--scale", "0.04", "--seeds", "2",
-    "--attackers", "PEEGA", "--defenders", "GCN", "--jobs", "2",
+    "--attackers", "PEEGA", "--defenders", "GCN",
 ]
 
 
@@ -402,12 +404,14 @@ def cli_env(**extra):
 
 
 class TestGracefulShutdownCLI:
-    def test_sigterm_then_resume_bit_identical(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sigterm_then_resume_bit_identical(self, tmp_path, jobs):
+        args = [*CLI_ARGS, "--jobs", str(jobs)]
         reference_dir = tmp_path / "reference"
         done = subprocess.run(
-            [sys.executable, "-m", "repro", *CLI_ARGS,
+            [sys.executable, "-m", "repro", *args,
              "--checkpoint-dir", str(reference_dir)],
-            cwd="/root/repo", env=cli_env(), capture_output=True, text=True,
+            cwd=REPO_ROOT, env=cli_env(), capture_output=True, text=True,
             timeout=300,
         )
         assert done.returncode == 0, done.stderr
@@ -415,9 +419,9 @@ class TestGracefulShutdownCLI:
         interrupted_dir = tmp_path / "interrupted"
         # Stretch every trainer epoch so SIGTERM reliably lands mid-sweep.
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", *CLI_ARGS,
+            [sys.executable, "-m", "repro", *args,
              "--checkpoint-dir", str(interrupted_dir)],
-            cwd="/root/repo",
+            cwd=REPO_ROOT,
             env=cli_env(REPRO_FAULTS="trainer:hang:seconds=0.2:times=10000"),
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
@@ -435,9 +439,9 @@ class TestGracefulShutdownCLI:
         assert "interrupted" in err and "--resume" in err
 
         resumed = subprocess.run(
-            [sys.executable, "-m", "repro", *CLI_ARGS,
+            [sys.executable, "-m", "repro", *args,
              "--checkpoint-dir", str(interrupted_dir), "--resume"],
-            cwd="/root/repo", env=cli_env(), capture_output=True, text=True,
+            cwd=REPO_ROOT, env=cli_env(), capture_output=True, text=True,
             timeout=300,
         )
         assert resumed.returncode == 0, resumed.stderr
