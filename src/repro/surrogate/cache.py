@@ -7,9 +7,10 @@ an O(n²)-tensor tape, per flip.  :class:`PropagationCache` removes that cost:
 
 * the normalized adjacency is built **once** (one normalization per attack
   run) and kept as a sparse CSR matrix;
-* each edge flip is applied as a *rank-1-shaped delta*: only the two degree
-  entries, the two scaling coefficients ``s_u, s_v``, and the incident
-  rows/columns of ``A_n`` are recomputed — O(deg(u) + deg(v)) value updates;
+* a batch of ``b`` flips costs one O(nnz + b log b) pass: pairs flipped an
+  even number of times cancel, the net flips are merged into the sorted CSR
+  keys, only the touched degrees and scaling coefficients are recomputed,
+  and the values are rewritten once;
 * matrix powers ``A_n^k`` are memoized and derived from the stored ``A_n``
   (``A_n²`` is one sparse product away, never a renormalization), keyed on the
   perturbation log so a flip invalidates exactly the derived state;
@@ -27,13 +28,14 @@ coefficients are recomputed from integral degrees, never rescaled in place).
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..errors import CacheError, ConfigError
 from ..graph import EdgeFlip, FeatureFlip, Graph, PerturbationLog, inv_sqrt_degrees
+from ..graph.perturb import net_edge_keys
 
 __all__ = ["PropagationCache"]
 
@@ -72,8 +74,8 @@ class PropagationCache:
         self.log = PerturbationLog()
         self.normalization_count = 0
         self._powers: dict[int, sp.csr_matrix] = {}
-        self._dirty_an_rows: set[int] = set()
-        self._dirty_feature_rows: set[int] = set()
+        self._dirty_an_rows = np.zeros(graph.num_nodes, dtype=bool)
+        self._dirty_feature_rows = np.zeros(graph.num_nodes, dtype=bool)
         self._normalize()
 
     # ------------------------------------------------------------------
@@ -200,54 +202,80 @@ class PropagationCache:
     def apply(self, flip: Union[EdgeFlip, FeatureFlip]) -> None:
         """Apply one perturbation to the cached state and log it.
 
-        Edge flips update ``A_n`` in place as a delta: degrees and scaling of
-        the two endpoints are recomputed from the (integral) degree counters,
-        the flipped entry is inserted/removed, and only the rows and columns
-        incident to the endpoints have their values refreshed.  Applying the
-        same flip twice restores the cached state bit-exactly.
+        Applying the same flip twice restores the cached state bit-exactly.
         """
         self.check_binding()
-        self._apply_unchecked(flip)
+        self._apply_flips((flip,))
 
-    def apply_batch(self, flips) -> None:
-        """Apply a sequence of perturbations with one binding check.
+    def apply_batch(self, flips: Iterable[Union[EdgeFlip, FeatureFlip]]) -> None:
+        """Apply a sequence of perturbations in one pass.
 
-        Bit-identical to calling :meth:`apply` per flip — the only
-        difference is that the out-of-band mutation check (a full-adjacency
-        hash, O(nnz)) runs once per batch instead of once per flip.  The
-        block-sampled attackers re-round δ edges per epoch; hashing per
-        flip would turn that into an O(δ · nnz) scan per epoch.
+        Bit-identical to calling :meth:`apply` per flip — same ``A_n``,
+        degrees, scaling, log and dirty rows — but the binding check (a
+        full-adjacency hash) and the CSR rebuild run once per batch instead
+        of once per flip.  The block-sampled attackers re-round δ edges per
+        epoch; per-flip rebuilds would make that O(δ · nnz).
         """
         self.check_binding()
+        self._apply_flips(flips)
+
+    def _apply_flips(self, flips: Iterable[Union[EdgeFlip, FeatureFlip]]) -> None:
+        """Log ``flips`` and apply their net topology change: O(nnz + b log b).
+
+        Only the pairs flipped an odd number of times change the structure
+        (:func:`~repro.graph.perturb.net_edge_keys`).  Their directed keys
+        ``row·n + col`` are dropped from (or merged into) the sorted key
+        array of the stored entries, degrees move by the net ±1 counts, the
+        scaling of the touched nodes is recomputed from the integral
+        degrees, and every value is rewritten as ``s[row]·s[col]`` — the
+        formula :meth:`_normalize` uses — so the result equals per-flip
+        application and a from-scratch rebuild bit for bit.
+        """
+        n = self._graph.num_nodes
+        pairs = []
         for flip in flips:
-            self._apply_unchecked(flip)
-
-    def _apply_unchecked(self, flip: Union[EdgeFlip, FeatureFlip]) -> None:
-        if isinstance(flip, FeatureFlip):
-            self._dirty_feature_rows.add(int(flip.node))
+            if isinstance(flip, FeatureFlip):
+                self._dirty_feature_rows[flip.node] = True
+            else:
+                pairs.append((flip.u, flip.v))
             self.log.record(flip)
+        if not pairs:
             return
-        u, v = int(flip.u), int(flip.v)
-        adding = not self.has_edge(u, v)
-        self._toggle_structure(u, v, adding)
-        delta = 1.0 if adding else -1.0
-        self._loop_degrees[u] += delta
-        self._loop_degrees[v] += delta
-        self._scaling[[u, v]] = inv_sqrt_degrees(self._loop_degrees[[u, v]])
-        self._refresh_incident_values(u, v)
-        # Exactly the rows whose A_n values just changed: the endpoints plus
-        # every neighbour row holding a mirrored (j, u) / (j, v) entry.
-        indptr, indices = self._an.indptr, self._an.indices
-        self._dirty_an_rows.add(u)
-        self._dirty_an_rows.add(v)
-        self._dirty_an_rows.update(
-            int(j) for j in indices[indptr[u] : indptr[u + 1]]
+        endpoints = np.asarray(pairs, dtype=np.int64)
+        pair_keys = net_edge_keys(endpoints, n)
+        flipped = np.sort(
+            np.concatenate([pair_keys, (pair_keys % n) * n + pair_keys // n])
         )
-        self._dirty_an_rows.update(
-            int(j) for j in indices[indptr[v] : indptr[v + 1]]
+        an = self._an
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(an.indptr))
+        keys = keys * n + an.indices
+        pos = np.searchsorted(keys, flipped)
+        removing = keys[np.minimum(pos, len(keys) - 1)] == flipped
+        keys = np.delete(keys, pos[removing])
+        added = flipped[~removing]
+        keys = np.insert(keys, np.searchsorted(keys, added), added)
+        rows, cols = np.divmod(keys, n)
+
+        touched = flipped // n
+        np.add.at(self._loop_degrees, touched, np.where(removing, -1.0, 1.0))
+        self._scaling[touched] = inv_sqrt_degrees(self._loop_degrees[touched])
+        self._an = sp.csr_matrix(
+            (
+                self._scaling[rows] * self._scaling[cols],
+                cols,
+                np.searchsorted(rows, np.arange(n + 1)),
+            ),
+            shape=(n, n),
         )
+        # Rows whose A_n values may have changed: every endpoint plus its
+        # final neighbours.  A neighbour that was dropped or added inside
+        # the batch is itself an endpoint, so this is exactly the union of
+        # the per-flip dirty sets.
+        is_endpoint = np.zeros(n, dtype=bool)
+        is_endpoint[endpoints.ravel()] = True
+        self._dirty_an_rows |= is_endpoint
+        self._dirty_an_rows[cols[is_endpoint[rows]]] = True
         self._powers.clear()
-        self.log.record(flip)
 
     def drain_dirty_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Rows of ``A_n`` / rows of ``X̂`` changed since the last drain.
@@ -258,66 +286,8 @@ class PropagationCache:
         — and their propagation fan-out — need re-materializing.  There
         must be a single draining consumer per cache.
         """
-        an_rows = np.fromiter(
-            self._dirty_an_rows, dtype=np.int64, count=len(self._dirty_an_rows)
-        )
-        feature_rows = np.fromiter(
-            self._dirty_feature_rows,
-            dtype=np.int64,
-            count=len(self._dirty_feature_rows),
-        )
-        an_rows.sort()
-        feature_rows.sort()
-        self._dirty_an_rows.clear()
-        self._dirty_feature_rows.clear()
+        an_rows = np.flatnonzero(self._dirty_an_rows)
+        feature_rows = np.flatnonzero(self._dirty_feature_rows)
+        self._dirty_an_rows[:] = False
+        self._dirty_feature_rows[:] = False
         return an_rows, feature_rows
-
-    def _toggle_structure(self, u: int, v: int, adding: bool) -> None:
-        """Insert or remove the symmetric pair ``(u, v)``/``(v, u)`` in CSR form."""
-        an = self._an
-        indptr, indices, data = an.indptr, an.indices, an.data
-        row_u = indices[indptr[u] : indptr[u + 1]]
-        row_v = indices[indptr[v] : indptr[v + 1]]
-        pos_u = int(indptr[u] + np.searchsorted(row_u, v))
-        pos_v = int(indptr[v] + np.searchsorted(row_v, u))
-        bump = np.zeros(len(indptr), dtype=indptr.dtype)
-        if adding:
-            # Values are placeholders; _refresh_incident_values rewrites both
-            # rows immediately afterwards.
-            order = np.argsort([pos_u, pos_v], kind="stable")
-            positions = np.asarray([pos_u, pos_v])[order]
-            values = np.asarray([v, u])[order]
-            new_indices = np.insert(indices, positions, values)
-            new_data = np.insert(data, positions, 0.0)
-            bump[u + 1 :] += 1
-            bump[v + 1 :] += 1
-        else:
-            if indices[pos_u] != v or indices[pos_v] != u:
-                raise CacheError(
-                    f"cached structure lost the edge ({u}, {v}) it is removing"
-                )
-            new_indices = np.delete(indices, [pos_u, pos_v])
-            new_data = np.delete(data, [pos_u, pos_v])
-            bump[u + 1 :] -= 1
-            bump[v + 1 :] -= 1
-        self._an = sp.csr_matrix(
-            (new_data, new_indices, indptr + bump), shape=an.shape
-        )
-
-    def _refresh_incident_values(self, u: int, v: int) -> None:
-        """Recompute ``A_n`` values in the rows and columns of ``u`` and ``v``."""
-        an = self._an
-        indptr, indices, data = an.indptr, an.indices, an.data
-        s = self._scaling
-        for node in (u, v):
-            lo, hi = indptr[node], indptr[node + 1]
-            cols = indices[lo:hi]
-            data[lo:hi] = s[node] * s[cols]
-            # Mirror the column ``node`` in every other incident row; rows u
-            # and v themselves are (re)written wholesale above.
-            for j in cols:
-                if j == u or j == v:
-                    continue
-                lo_j = indptr[j]
-                pos = lo_j + np.searchsorted(indices[lo_j : indptr[j + 1]], node)
-                data[pos] = s[j] * s[node]

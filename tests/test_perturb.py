@@ -18,6 +18,21 @@ from repro.graph import (
 )
 
 
+def _lil_flip_edges(adjacency, flips):
+    """Reference ``flip_edges``: toggle each flip in a LIL copy, one at a time."""
+    matrix = adjacency.tolil(copy=True)
+    for flip in flips:
+        new_value = 0.0 if matrix[flip.u, flip.v] else 1.0
+        matrix[flip.u, flip.v] = new_value
+        matrix[flip.v, flip.u] = new_value
+    result = matrix.tocsr()
+    result.eliminate_zeros()
+    return result
+
+
+_PAIRS = st.tuples(st.integers(0, 7), st.integers(0, 7)).filter(lambda p: p[0] != p[1])
+
+
 class TestEdgeFlip:
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
@@ -44,6 +59,26 @@ class TestEdgeFlip:
         before = tiny_graph.adjacency.copy()
         apply_perturbations(tiny_graph, [EdgeFlip(0, 5)])
         assert (tiny_graph.adjacency != before).nnz == 0
+
+    @given(edges=st.lists(_PAIRS, max_size=20), pairs=st.lists(_PAIRS, max_size=40))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lil_reference(self, edges, pairs):
+        # 40 flips over 28 possible pairs: duplicates (some cancelling) and
+        # both orientations of a pair are the common case, not the corner.
+        n = 8
+        base = sp.lil_matrix((n, n))
+        for u, v in edges:
+            base[u, v] = base[v, u] = 1.0
+        base = base.tocsr()
+        flips = [EdgeFlip(u, v) for u, v in pairs]
+        got = flip_edges(base, flips)
+        want = _lil_flip_edges(base, flips)
+        for name in ("indptr", "indices", "data"):
+            ours, theirs = getattr(got, name), getattr(want, name)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+        for row in range(n):
+            assert np.all(np.diff(got.indices[got.indptr[row] : got.indptr[row + 1]]) > 0)
 
 
 class TestFeatureFlip:

@@ -5,6 +5,8 @@ Invariants locked down here:
 * a flip followed by its inverse restores every cached array **bit-exactly**;
 * incremental state always equals a from-scratch rebuild of the perturbed
   topology;
+* a batch of flips leaves the same arrays, log and dirty rows as applying
+  the flips one at a time;
 * attacks never overspend the budget, under either scoring engine and any
   feature-cost weighting;
 * a graph mutated behind the cache's back raises :class:`CacheError`
@@ -21,7 +23,14 @@ from repro.attacks.base import AttackBudget
 from repro.core.difference import DifferenceObjective
 from repro.core.peega import PEEGA
 from repro.errors import CacheError
-from repro.graph import EdgeFlip, FeatureFlip, Graph, PerturbationLog, apply_perturbations
+from repro.graph import (
+    EdgeFlip,
+    FeatureFlip,
+    Graph,
+    PerturbationLog,
+    apply_perturbations,
+    flip_edges,
+)
 from repro.surrogate import PropagationCache
 
 
@@ -120,6 +129,108 @@ def test_incremental_state_matches_rebuild():
     np.testing.assert_allclose(
         cache.power(2).toarray(), rebuilt.power(2).toarray(), atol=1e-14
     )
+
+
+def _random_flips(graph: Graph, seed: int, count: int) -> list:
+    """Seeded mixed flips: removals of existing edges, fresh pairs, repeats
+    of earlier pairs (which cancel), both orientations, feature flips."""
+    rng = np.random.default_rng(seed)
+    n, d = graph.num_nodes, graph.num_features
+    coo = graph.adjacency.tocoo()
+    existing = [(int(u), int(v)) for u, v in zip(coo.row, coo.col) if u < v]
+    flips: list = []
+    edges: list[tuple[int, int]] = []
+    for _ in range(count):
+        kind = rng.random()
+        if kind < 0.15:
+            flips.append(FeatureFlip(int(rng.integers(n)), int(rng.integers(d))))
+            continue
+        if kind < 0.4:
+            u, v = existing[int(rng.integers(len(existing)))]
+        elif kind < 0.6 and edges:
+            u, v = edges[int(rng.integers(len(edges)))]
+        else:
+            u, v = (int(x) for x in rng.choice(n, size=2, replace=False))
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append((u, v))
+        flips.append(EdgeFlip(u, v))
+    return flips
+
+
+def _dirty_rows_reference(graph: Graph, flips: list) -> tuple[list, list]:
+    """Dirty rows from independent rebuilds: after each edge flip, its two
+    endpoints and their neighbours; one row per feature flip."""
+    an_rows: set[int] = set()
+    feature_rows: set[int] = set()
+    edge_flips: list[EdgeFlip] = []
+    for flip in flips:
+        if isinstance(flip, FeatureFlip):
+            feature_rows.add(flip.node)
+            continue
+        edge_flips.append(flip)
+        adjacency = flip_edges(graph.adjacency, edge_flips)
+        for node in (flip.u, flip.v):
+            an_rows.add(node)
+            an_rows.update(adjacency[node].indices.tolist())
+    return sorted(an_rows), sorted(feature_rows)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_batch_matches_sequential_and_rebuild(seed):
+    graph = _random_graph(seed)
+    flips = _random_flips(graph, seed, count=3 + 9 * seed)
+    rng = np.random.default_rng(seed)
+    # Split into batches at random cuts (empty batches included).
+    cuts = np.sort(rng.integers(0, len(flips) + 1, size=3))
+    batches = np.split(np.arange(len(flips)), cuts)
+
+    batched = PropagationCache(graph)
+    for batch in batches:
+        batched.apply_batch(flips[i] for i in batch)
+    sequential = PropagationCache(graph)
+    for flip in flips:
+        sequential.apply(flip)
+    rebuilt = PropagationCache(apply_perturbations(graph, flips))
+
+    assert _snapshot(batched) == _snapshot(sequential) == _snapshot(rebuilt)
+    assert batched.log.key == sequential.log.key == PerturbationLog(list(flips)).key
+    assert batched.version == sequential.version == len(flips)
+    an_rows, feature_rows = batched.drain_dirty_rows()
+    seq_an_rows, seq_feature_rows = sequential.drain_dirty_rows()
+    ref_an_rows, ref_feature_rows = _dirty_rows_reference(graph, flips)
+    assert an_rows.tolist() == seq_an_rows.tolist() == ref_an_rows
+    assert feature_rows.tolist() == seq_feature_rows.tolist() == ref_feature_rows
+    assert an_rows.dtype == feature_rows.dtype == np.int64
+    assert len(batched.drain_dirty_rows()[0]) == 0  # drained once
+
+
+def test_cancelling_batch_restores_state_but_dirties_rows():
+    graph = _random_graph(6)
+    cache = PropagationCache(graph)
+    clean = _snapshot(cache)
+    u, v = _some_edge(graph)
+    cache.apply_batch([EdgeFlip(u, v), FeatureFlip(u, 0), EdgeFlip(v, u)])
+    assert _snapshot(cache) == clean
+    assert cache.version == 3
+    an_rows, feature_rows = cache.drain_dirty_rows()
+    neighbours = set(graph.adjacency[u].indices) | set(graph.adjacency[v].indices)
+    assert an_rows.tolist() == sorted({u, v} | {int(j) for j in neighbours})
+    assert feature_rows.tolist() == [u]
+
+
+def test_empty_batch_is_a_no_op():
+    graph = _random_graph(8)
+    cache = PropagationCache(graph)
+    clean = _snapshot(cache)
+    first = cache.power(2)
+    cache.apply_batch([])
+    cache.apply_batch(iter(()))
+    assert _snapshot(cache) == clean
+    assert cache.version == 0 and cache.key == ()
+    assert cache.power(2) is first
+    an_rows, feature_rows = cache.drain_dirty_rows()
+    assert len(an_rows) == len(feature_rows) == 0
 
 
 def test_feature_flips_touch_log_but_not_topology():
