@@ -22,7 +22,7 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +44,6 @@ __all__ = [
     "atomic_write_text",
     "save_snapshot",
     "load_snapshot",
-    "peek_snapshot_meta",
 ]
 
 _FORMAT_VERSION = 2
@@ -346,24 +345,6 @@ def load_snapshot(path: PathLike) -> tuple[dict[str, np.ndarray], dict]:
     if not isinstance(state, dict):
         raise CorruptArtifactError(f"{path}: snapshot carries no state record")
     return data, state
-
-
-def peek_snapshot_meta(path: PathLike) -> Optional[dict]:
-    """Best-effort read of a snapshot's state meta without array verification.
-
-    Used by the parallel scheduler to judge forward progress of a killed
-    task before deciding whether to degrade its requeue footprint; any
-    unreadable or non-snapshot file yields ``None``.
-    """
-    try:
-        with np.load(Path(path), allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-        if meta.get("kind") != "snapshot":
-            return None
-        state = meta.get("state")
-        return state if isinstance(state, dict) else None
-    except Exception:  # noqa: BLE001 — peeking must never raise
-        return None
 
 
 # ---------------------------------------------------------------------------

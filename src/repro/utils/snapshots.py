@@ -19,10 +19,18 @@ after proceeds live.  Because every unit captures its complete loop state
 sequences, weight updates, journal records — is bit-identical to an
 uninterrupted run.
 
+Writes are throttled from the start of each attempt: a periodic offer
+writes only once ``interval`` seconds of the attempt have passed, so a
+trial shorter than the interval writes nothing unless it is interrupted.
+A step-0 snapshot would hold no progress — restoring it is the same as
+restarting the unit — so a hard kill inside the first interval simply
+restarts the unit.  Two writes are never throttled: final offers (the
+poll site saw cancellation), and the first offer of a reseeded retry
+(attempt > 0), whose archive pins the retry's seeds.
+
 State builders return ``(arrays, meta)``: a dict of ndarrays and a
-JSON-serializable dict.  Include a monotone ``"step"`` in ``meta`` — the
-parallel scheduler reads it (:func:`snapshot_progress`) to judge whether
-a killed worker made forward progress since its last kill.
+JSON-serializable dict.  Include a monotone ``"step"`` in ``meta``; it is
+recorded in the archive's state record alongside the unit ordinal.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ __all__ = [
     "TrialSnapshotter",
     "SnapshotUnit",
     "begin_unit",
-    "snapshot_progress",
     "generator_state",
     "restore_generator",
     "pack_list",
@@ -134,9 +141,11 @@ def begin_unit(kind: str) -> SnapshotUnit:
 class TrialSnapshotter:
     """Per-trial snapshot store bound to one archive path.
 
-    ``interval`` throttles periodic snapshot writes (seconds between
-    writes; ``0`` writes at every offer — used by tests).  Final offers
-    (made by a poll site that just observed cancellation) always write.
+    ``interval`` throttles periodic snapshot writes (seconds since the
+    attempt started or since the last write; ``0`` writes at every offer —
+    used by tests).  Final offers (made by a poll site that just observed
+    cancellation) always write, and so does the first offer of a reseeded
+    retry.
     """
 
     def __init__(
@@ -144,11 +153,11 @@ class TrialSnapshotter:
         path: PathLike,
         *,
         interval: float = 5.0,
-        clock: Callable[[], float] = time.monotonic,
+        clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.path = Path(path)
         self.interval = float(interval)
-        self._clock = clock
+        self._clock = clock or time.monotonic
         self._last_write: Optional[float] = None
         self._attempt = 0
         self._counter = 0
@@ -163,6 +172,10 @@ class TrialSnapshotter:
         written under is returned instead of ``default_attempt`` so the
         resumed run re-derives the *same* seeds — resuming under a fresh
         reseed would splice two unrelated trajectories.
+
+        Arms the write throttle: attempt 0 writes its first periodic
+        snapshot one ``interval`` in, while a reseeded retry writes at its
+        first offer so a hard kill cannot lose which seeds it ran under.
         """
         self._counter = 0
         self._resume = None
@@ -187,6 +200,7 @@ class TrialSnapshotter:
             self._attempt = int(self._resume_meta.get("attempt", default_attempt))
         else:
             self._attempt = int(default_attempt)
+        self._last_write = self._clock() if self._attempt == 0 else None
         return self._attempt
 
     def resuming(self) -> bool:
@@ -252,19 +266,3 @@ class TrialSnapshotter:
         self._resume = None
         self._resume_meta = None
         self.path.unlink(missing_ok=True)
-
-
-def snapshot_progress(path: PathLike) -> Optional[tuple[int, int]]:
-    """``(unit, step)`` progress recorded in a snapshot, or ``None``.
-
-    Best-effort and cheap (meta record only, no array verification): the
-    parallel scheduler compares successive values for a repeatedly-killed
-    task — forward progress means the mid-trial resume is working and the
-    requeue can keep the task's current footprint.
-    """
-    from .. import io
-
-    state = io.peek_snapshot_meta(path)
-    if state is None:
-        return None
-    return int(state.get("unit", 0)), int(state.get("step", 0))

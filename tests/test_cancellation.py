@@ -14,6 +14,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import io
 from repro.errors import IntegrityWarning
 from repro.utils import cancellation, snapshots
 from repro.utils.cancellation import (
@@ -41,6 +42,12 @@ def counting_clock(step=1.0, start=0.0):
         return state["t"]
 
     return clock
+
+
+def unit_and_step(path):
+    """The ``(unit, step)`` progress recorded in a snapshot archive."""
+    _, state = io.load_snapshot(path)
+    return state["unit"], state["step"]
 
 
 @pytest.fixture(autouse=True)
@@ -272,17 +279,53 @@ class TestTrialSnapshotter:
         unit = resumed.begin_unit("attack:PRBCD")
         assert unit.resume_state() is None
 
-    def test_throttling_skips_interior_offers(self, tmp_path):
+    def test_offers_inside_first_interval_write_nothing(self, tmp_path):
         path = tmp_path / "snap.npz"
         sink = TrialSnapshotter(path, interval=10.0, clock=counting_clock())
-        sink.start_attempt(0)
+        assert sink.start_attempt(0) == 0  # clock 1: the window opens here
         unit = sink.begin_unit("fit")
-        unit.offer(self._builder(1))
-        unit.offer(self._builder(2))  # throttled: within 10 clock-seconds
-        resumed = TrialSnapshotter(path, interval=0)
-        resumed.start_attempt(0)
-        _, meta = resumed.begin_unit("fit").resume_state()
-        assert meta["step"] == 1
+        for step in range(1, 10):  # clock 2..10: all inside the window
+            unit.offer(self._builder(step))
+        assert not path.exists()
+
+    def test_first_write_one_interval_into_the_attempt(self, tmp_path):
+        path = tmp_path / "snap.npz"
+        sink = TrialSnapshotter(path, interval=3.0, clock=counting_clock())
+        sink.start_attempt(0)  # clock 1
+        unit = sink.begin_unit("fit")
+        unit.offer(self._builder(1))  # clock 2: throttled
+        unit.offer(self._builder(2))  # clock 3: throttled
+        assert not path.exists()
+        unit.offer(self._builder(3))  # clock 4: one interval in, writes
+        assert unit_and_step(path) == (0, 3)
+        unit.offer(self._builder(4))  # clock 5: inside the next window
+        assert unit_and_step(path) == (0, 3)
+
+    def test_reseeded_retry_writes_at_first_offer(self, tmp_path):
+        path = tmp_path / "snap.npz"
+        sink = TrialSnapshotter(path, interval=10.0, clock=counting_clock())
+        assert sink.start_attempt(1) == 1
+        unit = sink.begin_unit("fit")
+        unit.offer(self._builder(1))  # pins the retry's attempt at once
+        unit.offer(self._builder(2))  # then the throttle applies
+        assert unit_and_step(path) == (0, 1)
+        _, state = io.load_snapshot(path)
+        assert state["attempt"] == 1
+
+    def test_second_attempt_rearms_the_window(self, tmp_path):
+        path = tmp_path / "snap.npz"
+        sink = TrialSnapshotter(path, interval=3.0, clock=counting_clock())
+        sink.start_attempt(0)  # clock 1
+        unit = sink.begin_unit("fit")
+        unit.offer(self._builder(1))  # clock 2: throttled
+        unit.offer(self._builder(2))  # clock 3: throttled
+        sink.start_attempt(0)  # clock 4: the window restarts
+        unit = sink.begin_unit("fit")
+        unit.offer(self._builder(3))  # clock 5: would write without re-arming
+        unit.offer(self._builder(4))  # clock 6: throttled
+        assert not path.exists()
+        unit.offer(self._builder(5))  # clock 7: one interval after clock 4
+        assert unit_and_step(path) == (0, 5)
 
     def test_final_offer_ignores_throttle(self, tmp_path):
         path = tmp_path / "snap.npz"
@@ -323,12 +366,11 @@ class TestTrialSnapshotter:
 
     def test_snapshot_progress(self, tmp_path):
         path = tmp_path / "snap.npz"
-        assert snapshots.snapshot_progress(path) is None
         sink = TrialSnapshotter(path, interval=0)
         sink.start_attempt(0)
         sink.begin_unit("attack")
         sink.begin_unit("fit").offer(self._builder(6), final=True)
-        assert snapshots.snapshot_progress(path) == (1, 6)
+        assert unit_and_step(path) == (1, 6)
 
     def test_checkpoint_offers_to_scope_unit(self, tmp_path):
         path = tmp_path / "snap.npz"
@@ -337,7 +379,7 @@ class TestTrialSnapshotter:
         with trial_scope(sink=sink):
             unit = snapshots.begin_unit("fit")
             checkpoint("trainer", unit=unit, state=self._builder(3))
-        assert snapshots.snapshot_progress(path) == (0, 3)
+        assert unit_and_step(path) == (0, 3)
 
     def test_checkpoint_final_snapshot_on_cancellation(self, tmp_path):
         path = tmp_path / "snap.npz"
@@ -351,7 +393,7 @@ class TestTrialSnapshotter:
                 checkpoint("trainer", unit=unit, state=self._builder(8))
         # Despite the huge throttle interval, the cancellation forced a
         # final write before raising.
-        assert snapshots.snapshot_progress(path) == (0, 8)
+        assert unit_and_step(path) == (0, 8)
 
 
 class TestPackHelpers:

@@ -28,10 +28,12 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro import io
 from repro.attacks import AttackBudget, GRBCD, Metattack, PRBCD
 from repro.cli import EXIT_INTERRUPTED
 from repro.core import PEEGA
@@ -206,6 +208,38 @@ class TestSupervisorDeadline:
             outcome = supervisor.run(KEY, trial)
         assert outcome.ok
         assert calls == [None, None]  # retry started fresh, not from snapshot
+
+
+class TestSnapshotTraffic:
+    def test_uninterrupted_sweep_writes_no_snapshot(self, tmp_path, monkeypatch):
+        """The write throttle is armed when an attempt starts, so trials
+        that finish inside one snapshot interval write nothing — with the
+        sink's clock frozen, no uninterrupted trial ever reaches it."""
+        reference = run_sweep(jobs=1)
+
+        monkeypatch.setattr(
+            snapshots, "time", SimpleNamespace(monotonic=lambda: 0.0)
+        )
+        writes = []
+        save_snapshot = io.save_snapshot
+
+        def counting_save(path, *args, **kwargs):
+            writes.append(path)
+            save_snapshot(path, *args, **kwargs)
+
+        monkeypatch.setattr(io, "save_snapshot", counting_save)
+        checkpoint_dir = tmp_path / "ckpt"
+        table = run_sweep(jobs=1, checkpoint=SweepCheckpoint(checkpoint_dir))
+
+        assert writes == []
+        assert list(checkpoint_dir.glob("snapshot_*.npz")) == []
+        assert table.failures == []
+        expected = sorted(
+            (row, name, tuple(values))
+            for (row, name), values in cells_of(reference).items()
+            if values is not None
+        )
+        assert journal_records(checkpoint_dir) == (expected, [])
 
 
 # ---------------------------------------------------------------------------
