@@ -5,15 +5,13 @@ Paper shape: PEEGA is the fastest effective attacker on the citation graphs
 (spectral decomposition per candidate evaluation); Metattack pays for
 inner-training unrolls; PGD/MinMax are cheap but weak.
 
-Two caveats at reduced scale (both documented in EXPERIMENTS.md):
-
-* the headline rows use the strength-calibrated presets, whose Metattack
-  unrolls only 10 inner steps (the original trains ~100 epochs per flip);
-  the extra ``Metattack-100`` row restores the faithful training length and
-  with it the paper's Metattack ≫ PEEGA ordering;
-* on the scaled-down Citeseer, PEEGA's O(δ·d·|V|²) cost with the full
-  d=3703 feature dimension outweighs GF-Attack's O(|V|³) step at |V|≈300 —
-  at the paper's |V|=2110 the asymptotics dominate again.
+One caveat at reduced scale (documented in EXPERIMENTS.md): the headline
+rows use the strength-calibrated presets, whose Metattack unrolls only 10
+inner steps (the original trains ~100 epochs per flip); the extra
+``Metattack-100`` row restores the faithful training length and with it the
+paper's Metattack ≫ PEEGA ordering.  (PEEGA once lost to GF-Attack on the
+scaled-down Citeseer; the incremental engine and its argmax selector remove
+that inversion, and the bench now asserts PEEGA beats GF-Attack there too.)
 """
 
 from _util import emit, emit_json, run_once, table_stats
@@ -30,7 +28,9 @@ from repro.experiments.runner import CellResult
 
 
 def test_table7_attacker_time(benchmark):
-    datasets = dataset_names()
+    # The paper's three graphs.  The streamed SBM scale tiers are for the
+    # block attackers only: the dense attackers cannot hold them in memory.
+    datasets = [name for name in dataset_names() if not name.startswith("sbm-")]
     config = ExperimentScale.from_env()
 
     def run():
@@ -66,8 +66,11 @@ def test_table7_attacker_time(benchmark):
     assert peega < timings["GF-Attack"]["cora"].mean, timings
     # At the faithful inner-training length, Metattack is slower than PEEGA.
     assert peega < timings["Metattack-100"]["cora"].mean, timings
-    # Citeseer scale-regime bound: same order of magnitude as Metattack-100.
+    # Citeseer (d = 3703): PEEGA also beats GF-Attack and Metattack-100.
+    assert (
+        timings["PEEGA"]["citeseer"].mean < timings["GF-Attack"]["citeseer"].mean
+    ), timings
     assert (
         timings["PEEGA"]["citeseer"].mean
-        < 5 * timings["Metattack-100"]["citeseer"].mean
+        < timings["Metattack-100"]["citeseer"].mean
     ), timings

@@ -37,6 +37,7 @@ from typing import Optional, Union
 import numpy as np
 
 from ..core.difference import DifferenceObjective, IncrementalScorer
+from ..core.selection import FlipSelector
 from ..errors import ConfigError, DegradedWarning
 from ..graph import EdgeFlip, Graph, apply_perturbations
 from ..surrogate import PropagationCache
@@ -204,7 +205,8 @@ class _BlockCoordinateAttacker(Attacker):
     ) -> tuple[np.ndarray, float]:
         """Flip scores ``S = (∇_Â L + ∇_Â Lᵀ) ⊙ (1 − 2Â)`` at the pairs.
 
-        Sampled blocks use the O(block) pair kernel.  Exhaustive blocks
+        Sampled blocks use the O(block) pair kernel.  Exhaustive blocks (the
+        PRBCD epochs; exhaustive GRBCD scores the whole matrix itself)
         gather from the full-matrix engine instead: its entries are the ones
         locked bitwise to the dense oracle, so "block ≥ candidate space"
         degenerates to exactly the scoring PEEGA performs — including the
@@ -229,9 +231,10 @@ class GRBCD(_BlockCoordinateAttacker):
     ``flips_per_step`` highest-scoring flips through the incremental cache,
     repeat until the budget is spent.
 
-    With ``block_size ≥ n(n-1)/2`` the block is the whole candidate space
-    and the selection replicates PEEGA's ranking code path bit for bit —
-    the attack *is* topology-only PEEGA.
+    With ``block_size ≥ n(n-1)/2`` the block is the whole candidate space:
+    GRBCD then scores the full matrix and selects through PEEGA's own
+    :class:`~repro.core.selection.FlipSelector` — the attack *is*
+    topology-only PEEGA, bit for bit.
     """
 
     name = "GRBCD"
@@ -269,9 +272,10 @@ class GRBCD(_BlockCoordinateAttacker):
         k = self.flips_per_step
         spent = 0.0
         flipped_keys = np.empty(0, dtype=np.int64)
-        edge_allowed: Optional[np.ndarray] = None
-        if exhaustive:
-            edge_allowed = np.triu(np.ones((n, n), dtype=bool), k=1)
+        # Exhaustive mode scores the full matrix through PEEGA's selector,
+        # with PEEGA's ±1 flip directions; built on first use.
+        selector: Optional[FlipSelector] = None
+        direction: Optional[np.ndarray] = None
 
         # Preemption: flips + sampler position + working block geometry are
         # the whole loop state.  The cached A_n is a pure function of the
@@ -292,11 +296,6 @@ class GRBCD(_BlockCoordinateAttacker):
                 flipped_keys = np.unique(
                     np.asarray([flip.u * n + flip.v for flip in batch], dtype=np.int64)
                 )
-            if exhaustive:
-                if edge_allowed is None:
-                    edge_allowed = np.triu(np.ones((n, n), dtype=bool), k=1)
-                for flip in batch:
-                    edge_allowed[flip.u, flip.v] = False
             snapshots.restore_generator(self._rng, meta["rng"])
 
         def attack_state() -> tuple[dict, dict]:
@@ -331,17 +330,28 @@ class GRBCD(_BlockCoordinateAttacker):
                     step=len(result.objective_trace),
                 )
                 if exhaustive:
-                    uu, vv = np.nonzero(edge_allowed)
+                    if selector is None:
+                        selector = FlipSelector(n)
+                        direction = 1.0 - 2.0 * graph.dense_adjacency()
+                        for flip in result.edge_flips:
+                            selector.block_edge(flip.u, flip.v)
+                            direction[flip.u, flip.v] = -direction[flip.u, flip.v]
+                            direction[flip.v, flip.u] = -direction[flip.v, flip.u]
+                    grads = scorer.gradients(features, need_features=False)
+                    scores = np.multiply(
+                        grads.grad_topology, direction, out=grads.grad_topology
+                    )
+                    loss = grads.loss
                 else:
                     keys = sample_candidate_pairs(
                         self._rng, n, self._active_block, exclude_keys=flipped_keys
                     )
                     uu, vv = decode_pair_keys(keys, n)
-                if len(uu) == 0:
-                    break
-                scores, loss = self._block_scores(
-                    scorer, cache, features, uu, vv, exhaustive
-                )
+                    if len(uu) == 0:
+                        break
+                    scores, loss = self._block_scores(
+                        scorer, cache, features, uu, vv, False
+                    )
             except MemoryError as error:
                 if not self._shrink_block(error):
                     raise
@@ -350,13 +360,14 @@ class GRBCD(_BlockCoordinateAttacker):
                 # to sampled blocks keeps the already-flipped exclusion.
                 exhaustive = exhaustive and self._is_exhaustive(n)
                 continue
-            result.objective_trace.append(loss)
-
             if exhaustive:
-                selected = _rank_like_peega(scores, uu, vv, edge_allowed, k)
+                selected = [(u, v) for _, u, v, _ in selector.select(scores, k)[:k]]
+                if not selected:
+                    break
             else:
                 order = np.argsort(-scores, kind="stable")[:k]
                 selected = [(int(uu[i]), int(vv[i])) for i in order]
+            result.objective_trace.append(loss)
 
             batch: list[EdgeFlip] = []
             new_keys: list[int] = []
@@ -366,7 +377,9 @@ class GRBCD(_BlockCoordinateAttacker):
                 batch.append(EdgeFlip(u, v))
                 new_keys.append(u * n + v)
                 if exhaustive:
-                    edge_allowed[u, v] = False
+                    selector.block_edge(u, v)
+                    direction[u, v] = -direction[u, v]
+                    direction[v, u] = -direction[v, u]
                 spent += 1.0
             cache.apply_batch(batch)
             result.edge_flips.extend(batch)
@@ -379,37 +392,6 @@ class GRBCD(_BlockCoordinateAttacker):
 
         result.poisoned = apply_perturbations(graph, result.edge_flips)
         return result
-
-
-def _rank_like_peega(
-    scores: np.ndarray,
-    uu: np.ndarray,
-    vv: np.ndarray,
-    edge_allowed: np.ndarray,
-    k: int,
-) -> list[tuple[int, int]]:
-    """PEEGA's dense top-k candidate ranking, replicated op for op.
-
-    Scattering the pair scores back into an ``(n, n)`` mask and running the
-    *same* negate/argpartition/stable-sort sequence reproduces PEEGA's
-    selection bitwise — including the order argpartition leaves exact ties
-    in, which decides flip sequences at p = 1 (tie-dense scores).  Only the
-    exhaustive path comes here, so the dense scatter is by definition
-    affordable.
-    """
-    n = edge_allowed.shape[0]
-    score_matrix = np.zeros((n, n), dtype=np.float64)
-    score_matrix[uu, vv] = scores
-    masked = np.where(edge_allowed, score_matrix, -np.inf)
-    np.negative(masked, out=masked)
-    flat = np.argpartition(masked.ravel(), min(k, masked.size - 1))[: k + 1]
-    entries: list[tuple[float, int, int]] = []
-    for idx in flat:
-        u, v = divmod(int(idx), n)
-        if np.isfinite(masked[u, v]):
-            entries.append((float(-masked[u, v]), u, v))
-    entries.sort(key=lambda e: e[0], reverse=True)
-    return [(u, v) for _, u, v in entries[:k]]
 
 
 class PRBCD(_BlockCoordinateAttacker):
@@ -631,14 +613,17 @@ class PRBCD(_BlockCoordinateAttacker):
                 # (Σw = δ, so the projection is a no-op).
                 seed_count = min(delta, len(keys))
                 if exhaustive:
-                    allowed = np.triu(np.ones((n, n), dtype=bool), k=1)
-                    if len(committed):
-                        cu, cv = decode_pair_keys(committed, n)
-                        allowed[cu, cv] = False
-                    selection = _rank_like_peega(scores, uu, vv, allowed, seed_count)
+                    kick = FlipSelector(n)
+                    for key in committed:
+                        kick.block_edge(*divmod(int(key), n))
+                    score_matrix = np.zeros((n, n))
+                    score_matrix[uu, vv] = scores
+                    selection = kick.select(score_matrix, seed_count)[:seed_count]
                     idxs = np.searchsorted(
                         keys,
-                        np.asarray([u * n + v for u, v in selection], dtype=np.int64),
+                        np.asarray(
+                            [u * n + v for _, u, v, _ in selection], dtype=np.int64
+                        ),
                     )
                 else:
                     idxs = np.arange(seed_count)

@@ -27,6 +27,11 @@ from ..surrogate import PropagationCache, linear_propagation
 from ..tensor import Tensor, as_tensor
 from ..tensor.functional import row_pnorm, sparse_matmul_grad_matrix
 
+try:  # SciPy's CSR kernel on raw arrays (the ``fastpath._spmm`` pattern).
+    from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
+except Exception:  # pragma: no cover - depends on scipy internals
+    _csr_matvecs = None
+
 __all__ = [
     "DifferenceObjective",
     "IncrementalScorer",
@@ -259,20 +264,24 @@ def _pnorm_rows_and_grad(
     Matches ``row_pnorm``'s backward op-for-op (``sign(0) = 0`` subgradient
     at the ``p = 1`` kink, ``eps``-guarded form for ``p >= 2``), with
     ``prefactor`` entering exactly where the tape's upstream gradient would —
-    so the result is bitwise identical to dense autodiff.
+    so the result is bitwise identical to dense autodiff.  The gradient's
+    factors are multiplied in place (each product has the same operands, so
+    the in-place form is bit-identical).
     """
     p = float(p)
     if p == 1.0:
         values = np.abs(residual).sum(axis=1)
         grad = np.sign(residual)
         if prefactor != 1.0:
-            grad = prefactor * grad
+            grad *= prefactor
         return values, grad
     guarded = np.abs(residual) + eps
     rowsums = (guarded**p).sum(axis=1)
     values = rowsums ** (1.0 / p)
     outer = (prefactor * (1.0 / p)) * rowsums ** (1.0 / p - 1.0)
-    grad = (outer[:, None] * p) * guarded ** (p - 1.0) * np.sign(residual)
+    grad = guarded ** (p - 1.0)
+    grad *= outer[:, None] * p
+    grad *= np.sign(residual)
     return values, grad
 
 
@@ -285,12 +294,15 @@ class SparseAttackGradients:
     direction — either full ``(n, n)`` or sliced to ``rows``.
     ``grad_features`` is ``∇_X̂ L`` (always full: it costs only sparse
     products).  Either entry is ``None`` when not requested.
+    ``feature_rows`` lists the rows of ``grad_features`` that may differ
+    from the previous call's (``None``: all of them).
     """
 
     loss: float
     grad_topology: Optional[np.ndarray]
     grad_features: Optional[np.ndarray]
     rows: Optional[np.ndarray]
+    feature_rows: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -409,7 +421,7 @@ def _assemble_attack_gradients(
     else:
         c_cols = sparse_matmul_grad_matrix(scaled_z, scaled_u, rows)
 
-    degree_grad = _degree_chain_gradient(cache, us, zs, layers)
+    degree_grad = _degree_chain_gradient(cache, _level_dots(us, zs), layers)
     left = degree_grad if rows is None else degree_grad[rows]
     grad_topology = c_rows + c_cols + left[:, None] + degree_grad[None, :]
     return SparseAttackGradients(loss, grad_topology, grad_features, rows)
@@ -436,24 +448,23 @@ def _scaled_factor_buffers(
     return scaled_u, scaled_z
 
 
+def _level_dots(us: list[np.ndarray], zs: list[np.ndarray]) -> list[np.ndarray]:
+    """Per-level row dots ``⟨U_k, Z_k⟩``, ``k = 0..l``."""
+    return [np.einsum("ij,ij->i", u, z) for u, z in zip(us, zs)]
+
+
 def _degree_chain_gradient(
-    cache: PropagationCache,
-    us: list[np.ndarray],
-    zs: list[np.ndarray],
-    layers: int,
+    cache: PropagationCache, dots: list[np.ndarray], layers: int
 ) -> np.ndarray:
     """``∂L/∂Â`` contribution through the degree/scaling chain, per node.
 
-    ``∂L/∂s_i`` collapses to row-wise dot products of the adjoint and
-    forward stacks; the chain through ``s = (d + eps)^{-1/2}`` then yields a
-    per-node vector that enters the topology gradient as ``c 1ᵀ + 1 cᵀ``.
+    ``∂L/∂s_i`` collapses to the per-level row dots of the adjoint and
+    forward stacks (``dots[k] = ⟨U_k, Z_k⟩``); the chain through
+    ``s = (d + eps)^{-1/2}`` then yields a per-node vector that enters the
+    topology gradient as ``c 1ᵀ + 1 cᵀ``.
     """
-    row_dots = sum(
-        np.einsum("ij,ij->i", us[k], zs[k]) for k in range(1, layers + 1)
-    )
-    col_dots = sum(
-        np.einsum("ij,ij->i", us[k - 1], zs[k - 1]) for k in range(1, layers + 1)
-    )
+    row_dots = sum(dots[k] for k in range(1, layers + 1))
+    col_dots = sum(dots[k - 1] for k in range(1, layers + 1))
     grad_scaling = (row_dots + col_dots) / cache.scaling
     return grad_scaling * (-0.5) * (cache.loop_degrees + NORMALIZE_EPS) ** -1.5
 
@@ -468,6 +479,51 @@ def _node_union(n: int, *parts: np.ndarray) -> np.ndarray:
     for part in parts:
         mask[part] = True
     return np.flatnonzero(mask)
+
+
+def _csr_rows(
+    matrix: sp.csr_matrix, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(indptr, positions)`` of the sub-matrix ``matrix[rows]``.
+
+    ``positions`` indexes the stored entries of ``rows`` in row order, so
+    ``matrix.indices[positions]`` / ``matrix.data[positions]`` are exactly
+    the arrays scipy's fancy row indexing builds — without its dispatch.
+    """
+    indptr = matrix.indptr
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    sub_indptr = np.zeros(len(rows) + 1, dtype=indptr.dtype)
+    np.cumsum(lengths, out=sub_indptr[1:])
+    positions = np.arange(sub_indptr[-1]) + np.repeat(
+        starts - sub_indptr[:-1], lengths
+    )
+    return sub_indptr, positions
+
+
+def _csr_product(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
+    num_cols: int,
+    dense: np.ndarray,
+) -> np.ndarray:
+    """CSR-arrays ``@ dense``: scipy's ``csr_matvecs`` into a zeroed result.
+
+    The same kernel and accumulation order as ``csr_matrix @ dense`` (see
+    ``fastpath._spmm``), so every output row is bitwise what the scipy
+    product — and hence a full rebuild — computes.
+    """
+    dense = np.ascontiguousarray(dense)
+    rows = len(indptr) - 1
+    if _csr_matvecs is None:  # pragma: no cover - depends on scipy internals
+        return sp.csr_matrix((data, indices, indptr), shape=(rows, num_cols)) @ dense
+    out = np.zeros((rows, dense.shape[1]))
+    _csr_matvecs(
+        rows, num_cols, dense.shape[1], indptr, indices, data,
+        dense.ravel(), out.ravel(),
+    )
+    return out
 
 
 class IncrementalScorer:
@@ -485,7 +541,7 @@ class IncrementalScorer:
        neighbors of ``D_k`` (self-loops make ``D_k ⊆ N(D_k)``) — and
        recomputes just those rows with row-sliced sparse matvecs;
     3. patches the per-row self-view norms/gradients and the per-edge
-       global-view norms/gradients for the touched rows and edges only.
+       global-view norms for the touched rows and edges only.
 
     CSR matvec rows are computed independently, so a row-sliced recompute is
     bitwise identical to the same row of a full rebuild — the scorer's flip
@@ -504,54 +560,50 @@ class IncrementalScorer:
         # Self-view state: per-row norms and the (n, d) gradient image.
         self._row_values: Optional[np.ndarray] = None
         self._self_grad: Optional[np.ndarray] = None
-        # Global-view state: per-edge norms, per-edge gradients (λ folded),
-        # and their scatter-sum onto source nodes.
+        # Global-view state: per-edge norms and the scatter-sum of the
+        # per-edge gradients (λ folded) onto source nodes.  The (E, d)
+        # per-edge gradients themselves are never kept: a dirty node's row
+        # is re-summed from the freshly computed slab of its edges.
         self._edge_values: Optional[np.ndarray] = None
-        self._g_glob: Optional[np.ndarray] = None
         self._node_glob: Optional[np.ndarray] = None
         # Adjoint stack: ``_grad_m`` is ``∂L/∂M̂`` and ``_us[k]`` the adjoint
         # of ``Z_k`` (``_us[layers]`` aliases ``_grad_m``).
         self._grad_m: Optional[np.ndarray] = None
         self._us: Optional[list[np.ndarray]] = None
-        # Topology state: the stacked GEMM factors, their product
-        # ``C = (s ⊙ U) (s ⊙ Z)ᵀ`` — the quadratic piece of the score — and
-        # the per-node dots feeding the degree chain.  Kept across calls and
-        # patched row/column-wise per flip.
+        # Topology state: the stacked GEMM factors and their product
+        # ``C = (s ⊙ U) (s ⊙ Z)ᵀ`` — the quadratic piece of the score — kept
+        # across calls and patched row/column-wise per flip.
         self._su: Optional[np.ndarray] = None
         self._sz: Optional[np.ndarray] = None
         self._c: Optional[np.ndarray] = None
-        self._row_dots: Optional[np.ndarray] = None
-        self._col_dots: Optional[np.ndarray] = None
-        # The pair path maintains the per-node dots without the (n, n)
-        # product C, so their validity is tracked separately from ``_c``.
-        self._dots_valid: bool = False
+        # Per-level row dots ``⟨U_k, Z_k⟩`` feeding the degree chain; each
+        # level is refreshed only where ``U_k`` or ``Z_k`` changed.  Both
+        # the full-matrix and the pair path read them; ``None`` until one
+        # of them first needs the degree chain.
+        self._dots: Optional[list[np.ndarray]] = None
         # Scratch for the assembled topology gradient — reused across calls
         # so the hot loop does not allocate a fresh (n, n) buffer per flip.
         self._topo_out: Optional[np.ndarray] = None
 
     def _refresh_state(
         self, features: np.ndarray
-    ) -> tuple[
-        bool, bool, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[np.ndarray]
-    ]:
+    ) -> tuple[bool, np.ndarray, list[np.ndarray], list[np.ndarray]]:
         """Drain the cache's dirty log and patch forward/adjoint/loss state.
 
         Shared preamble of :meth:`gradients` and :meth:`pair_gradients` —
         one implementation, so the full-matrix and block-sampled paths score
-        from byte-identical state.  Returns
-        ``(first, any_dirt, an_dirty, feat_dirty, dirty_m, dirty_below,
-        e_levels)`` — the bookkeeping the topology-state patches fan out
-        from.
+        from byte-identical state.  Returns ``(first, an_dirty, d_levels,
+        e_levels)``: ``d_levels[k]`` / ``e_levels[k]`` are the rows of
+        ``Z_k`` / ``U_k`` this call rewrote (empty lists on the first call,
+        which builds everything).
         """
         cache = self.cache
         an = cache.normalized  # also verifies the cache binding
         layers = self.objective.layers
         n = an.shape[0]
         an_dirty, feat_dirty = cache.drain_dirty_rows()
-        any_dirt = bool(len(an_dirty) or len(feat_dirty))
-        first = self._zs is None
 
-        if first:
+        if self._zs is None:
             self._zs = [np.array(features, dtype=np.float64, copy=True)]
             for _ in range(layers):
                 self._zs.append(an @ self._zs[-1])
@@ -565,48 +617,58 @@ class IncrementalScorer:
             for k in range(layers - 1, -1, -1):
                 # A_n is symmetric in structure and values: A_nᵀ U ≡ A_n U.
                 self._us[k] = an @ self._us[k + 1]
-            dirty_m = dirty_below = feat_dirty
-            e_levels: list[np.ndarray] = []
-        else:
-            zs = self._zs
-            if len(feat_dirty):
-                zs[0][feat_dirty] = features[feat_dirty]
-            dirty = feat_dirty
-            dirty_below = feat_dirty  # dirty rows of zs[layers - 1]
-            for k in range(1, layers + 1):
-                if k == layers:
-                    dirty_below = dirty
-                if len(dirty):
-                    dirty = _node_union(n, an_dirty, an[dirty].indices)
-                else:
-                    dirty = an_dirty
-                if len(dirty):
-                    zs[k][dirty] = an[dirty] @ zs[k - 1]
-            dirty_m = dirty
-            grad_dirty = self._update_loss_state(dirty_m)
-            if len(grad_dirty):
-                if self._node_glob is not None:
-                    self._grad_m[grad_dirty] = (
-                        self._self_grad[grad_dirty] + self._node_glob[grad_dirty]
+            return True, an_dirty, [], []
+
+        def fan_out(stack: list[np.ndarray], seed: np.ndarray, k: int, src: int):
+            # Rows of stack[k] = A_n stack[src] that change: dirty A_n rows
+            # plus the neighbors of the changed rows of stack[src].
+            if len(seed):
+                _, positions = _csr_rows(an, seed)
+                rows = _node_union(n, an_dirty, an.indices[positions])
+            else:
+                rows = an_dirty
+            if len(rows):
+                indptr, positions = _csr_rows(an, rows)
+                stack[k][rows] = _csr_product(
+                    indptr, an.indices[positions], an.data[positions], n, stack[src]
+                )
+            return rows
+
+        zs, us = self._zs, self._us
+        if len(feat_dirty):
+            zs[0][feat_dirty] = features[feat_dirty]
+        d_levels = [feat_dirty]
+        for k in range(1, layers + 1):
+            d_levels.append(fan_out(zs, d_levels[-1], k, k - 1))
+        grad_dirty = self._update_loss_state(d_levels[layers])
+        if len(grad_dirty):
+            if self._node_glob is not None:
+                self._grad_m[grad_dirty] = (
+                    self._self_grad[grad_dirty] + self._node_glob[grad_dirty]
+                )
+            else:
+                self._grad_m[grad_dirty] = self._self_grad[grad_dirty]
+        # Adjoint fan-out: E_l = rows where ∂L/∂M̂ actually changed (for
+        # p = 1 the gradient is a sign pattern, so most dirty residual rows
+        # keep a bitwise-identical gradient and prune the frontier), then
+        # E_{k-1} = dirty(A_n) ∪ N(E_k).
+        e_levels = [grad_dirty]
+        for k in range(layers - 1, -1, -1):
+            e_levels.insert(0, fan_out(us, e_levels[0], k, k + 1))
+        if self._dots is not None:
+            for k in range(layers + 1):
+                rows = _node_union(n, d_levels[k], e_levels[k])
+                if len(rows):
+                    self._dots[k][rows] = np.einsum(
+                        "ij,ij->i", us[k][rows], zs[k][rows]
                     )
-                else:
-                    self._grad_m[grad_dirty] = self._self_grad[grad_dirty]
-            # Adjoint fan-out: E_l = rows where ∂L/∂M̂ actually changed (for
-            # p = 1 the gradient is a sign pattern, so most dirty residual
-            # rows keep a bitwise-identical gradient and prune the frontier),
-            # then E_{k-1} = dirty(A_n) ∪ N(E_k).
-            e_levels = [np.empty(0, dtype=np.int64)] * (layers + 1)
-            e_levels[layers] = grad_dirty
-            e = grad_dirty
-            for k in range(layers - 1, -1, -1):
-                if len(e):
-                    e = _node_union(n, an_dirty, an[e].indices)
-                else:
-                    e = an_dirty
-                if len(e):
-                    self._us[k][e] = an[e] @ self._us[k + 1]
-                e_levels[k] = e
-        return first, any_dirt, an_dirty, feat_dirty, dirty_m, dirty_below, e_levels
+        return False, an_dirty, d_levels, e_levels
+
+    def _degree_gradient(self) -> np.ndarray:
+        """The per-node degree-chain term, off the per-level dot state."""
+        if self._dots is None:
+            self._dots = _level_dots(self._us, self._zs)
+        return _degree_chain_gradient(self.cache, self._dots, self.objective.layers)
 
     def _objective_value(self) -> float:
         """The objective at the current state, off the persistent loss state."""
@@ -623,45 +685,30 @@ class IncrementalScorer:
         need_features: bool = True,
     ) -> SparseAttackGradients:
         """Same contract as :func:`sparse_attack_gradients`, amortized."""
-        cache = self.cache
-        layers = self.objective.layers
-        (first, any_dirt, an_dirty, feat_dirty, dirty_m, dirty_below, e_levels) = (
-            self._refresh_state(features)
-        )
+        first, an_dirty, d_levels, e_levels = self._refresh_state(features)
         value = self._objective_value()
-
+        dirty = not first and bool(len(an_dirty) or len(d_levels[0]))
+        feature_rows = None if first else e_levels[0]
         grad_features = self._us[0] if need_features else None
         if not need_topology:
-            if any_dirt:
+            if dirty:
                 # Flips arrived while the topology state sat unused; a later
                 # topology request must rebuild rather than patch from stale C.
                 self._c = None
-                self._dots_valid = False
-            return SparseAttackGradients(value, None, grad_features, rows)
+            return SparseAttackGradients(
+                value, None, grad_features, rows, feature_rows
+            )
 
-        s = cache.scaling
-        zs = self._zs
-        us = self._us
+        s = self.cache.scaling
         if self._c is None or first:
-            self._su, self._sz = _scaled_factor_buffers(s, us, zs, layers)
+            self._su, self._sz = _scaled_factor_buffers(
+                s, self._us, self._zs, self.objective.layers
+            )
             self._c = sparse_matmul_grad_matrix(self._su, self._sz)
-            self._row_dots = sum(
-                np.einsum("ij,ij->i", us[k], zs[k]) for k in range(1, layers + 1)
-            )
-            self._col_dots = sum(
-                np.einsum("ij,ij->i", us[k - 1], zs[k - 1])
-                for k in range(1, layers + 1)
-            )
-            self._dots_valid = True
-        elif any_dirt:
-            self._patch_topology_state(
-                s, an_dirty, dirty_m, dirty_below, feat_dirty, e_levels
-            )
+        elif dirty:
+            self._patch_topology_state(s, an_dirty, d_levels, e_levels)
 
-        grad_scaling = (self._row_dots + self._col_dots) / s
-        degree_grad = (
-            grad_scaling * (-0.5) * (cache.loop_degrees + NORMALIZE_EPS) ** -1.5
-        )
+        degree_grad = self._degree_gradient()
         if rows is None:
             c_rows: np.ndarray = self._c
             c_cols: np.ndarray = self._c.T
@@ -679,18 +726,18 @@ class IncrementalScorer:
         np.add(c_rows, c_cols, out=grad_topology)
         grad_topology += left[:, None]
         grad_topology += degree_grad[None, :]
-        return SparseAttackGradients(value, grad_topology, grad_features, rows)
+        return SparseAttackGradients(
+            value, grad_topology, grad_features, rows, feature_rows
+        )
 
     def _patch_topology_state(
         self,
         s: np.ndarray,
         an_dirty: np.ndarray,
-        dirty_m: np.ndarray,
-        dirty_below: np.ndarray,
-        feat_dirty: np.ndarray,
+        d_levels: list[np.ndarray],
         e_levels: list[np.ndarray],
     ) -> None:
-        """Refresh the rows/columns of ``su``/``sz``/``C``/dots flips touched.
+        """Refresh the rows/columns of ``su``/``sz``/``C`` flips touched.
 
         ``s ⊙ U`` is dirty on ``E_1 ∪ dirty(A_n)`` (``E_1`` contains every
         deeper adjoint level via the self-loop neighborhoods), ``s ⊙ Z`` on
@@ -702,10 +749,9 @@ class IncrementalScorer:
         """
         layers = self.objective.layers
         zs, us = self._zs, self._us
-        d = zs[0].shape[1]
-        su_dirty, sz_dirty = self._patch_dot_state(
-            an_dirty, dirty_m, dirty_below, feat_dirty, e_levels
-        )
+        n, d = zs[0].shape
+        su_dirty = _node_union(n, e_levels[1], an_dirty)
+        sz_dirty = _node_union(n, d_levels[layers - 1], an_dirty)
         if len(su_dirty):
             scale = s[su_dirty][:, None]
             for k in range(1, layers + 1):
@@ -720,42 +766,6 @@ class IncrementalScorer:
             self._c[:, sz_dirty] = sparse_matmul_grad_matrix(
                 self._sz, self._su, sz_dirty
             ).T
-
-    def _patch_dot_state(
-        self,
-        an_dirty: np.ndarray,
-        dirty_m: np.ndarray,
-        dirty_below: np.ndarray,
-        feat_dirty: np.ndarray,
-        e_levels: list[np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Refresh the per-node degree-chain dots the flips touched.
-
-        Split out of :meth:`_patch_topology_state` because the pair path
-        maintains *only* the dots (the GEMM factors and ``C`` are full-matrix
-        state it never forms).  Returns the ``su``/``sz`` dirty sets for the
-        caller that also patches the factor buffers.
-        """
-        layers = self.objective.layers
-        zs, us = self._zs, self._us
-        n = zs[0].shape[0]
-        su_dirty = _node_union(
-            n, e_levels[1] if layers > 1 else e_levels[layers], an_dirty
-        )
-        sz_dirty = _node_union(n, dirty_below, an_dirty)
-        rd_dirty = _node_union(n, su_dirty, dirty_m)
-        if len(rd_dirty):
-            self._row_dots[rd_dirty] = sum(
-                np.einsum("ij,ij->i", us[k][rd_dirty], zs[k][rd_dirty])
-                for k in range(1, layers + 1)
-            )
-        cd_dirty = _node_union(n, e_levels[0], sz_dirty, feat_dirty)
-        if len(cd_dirty):
-            self._col_dots[cd_dirty] = sum(
-                np.einsum("ij,ij->i", us[k - 1][cd_dirty], zs[k - 1][cd_dirty])
-                for k in range(1, layers + 1)
-            )
-        return su_dirty, sz_dirty
 
     def pair_gradients(
         self,
@@ -776,7 +786,7 @@ class IncrementalScorer:
 
         without forming ``C``: the two entries are row-wise dots of
         gathered-and-scaled factor rows (:func:`pairwise_gemm_dots`), and
-        the degree-chain term ``dg`` comes from the persistent per-node dot
+        the degree-chain term ``dg`` comes from the persistent per-level dot
         state, patched under the same dirty rules as the full path.  Term
         order and every elementwise op match the full-matrix assembly; the
         result agrees with the same entry of :meth:`gradients` to ~1e-12
@@ -789,36 +799,17 @@ class IncrementalScorer:
         refresh — nothing scales with n² — and peak memory is bounded by a
         fixed pair-slab size.
         """
-        cache = self.cache
         layers = self.objective.layers
-        (first, any_dirt, an_dirty, feat_dirty, dirty_m, dirty_below, e_levels) = (
-            self._refresh_state(features)
-        )
+        first, an_dirty, d_levels, _ = self._refresh_state(features)
         value = self._objective_value()
-
-        if first or not self._dots_valid:
-            zs, us = self._zs, self._us
-            self._row_dots = sum(
-                np.einsum("ij,ij->i", us[k], zs[k]) for k in range(1, layers + 1)
-            )
-            self._col_dots = sum(
-                np.einsum("ij,ij->i", us[k - 1], zs[k - 1])
-                for k in range(1, layers + 1)
-            )
-            self._dots_valid = True
-        elif any_dirt:
-            self._patch_dot_state(an_dirty, dirty_m, dirty_below, feat_dirty, e_levels)
-        if any_dirt:
+        if not first and (len(an_dirty) or len(d_levels[0])):
             # The (n, n) product C (if a full-matrix call ever built it) did
             # not see these flips; force a rebuild on the next full call.
             self._c = None
 
-        s = cache.scaling
+        s = self.cache.scaling
         zs, us = self._zs, self._us
-        grad_scaling = (self._row_dots + self._col_dots) / s
-        degree_grad = (
-            grad_scaling * (-0.5) * (cache.loop_degrees + NORMALIZE_EPS) ** -1.5
-        )
+        degree_grad = self._degree_gradient()
 
         uu = np.asarray(pairs_u, dtype=np.int64)
         vv = np.asarray(pairs_v, dtype=np.int64)
@@ -874,12 +865,12 @@ class IncrementalScorer:
         self._row_values = values
         if objective._scatter is not None:
             src = objective._edge_index[0]
-            self._edge_values, self._g_glob = _pnorm_rows_and_grad(
+            self._edge_values, g_glob = _pnorm_rows_and_grad(
                 m_hat[src] - objective._m_orig_dst,
                 objective.p,
                 prefactor=objective.lam,
             )
-            self._node_glob = objective._scatter @ self._g_glob
+            self._node_glob = objective._scatter @ g_glob
 
     def _update_loss_state(self, dirty_m: np.ndarray) -> np.ndarray:
         """Patch the loss state; return the rows where ``∂L/∂M̂`` changed.
@@ -897,29 +888,24 @@ class IncrementalScorer:
         m_hat = self._zs[-1]
         changed_self = changed_glob = empty
         if objective._rows is None:
-            values, g_self = _pnorm_rows_and_grad(
-                m_hat[dirty_m] - objective._m_orig[dirty_m], objective.p
-            )
-            changed_self = dirty_m[(g_self != self._self_grad[dirty_m]).any(axis=1)]
-            self._row_values[dirty_m] = values
-            self._self_grad[dirty_m] = g_self
+            selected, positions, m_orig = dirty_m, dirty_m, objective._m_orig
         else:
             positions = np.flatnonzero(np.isin(objective._rows, dirty_m))
-            if len(positions):
-                selected = objective._rows[positions]
-                values, g_self = _pnorm_rows_and_grad(
-                    m_hat[selected] - objective._m_orig_rows[positions], objective.p
-                )
-                changed_self = selected[
-                    (g_self != self._self_grad[selected]).any(axis=1)
-                ]
-                self._row_values[positions] = values
-                self._self_grad[selected] = g_self
-        if objective._scatter is not None:
+            selected = objective._rows[positions]
+            m_orig = objective._m_orig_rows
+        if len(selected):
+            values, g_self = _pnorm_rows_and_grad(
+                m_hat[selected] - m_orig[positions], objective.p
+            )
+            changed_self = selected[(g_self != self._self_grad[selected]).any(axis=1)]
+            self._row_values[positions] = values
+            self._self_grad[selected] = g_self
+        scatter = objective._scatter
+        if scatter is not None:
             # Edges needing a refresh are exactly those sourced at a dirty
             # node — the rows of the scatter operator list them directly.
-            sub_scatter = objective._scatter[dirty_m]
-            dirty_edges = sub_scatter.indices
+            indptr, positions = _csr_rows(scatter, dirty_m)
+            dirty_edges = scatter.indices[positions]
             if len(dirty_edges):
                 src = objective._edge_index[0]
                 values, g_edges = _pnorm_rows_and_grad(
@@ -928,8 +914,16 @@ class IncrementalScorer:
                     prefactor=objective.lam,
                 )
                 self._edge_values[dirty_edges] = values
-                self._g_glob[dirty_edges] = g_edges
-                node_rows = sub_scatter @ self._g_glob
+                # Row i of the sub-scatter sums its edges' slab rows in
+                # storage order — the same sum ``scatter[dirty] @ g_glob``
+                # forms over the persistent per-edge gradients.
+                node_rows = _csr_product(
+                    indptr,
+                    np.arange(len(dirty_edges), dtype=indptr.dtype),
+                    scatter.data[positions],
+                    len(dirty_edges),
+                    g_edges,
+                )
                 changed_glob = dirty_m[
                     (node_rows != self._node_glob[dirty_m]).any(axis=1)
                 ]

@@ -31,6 +31,7 @@ from ..tensor import Tensor
 from ..utils import cancellation, faults, snapshots
 from ..utils.rng import SeedLike
 from .difference import DifferenceObjective, IncrementalScorer
+from .selection import FeatureScores, FlipSelector
 
 __all__ = ["PEEGA"]
 
@@ -127,49 +128,41 @@ class PEEGA(Attacker):
             # kink at an exact zero (as the cached path has by construction).
             dense_reference=cache is None and self.attack_topology,
         )
-        n, d = graph.num_nodes, graph.num_features
-
+        n = graph.num_nodes
         adj_hat = graph.dense_adjacency()
-        feat_hat = graph.features.copy()
-
-        # Static candidate masks.
-        if self.attacker_nodes is not None:
-            edge_allowed = self.attacker_nodes.edge_mask(n)
-            feat_allowed = self.attacker_nodes.feature_mask(n, d)
-        else:
-            edge_allowed = ~np.eye(n, dtype=bool)
-            feat_allowed = np.ones((n, d), dtype=bool)
-        # Only the upper triangle represents distinct undirected edges.
-        edge_allowed = edge_allowed & np.triu(np.ones((n, n), dtype=bool), k=1)
 
         # Candidate frontier for the sparse engine: every allowed edge has an
         # accessible endpoint, and attack scores are symmetric, so only the
         # accessible *rows* of the topology gradient are ever inspected —
         # the incremental path materializes just those (Fig 7a settings).
-        frontier: Optional[np.ndarray] = None
-        if (
-            cache is not None
-            and self.attack_topology
-            and self.attacker_nodes is not None
-        ):
-            accessible = np.flatnonzero(self.attacker_nodes.node_mask(n))
-            if len(accessible) < n:
-                frontier = accessible
+        accessible = frontier = None
+        if self.attacker_nodes is not None:
+            accessible = self.attacker_nodes.node_mask(n)
+            if cache is not None and self.attack_topology and not accessible.all():
+                frontier = np.flatnonzero(accessible)
+        features = (
+            FeatureScores(graph.features, accessible) if self.attack_features else None
+        )
+        feat_hat = graph.features.copy() if features is None else features.values
+        selector = FlipSelector(
+            n,
+            edge_mask=(
+                None
+                if self.attacker_nodes is None
+                else self.attacker_nodes.edge_mask(n)
+            ),
+            frontier=frontier,
+            features=features,
+            feature_cost=budget.feature_cost,
+        )
 
         scorer = IncrementalScorer(objective, cache) if cache is not None else None
-
         # Candidate directions (Def. 4) are ±1-valued; the incremental path
-        # keeps them as persistent arrays and negates the flipped entry in
-        # place — exact, and avoids an O(n²)/O(nd) rebuild per iteration.
-        direction_t = direction_f = None
-        if scorer is not None:
-            if self.attack_topology:
-                direction_t = -2.0 * adj_hat + 1.0
-            if self.attack_features:
-                direction_f = -2.0 * feat_hat + 1.0
-        # Per-row feature bit counts, maintained exactly (integral +-1 steps)
-        # so the singleton-protection mask never re-reduces the full matrix.
-        feat_row_sums = feat_hat.sum(axis=1) if self.attack_features else None
+        # keeps them as a persistent array and negates the flipped entry in
+        # place — exact, and avoids an O(n²) rebuild per iteration.
+        direction_t = None
+        if scorer is not None and self.attack_topology:
+            direction_t = -2.0 * adj_hat + 1.0
 
         result = AttackResult(original=graph, poisoned=graph, budget=budget)
         spent = 0.0
@@ -191,18 +184,14 @@ class PEEGA(Attacker):
             if direction_t is not None:
                 direction_t[u, v] = -direction_t[u, v]
                 direction_t[v, u] = -direction_t[v, u]
-            edge_allowed[u, v] = False
+            selector.block_edge(u, v)
             flip = EdgeFlip(int(u), int(v))
             result.edge_flips.append(flip)
             flip_log.append((0, int(u), int(v)))
             return flip
 
         def apply_feature_flip(u: int, dim: int) -> FeatureFlip:
-            feat_hat[u, dim] = 1.0 - feat_hat[u, dim]
-            feat_row_sums[u] += 1.0 if feat_hat[u, dim] else -1.0
-            if direction_f is not None:
-                direction_f[u, dim] = -direction_f[u, dim]
-            feat_allowed[u, dim] = False
+            features.flip(u, dim)
             flip = FeatureFlip(int(u), int(dim))
             result.feature_flips.append(flip)
             flip_log.append((1, int(u), int(dim)))
@@ -212,14 +201,14 @@ class PEEGA(Attacker):
         resumed = unit.resume_state()
         if resumed is not None:
             arrays, meta = resumed
-            for kind, (u, v) in zip(arrays["flip_kinds"], arrays["flip_uv"]):
-                flip = (
-                    apply_edge_flip(int(u), int(v))
-                    if int(kind) == 0
-                    else apply_feature_flip(int(u), int(v))
-                )
-                if cache is not None:
-                    cache.apply(flip)
+            replayed = [
+                apply_edge_flip(int(u), int(v))
+                if int(kind) == 0
+                else apply_feature_flip(int(u), int(v))
+                for kind, (u, v) in zip(arrays["flip_kinds"], arrays["flip_uv"])
+            ]
+            if cache is not None:
+                cache.apply_batch(replayed)
             result.objective_trace = [float(x) for x in arrays["objective_trace"]]
             spent = float(meta["spent"])
             snapshots.restore_generator(self._rng, meta["rng"])
@@ -251,36 +240,34 @@ class PEEGA(Attacker):
                 "peega", unit=unit, state=attack_state, iteration=iteration
             )
             if scorer is not None:
-                score_t, score_f, loss_value = self._scores_cached(
-                    scorer, feat_hat, direction_t, direction_f, frontier
+                # Closed-form gradients off the sparse cache: the scorer
+                # re-materializes only the rows the applied flips touched.
+                grads = scorer.gradients(
+                    feat_hat,
+                    rows=frontier,
+                    need_topology=self.attack_topology,
+                    need_features=self.attack_features,
                 )
+                score_t = None
+                if self.attack_topology:
+                    # grad_topology is the scorer's per-call scratch; scoring
+                    # in place avoids another (n, n) allocation per flip.
+                    direction = (
+                        direction_t if frontier is None else direction_t[frontier]
+                    )
+                    score_t = np.multiply(
+                        grads.grad_topology, direction, out=grads.grad_topology
+                    )
+                if features is not None:
+                    features.update(grads.grad_features, grads.feature_rows)
+                loss_value = grads.loss
             else:
-                score_t, score_f, loss_value = self._scores(
-                    objective, adj_hat, feat_hat
-                )
+                score_t, grad_f, loss_value = self._scores(objective, adj_hat, feat_hat)
+                if features is not None:
+                    features.update(grad_f)
             result.objective_trace.append(loss_value)
 
-            # Singleton protection (the Nettack convention): never delete a
-            # node's *last* feature bit — on identity-feature graphs
-            # (Polblogs) an unconstrained greedy would otherwise simply zero
-            # the entire feature matrix within budget.  Only rows whose bit
-            # count has dropped to <= 1 can host a protected bit, so the
-            # dense (n, d) mask is patched just on those rows.
-            if self.attack_features:
-                feat_mask = feat_allowed.copy()
-                risky = np.flatnonzero(feat_row_sums <= 1.0)
-                if len(risky):
-                    feat_mask[risky] &= feat_hat[risky] != 1.0
-            else:
-                feat_mask = feat_allowed
-            candidates = self._rank_candidates(
-                score_t,
-                score_f,
-                edge_allowed,
-                feat_mask,
-                budget,
-                row_index=frontier,
-            )
+            candidates = selector.select(score_t, self.flips_per_step)
             if not candidates:
                 break
 
@@ -310,7 +297,7 @@ class PEEGA(Attacker):
         adj_hat: np.ndarray,
         feat_hat: np.ndarray,
     ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], float]:
-        """Gradient scores ``S_t``/``S_f`` for the current poisoned state."""
+        """Dense-oracle ``S_t``, ``∇_X̂ L`` and the objective at this state."""
         adj_t = Tensor(adj_hat, requires_grad=self.attack_topology)
         feat_t = Tensor(feat_hat, requires_grad=self.attack_features)
         if self.attack_topology:
@@ -327,114 +314,4 @@ class PEEGA(Attacker):
             direction_t = -2.0 * adj_hat + 1.0
             grad_sym = adj_t.grad + adj_t.grad.T  # undirected flip hits both entries
             score_t = grad_sym * direction_t
-        score_f = None
-        if self.attack_features and feat_t.grad is not None:
-            direction_f = -2.0 * feat_hat + 1.0
-            score_f = feat_t.grad * direction_f
-        return score_t, score_f, float(loss.item())
-
-    def _scores_cached(
-        self,
-        scorer: IncrementalScorer,
-        feat_hat: np.ndarray,
-        direction_t: Optional[np.ndarray],
-        direction_f: Optional[np.ndarray],
-        frontier: Optional[np.ndarray],
-    ) -> tuple[Optional[np.ndarray], Optional[np.ndarray], float]:
-        """Incremental-path scores: closed-form gradients off the sparse cache.
-
-        The scorer drains the cache's dirty-row log and re-materializes only
-        the propagation/loss rows the applied flips touched.  When
-        ``frontier`` is given, ``score_t`` holds only those gradient rows
-        (shape ``(|frontier|, n)``); otherwise it is the full matrix.
-        """
-        grads = scorer.gradients(
-            feat_hat,
-            rows=frontier,
-            need_topology=self.attack_topology,
-            need_features=self.attack_features,
-        )
-        score_t = None
-        if self.attack_topology and grads.grad_topology is not None:
-            direction = direction_t if frontier is None else direction_t[frontier]
-            # grad_topology is the scorer's per-call scratch; scoring in
-            # place avoids another (n, n) allocation per flip.
-            score_t = np.multiply(
-                grads.grad_topology, direction, out=grads.grad_topology
-            )
-        score_f = None
-        if self.attack_features and grads.grad_features is not None:
-            score_f = grads.grad_features * direction_f
-        return score_t, score_f, grads.loss
-
-    def _rank_candidates(
-        self,
-        score_t: Optional[np.ndarray],
-        score_f: Optional[np.ndarray],
-        edge_allowed: np.ndarray,
-        feat_allowed: np.ndarray,
-        budget: AttackBudget,
-        row_index: Optional[np.ndarray] = None,
-    ) -> list[tuple[str, int, int, float]]:
-        """Top candidates across both attack types, best first.
-
-        Feature scores are normalized by their cost (``S_f / β``, Sec. V-D1)
-        so the comparison in Alg. 1 line 9 is cost-aware.  With ``row_index``
-        the topology scores are row-sliced (the frontier of the incremental
-        path); scores are symmetric, so each undirected candidate is
-        recovered from whichever accessible endpoint hosts its row.
-        """
-        k = self.flips_per_step
-        entries: list[tuple[float, str, int, int, float]] = []
-
-        if score_t is not None and row_index is not None:
-            # Row-sliced frontier: candidate (u, v) appears at (row u, col v)
-            # and, when both endpoints are accessible, at (row v, col u) with
-            # an identical score — deduplicate on the canonical pair.
-            allowed = edge_allowed[row_index] | edge_allowed.T[row_index]
-            masked = np.where(allowed, score_t, -np.inf)
-            take = min(2 * k + 2, masked.size - 1)
-            flat = np.argpartition(-masked.ravel(), take)[: take + 1]
-            flat = flat[np.argsort(-masked.ravel()[flat], kind="stable")]
-            seen: set[tuple[int, int]] = set()
-            for idx in flat:
-                local, col = divmod(int(idx), masked.shape[1])
-                if not np.isfinite(masked[local, col]):
-                    continue
-                u, v = int(row_index[local]), int(col)
-                pair = (min(u, v), max(u, v))
-                if pair in seen:
-                    continue
-                seen.add(pair)
-                entries.append((float(masked[local, col]), "edge", *pair, 1.0))
-                if len(seen) > k:
-                    break
-        elif score_t is not None:
-            # Negate in place and select the *smallest* entries: equivalent to
-            # argpartition(-masked) without materializing a second (n, n)
-            # temporary per iteration.
-            masked = np.where(edge_allowed, score_t, -np.inf)
-            np.negative(masked, out=masked)
-            flat = np.argpartition(masked.ravel(), min(k, masked.size - 1))[: k + 1]
-            for idx in flat:
-                u, v = divmod(int(idx), masked.shape[1])
-                if np.isfinite(masked[u, v]):
-                    entries.append((float(-masked[u, v]), "edge", u, v, 1.0))
-
-        if score_f is not None:
-            masked = np.where(feat_allowed, score_f, -np.inf)
-            np.negative(masked, out=masked)
-            flat = np.argpartition(masked.ravel(), min(k, masked.size - 1))[: k + 1]
-            # The cost-aware score S_f / beta (Sec. V-D1) is applied to the
-            # selected handful only — division by a positive constant never
-            # reorders the per-type top-k selection.
-            for idx in flat:
-                u, dim = divmod(int(idx), masked.shape[1])
-                if np.isfinite(masked[u, dim]):
-                    score = float(-masked[u, dim])
-                    if budget.feature_cost != 1.0:
-                        score /= budget.feature_cost
-                    entries.append((score, "feature", u, dim, budget.feature_cost))
-
-        entries.sort(key=lambda e: e[0], reverse=True)
-        return [(kind, u, v, cost) for _, kind, u, v, cost in entries]
+        return score_t, feat_t.grad, float(loss.item())

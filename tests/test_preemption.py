@@ -48,6 +48,7 @@ from repro.experiments import (
     make_executor,
 )
 from repro.nn import GCN, TrainConfig, train_node_classifier
+from repro.surrogate import PropagationCache
 from repro.utils import cancellation, faults, snapshots
 from repro.utils.cancellation import CancelledError, CancelToken, trial_scope
 from repro.utils.faults import FaultInjector
@@ -315,6 +316,41 @@ class TestBitIdenticalResume:
     def test_peega(self, tmp_path, small_cora):
         run = lambda: PEEGA(seed=0).attack(small_cora, perturbation_rate=0.08)
         self._assert_attacks_match(*self._interrupt_and_resume(tmp_path, run, 3))
+
+    @pytest.mark.parametrize(
+        "kwargs,budget",
+        [
+            ({}, {"total": 12.0}),
+            ({"flips_per_step": 2}, {"total": 12.0, "feature_cost": 0.5}),
+            ({"attack_topology": False}, {"total": 8.0}),
+        ],
+        ids=["default", "two-per-step-cheap-features", "features-only"],
+    )
+    def test_peega_replays_snapshot_in_one_batch(
+        self, tmp_path, small_cora, monkeypatch, kwargs, budget
+    ):
+        """A PEEGA attack resumed from a mid-attack snapshot equals the
+        uninterrupted run, feature flips included, and the recorded flips
+        reach the cache through a single ``apply_batch`` call."""
+        batches = []
+        apply_batch = PropagationCache.apply_batch
+
+        def counting_apply_batch(self, flips):
+            flips = list(flips)
+            batches.append(len(flips))
+            apply_batch(self, flips)
+
+        monkeypatch.setattr(PropagationCache, "apply_batch", counting_apply_batch)
+        run = lambda: PEEGA(seed=0, **kwargs).attack(
+            small_cora, AttackBudget(**budget)
+        )
+        reference, resumed = self._interrupt_and_resume(tmp_path, run, 5)
+        self._assert_attacks_match(reference, resumed)
+        assert reference.feature_flips == resumed.feature_flips
+        np.testing.assert_array_equal(
+            reference.poisoned.features, resumed.poisoned.features
+        )
+        assert len(batches) == 1 and batches[0] > 0
 
     def test_trainer_weight_trajectory(self, tmp_path, small_cora):
         def run():
