@@ -1,22 +1,21 @@
 """Extension bench — fused closed-form training engine vs the autodiff oracle.
 
-The autodiff path traces a fresh ``Tensor`` graph per epoch, computes
-never-consumed feature gradients, rebuilds per-forward state (GAT's dense
-support mask, attention intermediates), and pays a second full forward per
-epoch for validation.  The fused engine (:mod:`repro.nn.fastpath`) computes
-loss and parameter gradients in closed form over epoch-reused buffers,
-skips the dead gradients, and — where training and eval forwards coincide —
-reuses the training logits for validation (RGCN's mean path even falls out
-of the training forward for free).
+The autodiff path traces a fresh ``Tensor`` graph per epoch, rebuilds
+per-forward state (GAT's dense support mask, attention intermediates), and
+pays a second full forward per epoch for validation.  The fused engine
+(:mod:`repro.nn.fastpath`) computes loss and parameter gradients in closed
+form over epoch-reused buffers and — where training and eval forwards
+coincide — reuses the training logits for validation (RGCN's mean path even
+falls out of the training forward for free).
 
 The contract is *bit-identity*: both engines walk the same weight
 trajectory, so losses, accuracies and stopping epochs must be EXACTLY
 equal; only the cost may differ.  This bench fits every fused-covered
-model — GCN, the multi-view GNAT, and the three expensive defenders (GAT,
-RGCN, SimPGCN) that dominate full-sweep wall time — with both engines,
-asserts outcome equality, demands a per-model speedup floor (2x for the
-PR-5 kernels, 1.5x for the attention/Gaussian/SSL kernels whose dense
-float ops both engines share), and records per-fit times in
+model — GCN over the sparse operator and over GCN-SVD's dense low-rank
+one, the multi-view GNAT, and the three expensive defenders (GAT, RGCN,
+SimPGCN) that dominate full-sweep wall time — with both engines, asserts
+outcome equality, demands a per-model speedup floor (``FLOORS``), and
+records per-fit times in
 ``benchmarks/results/BENCH_training.json`` under the ``repro.bench/1``
 schema.  That committed file doubles as the CI perf gate's baseline:
 ``perf_gate.py`` diffs a fresh quick-mode run against it and fails the job
@@ -40,6 +39,7 @@ from repro.core import GNAT
 from repro.datasets import load_dataset
 from repro.defenses import RGCN, SimPGCN
 from repro.defenses.raw import RawGAT
+from repro.defenses.svd import _normalize_weighted, low_rank_adjacency
 from repro.experiments import format_series
 from repro.graph.viewcache import clear_view_cache
 from repro.nn import GCN, TrainConfig, train_node_classifier
@@ -52,17 +52,20 @@ SEEDS = (11, 12, 13, 14, 15)  # one batch = a sweep column's trials
 GNAT_SCALE = 0.15 if QUICK else 0.3
 CONFIG = TrainConfig(epochs=200, patience=30)
 
-# Per-model speedup floors (quick, full).  GCN/GNAT skip whole dense GEMMs
-# and share layer-0 products across views, so they clear 2x; the GAT/RGCN/
-# SimPGCN kernels replicate the same dense (or sparse-operator) float ops
-# as autodiff and win on tracing overhead, buffer reuse, dead gradients and
-# validation reuse — a 1.5x floor per fit.
+# Per-model speedup floors (quick, full), set under the lowest full-mode
+# speedups measured over three runs on a 2-vCPU host: GCN 1.70x, GCN-SVD
+# 1.48x, GNAT 1.44x, GAT 1.20x, RGCN 1.81x, SimPGCN 1.40x.  The autodiff
+# oracle skips the partials of constant operands (features, operators,
+# masks), so neither engine pays for a dead gradient; the kernels win on
+# tracing overhead, buffer reuse, deferred validation and GNAT's shared
+# ``X @ W⁰``.
 FLOORS = {
-    "GCN": (1.3, 2.0),
-    "GNAT": (1.3, 2.0),
-    "GAT": (1.15, 1.5),
+    "GCN": (1.2, 1.5),
+    "GCN-SVD": (1.1, 1.3),
+    "GNAT": (1.15, 1.25),
+    "GAT": (1.05, 1.1),
     "RGCN": (1.2, 1.5),
-    "SimPGCN": (1.2, 1.5),
+    "SimPGCN": (1.05, 1.2),
 }
 
 
@@ -74,11 +77,14 @@ def _outcome(result):
     )
 
 
-def _fit_gcn_batch(graph, engine):
+def _fit_gcn_batch(graph, engine, adjacency=None):
+    """Plain GCN fits over ``adjacency`` (default: the normalized graph)."""
     outcomes = []
     for seed in SEEDS:
         model = GCN(graph.num_features, graph.num_classes, dropout=0.5, seed=seed)
-        result = train_node_classifier(model, graph, CONFIG, engine=engine)
+        result = train_node_classifier(
+            model, graph, CONFIG, adjacency=adjacency, engine=engine
+        )
         outcomes.append(
             (result.train_losses, result.val_accuracies, result.test_accuracy,
              result.epochs_run)
@@ -146,9 +152,14 @@ def _measure_until(fn, floor):
 def test_ext_fused_training(benchmark):
     cell_graph = load_dataset("cora", scale=SCALE)
     gnat_graph = load_dataset("cora", scale=GNAT_SCALE)
+    svd_operator = _normalize_weighted(low_rank_adjacency(cell_graph.adjacency, 15))
 
     cases = {
         "GCN": (lambda engine: _fit_gcn_batch(cell_graph, engine), len(SEEDS)),
+        "GCN-SVD": (
+            lambda engine: _fit_gcn_batch(cell_graph, engine, svd_operator),
+            len(SEEDS),
+        ),
         "GNAT": (lambda engine: _fit_gnat(gnat_graph, engine), 1),
         "GAT": (lambda engine: _fit_gat_batch(cell_graph, engine), len(SEEDS)),
         "RGCN": (lambda engine: _fit_rgcn_batch(cell_graph, engine), len(SEEDS)),

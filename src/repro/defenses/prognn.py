@@ -3,26 +3,31 @@
 Alternating optimization of a dense learned adjacency ``S`` and GCN
 parameters ``θ`` (Def. 2 instantiated):
 
-* θ-step: Adam on the GCN cross-entropy over the *normalized current S*;
+* θ-step: Adam on the GCN cross-entropy over the *normalized current S*,
+  run by the fused GCN kernel (:mod:`repro.nn.fastpath`) over that dense
+  operator — bit-identical to the autodiff loop;
 * S-step: gradient descent on
   ``α‖S − Â‖_F² + τ·CE(GCN_θ(S), Y) + λ_s·tr(Xᵀ L_S X)`` (feature
   smoothness on the learned graph), followed by the two proximal operators
-  of the original method — nuclear-norm singular-value shrinkage (low rank)
-  and L1 soft-thresholding (sparsity) — then projection to [0,1] and
-  symmetrization.
+  of the original method — nuclear-norm shrinkage (low rank) and L1
+  soft-thresholding (sparsity) — then projection to [0,1] and
+  symmetrization.  The gradient runs through autodiff with θ held
+  constant, so only ``∂/∂S`` is formed.
 
-The per-epoch full SVD in the proximal step is the deliberate cost centre
-that makes Pro-GNN by far the slowest defender (Table VIII).
+S and its gradient are symmetric, so the nuclear prox shrinks eigenvalues
+through one symmetric eigendecomposition per epoch instead of a full SVD.
+That eigendecomposition is still the largest cost of a fit, and it keeps
+Pro-GNN the slowest structure-learning step among the defenders
+(Table VIII).
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..graph import Graph, gcn_normalize_dense
-from ..nn import GCN, TrainConfig, accuracy
+from ..nn import GCN, accuracy
+from ..nn.fastpath import _FusedGCN
 from ..tensor import Adam, Tensor, functional as F
 from ..utils.rng import SeedLike
 from .base import Defender
@@ -82,25 +87,46 @@ class ProGNN(Defender):
         self.weight_decay = float(weight_decay)
 
     # ------------------------------------------------------------------
-    def _structure_loss(
-        self, s_tensor: Tensor, observed: np.ndarray, features: Tensor,
-        model: GCN, labels: np.ndarray, train_mask: np.ndarray,
-    ) -> Tensor:
-        fidelity = ((s_tensor - Tensor(observed)) ** 2).sum() * self.alpha_fidelity
-        # Feature smoothness tr(X^T L X) = 0.5 Σ_uv S_uv ||x_u − x_v||².
-        # The pairwise-distance matrix is precomputed once (constant).
-        smooth = (s_tensor * self._pairwise_sq).sum() * (0.5 * self.lambda_smooth)
-        logits = model.forward(gcn_normalize_dense(s_tensor), features)
-        gnn_term = F.cross_entropy(logits, labels, train_mask) * self.tau_gnn
-        return fidelity + smooth + gnn_term
+    def _structure_grad(
+        self, s: np.ndarray, observed: np.ndarray, pairwise_sq: Tensor,
+        features: Tensor, model: GCN, graph: Graph,
+    ) -> np.ndarray:
+        """``∂/∂S`` of the S objective at ``s``, with θ held constant.
+
+        The parameters are traced as constants, so the backward forms no
+        parameter gradient (the next θ-step would overwrite it unread).
+        """
+        s_tensor = Tensor(s, requires_grad=True)
+        params = model.parameters()
+        for param in params:
+            param.requires_grad = False
+        try:
+            fidelity = ((s_tensor - Tensor(observed)) ** 2).sum() * self.alpha_fidelity
+            # Feature smoothness tr(X^T L X) = 0.5 Σ_uv S_uv ||x_u − x_v||².
+            smooth = (s_tensor * pairwise_sq).sum() * (0.5 * self.lambda_smooth)
+            logits = model.forward(gcn_normalize_dense(s_tensor), features)
+            gnn_term = F.cross_entropy(logits, graph.labels, graph.train_mask) * self.tau_gnn
+            loss = fidelity + smooth + gnn_term
+        finally:
+            for param in params:
+                param.requires_grad = True
+        loss.backward()
+        return s_tensor.grad if s_tensor.grad is not None else np.zeros_like(s)
 
     @staticmethod
     def _proximal(s: np.ndarray, beta_nuclear: float, gamma_l1: float) -> np.ndarray:
-        """Nuclear-norm shrinkage + L1 soft-threshold + box/symmetry projection."""
-        # Singular-value soft-thresholding (full SVD — dominant cost).
-        u, sigma, vt = np.linalg.svd(s, full_matrices=False)
-        sigma = np.maximum(sigma - beta_nuclear, 0.0)
-        s = (u * sigma) @ vt
+        """Nuclear-norm shrinkage + L1 soft-threshold + box/symmetry projection.
+
+        The nuclear prox soft-thresholds singular values.  Once ``s`` is
+        symmetrized (bitwise a no-op on the fit's symmetric iterate), those
+        are the moduli of its eigenvalues, so shrinking each eigenvalue
+        toward zero by ``beta_nuclear`` is the same operator, computed by
+        one symmetric eigendecomposition.
+        """
+        s = 0.5 * (s + s.T)
+        eigenvalues, eigenvectors = np.linalg.eigh(s)
+        shrunk = np.sign(eigenvalues) * np.maximum(np.abs(eigenvalues) - beta_nuclear, 0.0)
+        s = (eigenvectors * shrunk) @ eigenvectors.T
         # L1 soft-threshold.
         s = np.sign(s) * np.maximum(np.abs(s) - gamma_l1, 0.0)
         # Box + symmetry + no self-loops.
@@ -108,15 +134,14 @@ class ProGNN(Defender):
         np.fill_diagonal(s, 0.0)
         return s
 
-    def _fit(self, graph: Graph) -> tuple[float, float, dict]:
+    def _learn(self, graph: Graph) -> tuple[GCN, np.ndarray, float, np.ndarray]:
+        """Run the alternation; return the best-validation model (weights
+        restored), its structure ``S``, validation accuracy and eval logits."""
         observed = graph.dense_adjacency()
         features = Tensor(graph.features)
-        labels = graph.labels
-        assert labels is not None
-
-        # Precompute pairwise squared feature distances for the smoothness term.
+        # Pairwise squared feature distances for the smoothness term.
         sq_norms = (graph.features**2).sum(axis=1)
-        self._pairwise_sq = Tensor(
+        pairwise_sq = Tensor(
             sq_norms[:, None] + sq_norms[None, :] - 2.0 * graph.features @ graph.features.T
         )
 
@@ -128,49 +153,49 @@ class ProGNN(Defender):
             seed=self._model_seed(),
         )
         optimizer = Adam(model.parameters(), lr=self.lr, weight_decay=self.weight_decay)
+        # The fused training forward applies dropout whatever the mode flag;
+        # eval mode is for the S-step's autodiff forward.
+        model.eval()
         s = observed.copy()
+        # One normalization of S per epoch: the kernel over it runs that
+        # epoch's validation forward and the next epoch's θ-steps.
+        theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph)
 
-        best_val, best_state, best_s = -1.0, model.state_dict(), s.copy()
+        best_val, best_state, best_s, best_logits = -1.0, model.state_dict(), s, None
         for _ in range(self.outer_epochs):
-            # θ-step on the current structure.
-            normalized_const = gcn_normalize_dense(s).detach()
-            model.train()
             for _ in range(self.inner_theta_steps):
-                optimizer.zero_grad()
-                logits = model.forward(normalized_const, features)
-                loss = F.cross_entropy(logits, labels, graph.train_mask)
-                loss.backward()
+                theta.train_forward()
+                theta.backward()
                 optimizer.step()
 
             # S-step: one gradient step + proximal operators.
-            model.eval()
-            s_tensor = Tensor(s, requires_grad=True)
-            loss = self._structure_loss(
-                s_tensor, observed, features, model, labels, graph.train_mask
-            )
-            loss.backward()
-            grad = s_tensor.grad if s_tensor.grad is not None else np.zeros_like(s)
+            grad = self._structure_grad(s, observed, pairwise_sq, features, model, graph)
             s = self._proximal(
                 s - self.structure_lr * (grad + grad.T) * 0.5,
                 self.beta_nuclear,
                 self.gamma_l1,
             )
+            theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph)
 
             # Track the best validation structure/parameters.
-            model.eval()
-            logits = model.forward(gcn_normalize_dense(s).detach(), features)
-            val_acc = accuracy(logits, labels, graph.val_mask)
+            logits = theta.eval_forward()
+            val_acc = accuracy(logits, graph.labels, graph.val_mask)
             if val_acc > best_val:
-                best_val = val_acc
-                best_state = model.state_dict()
-                best_s = s.copy()
+                best_val, best_state, best_s, best_logits = (
+                    val_acc, model.state_dict(), s, logits,
+                )
 
         model.load_state_dict(best_state)
-        model.eval()
-        logits = model.forward(gcn_normalize_dense(best_s).detach(), features)
+        if best_logits is None:  # no alternation ran
+            best_logits = theta.eval_forward()
+        return model, best_s, best_val, best_logits
+
+    def _fit(self, graph: Graph) -> tuple[float, float, dict]:
+        _, best_s, best_val, best_logits = self._learn(graph)
         test_mask = graph.test_mask if graph.test_mask is not None else ~(
             graph.train_mask | graph.val_mask
         )
-        test_acc = accuracy(logits, labels, test_mask)
-        del self._pairwise_sq
+        # An eval forward is a pure function of (weights, S): the best
+        # epoch's validation logits are the restored model's test logits.
+        test_acc = accuracy(best_logits, graph.labels, test_mask)
         return test_acc, best_val, {"learned_edges": float((best_s > 0.5).sum() / 2)}

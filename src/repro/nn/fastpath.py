@@ -1,29 +1,30 @@
-"""Fused closed-form training kernels for the sparse-operator GCN family.
+"""Fused closed-form training kernels for the GCN family.
 
 :func:`repro.nn.train_node_classifier` normally traces a per-op autodiff
 graph through :class:`repro.tensor.Tensor` every epoch.  That generality is
 only needed by genuinely dynamic setups (custom loss closures, wrapped
-forwards, dense differentiable operators); every model the sweeps actually
-fit — plain GCN, SGC, GNAT's shared multi-view GCN, GAT's dense masked
-attention, RGCN's Gaussian layers + KL term, and SimPGCN's adaptive
-propagation + SSL head — is a composition of a fixed handful of kernels
-whose gradients are known in closed form.  This module computes them
-directly:
+forwards, differentiable operators); every model the sweeps actually
+fit — plain GCN over a sparse or dense constant operator (GCN-SVD's
+low-rank one, Pro-GNN's learned structure), SGC, GNAT's shared multi-view
+GCN, GAT's dense masked attention, RGCN's Gaussian layers + KL term, and
+SimPGCN's adaptive propagation + SSL head — is a composition of a fixed
+handful of kernels whose gradients are known in closed form.  This module
+computes them directly:
 
 * one NumPy pass for the forward (loss included), one for every parameter
   gradient, with no ``Tensor`` graph construction, no gather/scatter loss
   backward, and preallocated buffers reused across epochs;
 * the never-consumed feature gradient of layer 0 (``g @ W⁰ᵀ``, an
-  ``n × in_dim`` GEMM per view that autodiff computes and discards because
-  features carry no grad) is skipped outright;
+  ``n × in_dim`` GEMM per view) is never formed — features carry no grad,
+  and autodiff skips that partial too;
 * for GNAT's multi-view forward the first-layer product ``X @ W⁰`` is
   computed **once** and shared across the t/f/e views — they differ only in
   the propagation operator applied on top of it.
 
 The kernels compose a few forward/backward primitives, each owning its
-epoch-reused buffers: sparse propagation, linear, dropout, ReLU, ELU, and
-the L-layer GCN stack that plain GCN and every GNAT view share.  Each
-kernel adds only its model-specific code.
+epoch-reused buffers: propagation over a CSR or dense operator, linear,
+dropout, ReLU, ELU, and the L-layer GCN stack that plain GCN and every
+GNAT view share.  Each kernel adds only its model-specific code.
 
 The contract is *bit-identity*, in the tradition of PR 1's incremental
 PEEGA scorer and PR 3's SGC memo: every float operation of the autodiff
@@ -81,14 +82,17 @@ except Exception:  # pragma: no cover - depends on scipy internals
 
 
 def _spmm(
-    matrix: sp.csr_matrix, dense: np.ndarray, out: Optional[np.ndarray] = None
+    matrix, dense: np.ndarray, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """``matrix @ dense`` into ``out``, or into a fresh array when ``out=None``.
 
+    A dense ``matrix`` is one ``np.matmul``, autodiff's own kernel.  For CSR,
     SciPy's ``_mul_multivector`` allocates a zeroed result and accumulates
     with ``csr_matvecs`` — doing the same directly is bit-identical while
     skipping the scipy dispatch (and, into ``out``, the allocation).
     """
+    if isinstance(matrix, np.ndarray):
+        return np.matmul(matrix, dense, out=out)
     if _csr_matvecs is None or not dense.flags.c_contiguous:
         return matrix @ dense
     if out is None:
@@ -198,15 +202,20 @@ class _MaskedCrossEntropy:
 # ----------------------------------------------------------------------
 # Layer primitives: each owns its epoch-reused buffers
 # ----------------------------------------------------------------------
-def _operator_pair(operator: sp.spmatrix) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """``(A, Aᵀ)`` as CSR, shared by every propagation over ``A``."""
+def _operator_pair(operator) -> tuple:
+    """``(A, Aᵀ)``, shared by every propagation over ``A``: CSR, or a dense
+    float64 array and its transposed view (autodiff's ``a.T``)."""
+    if isinstance(operator, np.ndarray):
+        matrix = np.asarray(operator, dtype=np.float64)
+        return matrix, matrix.T
     matrix = operator.tocsr()
     return matrix, matrix.T.tocsr()
 
 
 class _Propagate:
-    """Sparse propagation ``A @ x``; its backward is ``Aᵀ @ g``.  With
-    ``fresh=True`` the forward allocates its output (final logits)."""
+    """Propagation ``A @ x`` over a sparse or dense ``A``; its backward is
+    ``Aᵀ @ g``.  With ``fresh=True`` the forward allocates its output
+    (final logits)."""
 
     def __init__(self, pair, shape: tuple[int, int], fresh: bool = False) -> None:
         self.matrix, self.matrix_t = pair
@@ -322,7 +331,7 @@ class _GCNStack:
     support ``X·W⁰`` as an argument, so GNAT's views can share it.
     """
 
-    def __init__(self, model: GCN, operator: sp.spmatrix, features: np.ndarray) -> None:
+    def __init__(self, model: GCN, operator, features: np.ndarray) -> None:
         self.model = model
         self.features = features
         pair = _operator_pair(operator)
@@ -391,11 +400,11 @@ class _GCNStack:
 # Fused kernels
 # ----------------------------------------------------------------------
 class _FusedGCN:
-    """Closed-form trainer kernel for a plain L-layer sparse-operator GCN:
-    one :class:`_GCNStack` per operator (one here; one per view in the
-    :class:`_FusedMultiView` subclass) over a shared ``X @ W⁰``."""
+    """Closed-form trainer kernel for a plain L-layer GCN over a sparse or
+    dense operator: one :class:`_GCNStack` per operator (one here; one per
+    view in the :class:`_FusedMultiView` subclass) over a shared ``X @ W⁰``."""
 
-    def __init__(self, model: GCN, operators: Sequence[sp.spmatrix], graph) -> None:
+    def __init__(self, model: GCN, operators: Sequence, graph) -> None:
         self.model = model
         features = np.asarray(graph.features, dtype=np.float64)
         self.stacks = [_GCNStack(model, op, features) for op in operators]
@@ -1018,11 +1027,14 @@ def make_fused_kernel(
         if not 0.0 <= model.dropout < 1.0:
             return _ineligible(strict, f"GAT dropout {model.dropout} is outside [0, 1)")
         return _FusedGAT(model, adjacency, graph)
-    elif not sp.issparse(adjacency):
+    elif not (
+        sp.issparse(adjacency)
+        or (type(model) is GCN and isinstance(adjacency, np.ndarray))
+    ):
         return _ineligible(
             strict,
-            f"the adjacency operator is a dense {type(adjacency).__name__}, "
-            "not scipy.sparse (e.g. GCN-SVD's low-rank dense operator)",
+            f"the adjacency operator is a {type(adjacency).__name__}, not "
+            "scipy.sparse (or, for plain GCN, a dense ndarray)",
         )
     if type(model) is GCN:
         if not (

@@ -204,9 +204,10 @@ def train_node_classifier(
         Optional extra penalty added to the cross-entropy, taking the logits
         tensor (used by RGCN's KL term and SimPGCN's SSL term).
     engine:
-        ``"auto"`` fuses eligible forwards (plain GCN/SGC over sparse
-        operators, multi-view GCN, GAT's masked attention, and RGCN /
-        SimPGCN under their recognized ``KLLoss`` / ``SSLLoss`` terms) into
+        ``"auto"`` fuses eligible forwards (plain GCN over a sparse or
+        dense ndarray operator, SGC over a sparse one, multi-view GCN,
+        GAT's masked attention, and RGCN / SimPGCN under their recognized
+        ``KLLoss`` / ``SSLLoss`` terms) into
         closed-form kernels with bit-identical trajectories; ``"fused"``
         requires fusion (raises :class:`~repro.errors.ConfigError` naming
         the ineligible component); ``"autodiff"`` forces the traced path.

@@ -19,6 +19,9 @@ Design notes
   on every reachable leaf.
 * Broadcasting is fully supported; gradients are summed back to the operand
   shape via :func:`_unbroadcast`.
+* A binary op's backward computes only the partials of operands that need
+  a gradient: ``X @ W`` with constant features ``X`` never forms
+  ``g @ Wᵀ``.  Every partial that is computed is unchanged bit for bit.
 * Sparse matrices participate only as *constants* (see
   :func:`repro.tensor.functional.sparse_matmul`), which is all GNN training
   needs: the adjacency is fixed during training, and when the adjacency itself
@@ -257,26 +260,39 @@ class Tensor:
     # Operator overloads (implemented in terms of functional primitives)
     # ------------------------------------------------------------------
     def __add__(self, other: ArrayLike) -> "Tensor":
-        return _binary(self, other, np.add, lambda g, a, b: (g, g))
+        return _binary(self, other, np.add, lambda g, a, b, da, db: (g, g))
 
     def __radd__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) + self
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
-        return _binary(self, other, np.subtract, lambda g, a, b: (g, -g))
+        return _binary(
+            self, other, np.subtract, lambda g, a, b, da, db: (g, -g if db else None)
+        )
 
     def __rsub__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) - self
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
-        return _binary(self, other, np.multiply, lambda g, a, b: (g * b, g * a))
+        return _binary(
+            self,
+            other,
+            np.multiply,
+            lambda g, a, b, da, db: (g * b if da else None, g * a if db else None),
+        )
 
     def __rmul__(self, other: ArrayLike) -> "Tensor":
         return as_tensor(other) * self
 
     def __truediv__(self, other: ArrayLike) -> "Tensor":
         return _binary(
-            self, other, np.divide, lambda g, a, b: (g / b, -g * a / (b * b))
+            self,
+            other,
+            np.divide,
+            lambda g, a, b, da, db: (
+                g / b if da else None,
+                -g * a / (b * b) if db else None,
+            ),
         )
 
     def __rtruediv__(self, other: ArrayLike) -> "Tensor":
@@ -346,7 +362,7 @@ class Tensor:
             self,
             other_t,
             np.matmul,
-            lambda g, a, b: (g @ b.T, a.T @ g),
+            lambda g, a, b, da, db: (g @ b.T if da else None, a.T @ g if db else None),
         )
 
     def transpose(self) -> "Tensor":
@@ -402,7 +418,10 @@ class Tensor:
             self,
             other,
             np.maximum,
-            lambda g, a, b: (g * (a >= b), g * (b > a)),
+            lambda g, a, b, da, db: (
+                g * (a >= b) if da else None,
+                g * (b > a) if db else None,
+            ),
         )
 
     def clip(self, low: float, high: float) -> "Tensor":
@@ -453,16 +472,20 @@ def _binary(
     b: ArrayLike,
     forward: Callable[[np.ndarray, np.ndarray], np.ndarray],
     backward: Callable[
-        [np.ndarray, np.ndarray, np.ndarray],
+        [np.ndarray, np.ndarray, np.ndarray, bool, bool],
         tuple[Optional[np.ndarray], Optional[np.ndarray]],
     ],
 ) -> Tensor:
+    """Trace ``forward(a, b)``.  ``backward(g, a, b, da, db)`` returns both
+    partials, or None for an operand whose flag (``da``/``db``) is False:
+    a constant operand's partial would only be discarded, so it is never
+    computed.  The flags are fixed here, at forward time."""
     a_t, b_t = as_tensor(a), as_tensor(b)
     out_data = forward(a_t.data, b_t.data)
-    needs = _needs_grad(a_t) or _needs_grad(b_t)
-    out = Tensor(out_data, requires_grad=needs, _parents=(a_t, b_t))
-    if out.requires_grad:  # False inside no_grad() even when needs is True
-        out._backward = lambda g: backward(g, a_t.data, b_t.data)
+    need_a, need_b = _needs_grad(a_t), _needs_grad(b_t)
+    out = Tensor(out_data, requires_grad=need_a or need_b, _parents=(a_t, b_t))
+    if out.requires_grad:  # False inside no_grad() even when an operand needs grad
+        out._backward = lambda g: backward(g, a_t.data, b_t.data, need_a, need_b)
     return out
 
 

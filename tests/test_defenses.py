@@ -124,7 +124,101 @@ class TestRGCN:
         assert result.test_accuracy > 0.5
 
 
+def _svd_proximal(s, beta_nuclear, gamma_l1):
+    """The prox through a full SVD: the oracle for the eigenvalue prox."""
+    u, sigma, vt = np.linalg.svd(s, full_matrices=False)
+    s = (u * np.maximum(sigma - beta_nuclear, 0.0)) @ vt
+    s = np.sign(s) * np.maximum(np.abs(s) - gamma_l1, 0.0)
+    s = np.clip(0.5 * (s + s.T), 0.0, 1.0)
+    np.fill_diagonal(s, 0.0)
+    return s
+
+
+def _autodiff_prognn(defender, graph):
+    """Pro-GNN's alternation with the θ-steps, validation and test forwards
+    on autodiff, and the S-step forming every parameter gradient too: the
+    oracle for the fused fit.  Returns (model, best S, val acc, test acc,
+    the restored model's eval logits)."""
+    from repro.graph import gcn_normalize_dense
+    from repro.nn import GCN, accuracy
+    from repro.tensor import Adam, Tensor, functional as F
+
+    observed = graph.dense_adjacency()
+    features = Tensor(graph.features)
+    labels = graph.labels
+    sq_norms = (graph.features**2).sum(axis=1)
+    pairwise_sq = Tensor(
+        sq_norms[:, None] + sq_norms[None, :] - 2.0 * graph.features @ graph.features.T
+    )
+    model = GCN(
+        graph.num_features, graph.num_classes, hidden_dim=defender.hidden_dim,
+        dropout=0.5, seed=defender._model_seed(),
+    )
+    optimizer = Adam(model.parameters(), lr=defender.lr, weight_decay=defender.weight_decay)
+    s = observed.copy()
+    best_val, best_state, best_s = -1.0, model.state_dict(), s.copy()
+    for _ in range(defender.outer_epochs):
+        normalized = gcn_normalize_dense(s).detach()
+        model.train()
+        for _ in range(defender.inner_theta_steps):
+            optimizer.zero_grad()
+            logits = model.forward(normalized, features)
+            F.cross_entropy(logits, labels, graph.train_mask).backward()
+            optimizer.step()
+        model.eval()
+        s_tensor = Tensor(s, requires_grad=True)
+        fidelity = ((s_tensor - Tensor(observed)) ** 2).sum() * defender.alpha_fidelity
+        smooth = (s_tensor * pairwise_sq).sum() * (0.5 * defender.lambda_smooth)
+        logits = model.forward(gcn_normalize_dense(s_tensor), features)
+        gnn_term = F.cross_entropy(logits, labels, graph.train_mask) * defender.tau_gnn
+        (fidelity + smooth + gnn_term).backward()
+        grad = s_tensor.grad
+        s = ProGNN._proximal(
+            s - defender.structure_lr * (grad + grad.T) * 0.5,
+            defender.beta_nuclear, defender.gamma_l1,
+        )
+        logits = model.forward(gcn_normalize_dense(s).detach(), features)
+        val_acc = accuracy(logits, labels, graph.val_mask)
+        if val_acc > best_val:
+            best_val, best_state, best_s = val_acc, model.state_dict(), s.copy()
+    model.load_state_dict(best_state)
+    logits = model.forward(gcn_normalize_dense(best_s).detach(), features).data
+    return model, best_s, best_val, accuracy(logits, labels, graph.test_mask), logits
+
+
 class TestProGNN:
+    def test_eigenvalue_prox_matches_svd_prox(self):
+        rng = np.random.default_rng(3)
+        beta = 0.3
+        for n in (5, 12, 40):
+            # Eigenvalues on both sides of zero, some inside (-β, β).
+            eigenvalues = rng.uniform(-2.0, 2.0, size=n)
+            eigenvalues[: n // 3] = rng.uniform(-0.9 * beta, 0.9 * beta, size=n // 3)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            s = (q * eigenvalues) @ q.T
+            s = 0.5 * (s + s.T)
+            assert (eigenvalues < 0).any() and (np.abs(eigenvalues) < beta).any()
+            for gamma in (0.0, 0.01):
+                np.testing.assert_allclose(
+                    ProGNN._proximal(s, beta, gamma), _svd_proximal(s, beta, gamma),
+                    rtol=0.0, atol=1e-12,
+                )
+
+    def test_fused_fit_matches_autodiff_oracle(self, small_cora):
+        oracle_model, oracle_s, oracle_val, oracle_test, oracle_logits = (
+            _autodiff_prognn(ProGNN(outer_epochs=5, seed=0), small_cora)
+        )
+        model, best_s, best_val, logits = ProGNN(outer_epochs=5, seed=0)._learn(
+            small_cora
+        )
+        for left, right in zip(model.state_dict(), oracle_model.state_dict()):
+            assert np.array_equal(left, right)
+        assert np.array_equal(best_s, oracle_s)
+        assert np.array_equal(logits, oracle_logits)
+        assert best_val == oracle_val
+        result = ProGNN(outer_epochs=5, seed=0).fit(small_cora)
+        assert (result.test_accuracy, result.val_accuracy) == (oracle_test, oracle_val)
+
     def test_proximal_operator_properties(self):
         rng = np.random.default_rng(0)
         s = rng.normal(size=(8, 8))

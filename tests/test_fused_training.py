@@ -3,9 +3,10 @@
 The fused kernels (:mod:`repro.nn.fastpath`) promise *bit-identical* weight
 trajectories to the autodiff engine — not approximately equal, equal to the
 last ULP.  These tests pin that promise across the whole fusible family
-(GCN depths 1-4 with and without dropout, SGC, every GNAT view subset in
-both merged and multi-view form, GAT's dense masked attention, and the
-RGCN/SimPGCN defense fits via their recognized loss terms), verify the
+(GCN depths 1-4 with and without dropout, GCN over GCN-SVD's dense
+operator, SGC, every GNAT view subset in both merged and multi-view form,
+GAT's dense masked attention, and the RGCN/SimPGCN defense fits via their
+recognized loss terms), verify the
 closed-form backwards against finite differences, check that ineligible
 setups fall back (or refuse, naming the specific blocker) exactly as
 documented, and exercise the sweep-wide view-operator cache's
@@ -20,6 +21,7 @@ import scipy.sparse as sp
 
 from repro.core import GNAT
 from repro.defenses.rgcn import RGCN, GaussianGCNModel, KLLoss, _power_normalize
+from repro.defenses.svd import GCNSVD, _normalize_weighted, low_rank_adjacency
 from repro.defenses.simpgcn import (
     SSLLoss,
     SimPGCN,
@@ -50,6 +52,7 @@ from repro.nn.fastpath import (
     resolve_engine,
     training_matches_eval,
 )
+from repro.tensor import Tensor
 from repro.utils.rng import ensure_rng
 
 CONFIG = TrainConfig(epochs=30, patience=10)
@@ -128,6 +131,41 @@ class TestGCNBitIdentity:
                 model, small_cora, CONFIG, engine=engine
             )
         assert outcome(results["auto"]) == outcome(results["fused"])
+
+
+class TestDenseOperatorBitIdentity:
+    """GCN over GCN-SVD's dense low-rank operator: fused ≡ autodiff."""
+
+    def test_svd_operator_trajectory_identical(self, small_cora):
+        dense = _normalize_weighted(low_rank_adjacency(small_cora.adjacency, 15))
+        results = {}
+        for engine in ("autodiff", "fused"):
+            model = GCN(
+                small_cora.num_features, small_cora.num_classes, hidden_dim=8,
+                dropout=0.5, seed=21,
+            )
+            results[engine] = train_node_classifier(
+                model, small_cora, CONFIG, adjacency=dense, engine=engine
+            )
+        assert outcome(results["autodiff"]) == outcome(results["fused"])
+        assert len(results["fused"].train_losses) > 1
+        model = results["fused"].model
+        assert_same_weights(results["autodiff"].model, model)
+        # Eval logits of the restored weights, fused vs the autodiff forward.
+        model.eval()
+        kernel = make_fused_kernel(
+            model, small_cora, dense, model.forward, None, strict=True
+        )
+        autodiff_logits = model.forward(dense, Tensor(small_cora.features)).data
+        assert np.array_equal(kernel.eval_forward(), autodiff_logits)
+
+    def test_defender_fit_identical(self, small_cora, monkeypatch):
+        fits = {}
+        for engine in ("autodiff", "fused"):
+            monkeypatch.setenv("REPRO_ENGINE", engine)
+            result = GCNSVD(rank=10, train_config=CONFIG, seed=4).fit(small_cora)
+            fits[engine] = (result.test_accuracy, result.val_accuracy)
+        assert fits["autodiff"] == fits["fused"]
 
 
 class TestSGCBitIdentity:
@@ -403,14 +441,19 @@ class TestDispatch:
                 model, tiny_graph, adjacency, model.forward, loss_fn, strict=True
             )
 
-    def test_dense_adjacency_not_fusible(self, tiny_graph):
+    def test_dense_adjacency_fusible_for_plain_gcn(self, tiny_graph):
+        """Plain GCN fuses over a dense ndarray operator (GCN-SVD's, and
+        Pro-GNN's normalized S); SGC still needs a sparse one."""
         model = GCN(tiny_graph.num_features, tiny_graph.num_classes, seed=0)
         dense = gcn_normalize(tiny_graph.adjacency).toarray()
-        assert make_fused_kernel(model, tiny_graph, dense, model.forward, None) is None
-        with pytest.raises(ConfigError, match="dense ndarray, not scipy.sparse"):
-            make_fused_kernel(
-                model, tiny_graph, dense, model.forward, None, strict=True
-            )
+        kernel = make_fused_kernel(
+            model, tiny_graph, dense, model.forward, None, strict=True
+        )
+        assert type(kernel).__name__ == "_FusedGCN"
+        sgc = SGC(tiny_graph.num_features, tiny_graph.num_classes, seed=0)
+        assert make_fused_kernel(sgc, tiny_graph, dense, sgc.forward, None) is None
+        with pytest.raises(ConfigError, match="ndarray, not scipy.sparse"):
+            make_fused_kernel(sgc, tiny_graph, dense, sgc.forward, None, strict=True)
 
     def test_subclass_not_fusible(self, tiny_graph):
         class TweakedGCN(GCN):
@@ -624,10 +667,9 @@ class TestSweepEquivalence:
         from tests.test_parallel_sweep import cells_of, journal_records, run_sweep
         from repro.experiments import SweepCheckpoint
 
-        # engine="auto" (not "fused"): a sweep mixes fusible trainers with
-        # ineligible ones (GCN-SVD trains over a dense low-rank operator),
-        # and auto is the mode that must route each to the right path with
-        # identical journals.
+        # engine="auto" (not "fused"): auto is the mode a sweep runs in, and
+        # it must route every trainer — GCN-SVD's dense low-rank operator
+        # included — to the same path with identical journals.
         runs = {}
         for label, engine, jobs in (
             ("autodiff-serial", "autodiff", 1),

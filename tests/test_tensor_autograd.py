@@ -92,6 +92,45 @@ class TestBackward:
         assert c.grad is None
         np.testing.assert_allclose(x.grad, [10.0])
 
+    def test_constant_operand_partial_never_computed(self):
+        """``X @ W`` with constant ``X``: the backward forms no ``g @ Wᵀ``,
+        and ``W``'s partial is the same ``Xᵀ @ g`` bits as before."""
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.normal(size=(5, 3)))
+        w = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+        g = rng.normal(size=(5, 2))
+        out = x @ w
+        partials = out._backward(g)
+        assert partials[0] is None
+        assert np.array_equal(partials[1], x.data.T @ g)
+        out.backward(g)
+        assert np.array_equal(w.grad, x.data.T @ g)
+        assert x.grad is None
+
+    @pytest.mark.parametrize(
+        "op, partials",
+        [
+            ("sub", lambda g, a, b: (g, -g)),
+            ("mul", lambda g, a, b: (g * b, g * a)),
+            ("truediv", lambda g, a, b: (g / b, -g * a / (b * b))),
+        ],
+    )
+    def test_elementwise_skips_constant_partials(self, op, partials):
+        rng = np.random.default_rng(1)
+        a_data, b_data = rng.normal(size=(4, 3)), rng.normal(size=(4, 3)) + 3.0
+        g = rng.normal(size=(4, 3))
+        apply = getattr(Tensor, f"__{op}__")
+        for grad_a, grad_b in ((True, False), (False, True), (True, True)):
+            a = Tensor(a_data, requires_grad=grad_a)
+            b = Tensor(b_data, requires_grad=grad_b)
+            expected = partials(g, a_data, b_data)
+            got = apply(a, b)._backward(g)
+            for flag, value, oracle in zip((grad_a, grad_b), got, expected):
+                if flag:
+                    assert np.array_equal(value, oracle)
+                else:  # skipped, or the upstream passed through at no cost
+                    assert value is None or value is g
+
     def test_deep_chain_does_not_overflow(self):
         # Iterative topological sort must handle long chains.
         x = Tensor([1.0], requires_grad=True)
