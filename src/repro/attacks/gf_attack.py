@@ -33,6 +33,7 @@ from ..errors import ConfigError
 from ..graph import EdgeFlip, Graph, apply_perturbations, gcn_normalize
 from ..utils.rng import SeedLike
 from .base import AttackBudget, Attacker, AttackResult
+from .greedy import GreedyRun
 
 __all__ = ["GFAttack"]
 
@@ -155,20 +156,16 @@ class GFAttack(Attacker):
             # projections are not all identical.
             x_bar = graph.degrees() + 1.0
 
-        result = AttackResult(original=graph, poisoned=graph, budget=budget)
-        current = graph
-        banned: set[tuple[int, int]] = set()
-        spent = 0
-
-        while spent + 1 <= budget.total:
-            adjacency_dense = current.dense_adjacency()
+        def step(run: GreedyRun):
+            current = run.poisoned()
             normalized = gcn_normalize(current.adjacency).toarray()
             eigenvalues, eigenvectors = np.linalg.eigh(normalized)
+            banned = {(min(f.u, f.v), max(f.u, f.v)) for f in run.result.edge_flips}
             candidates = self._sample_candidates(current, banned)
             if len(candidates) == 0:
-                break
+                return None
             scores = self._perturbation_scores(
-                eigenvalues, eigenvectors, x_bar, candidates, adjacency_dense
+                eigenvalues, eigenvectors, x_bar, candidates, current.dense_adjacency()
             )
             top = np.argsort(-scores)[: self.exact_candidates]
 
@@ -180,15 +177,9 @@ class GFAttack(Attacker):
                 loss = self._filter_loss(trial.adjacency, x_bar)
                 if loss > best_loss:
                     best_loss = loss
-                    best_flip = EdgeFlip(u, v)
+                    best_flip = (u, v)
             if best_flip is None:
-                break
+                return None
+            return [("edge", *best_flip, 1.0)], best_loss
 
-            banned.add((min(best_flip.u, best_flip.v), max(best_flip.u, best_flip.v)))
-            result.edge_flips.append(best_flip)
-            result.objective_trace.append(best_loss)
-            current = apply_perturbations(current, [best_flip])
-            spent += 1
-
-        result.poisoned = current
-        return result
+        return GreedyRun(self, graph, budget, "gf_attack").run(step)

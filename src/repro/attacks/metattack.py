@@ -25,12 +25,12 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ConfigError
-from ..graph import EdgeFlip, FeatureFlip, Graph, apply_perturbations, gcn_normalize_dense
+from ..graph import Graph, gcn_normalize_dense
 from ..surrogate import linear_propagation
 from ..tensor import Tensor, functional as F
-from ..utils import cancellation, faults, snapshots
-from ..utils.rng import SeedLike, ensure_rng
+from ..utils.rng import SeedLike
 from .base import AttackBudget, Attacker, AttackResult
+from .greedy import GreedyRun
 
 __all__ = ["Metattack"]
 
@@ -139,132 +139,48 @@ class Metattack(Attacker):
             raise ConfigError("Metattack is gray-box: it requires labels and a train mask")
 
         n, d = graph.num_nodes, graph.num_features
-        adj_hat = graph.dense_adjacency()
-        feat_hat = graph.features.copy()
-        edge_allowed = np.triu(np.ones((n, n), dtype=bool), k=1)
-        feat_allowed = np.ones((n, d), dtype=bool)
-        result = AttackResult(original=graph, poisoned=graph, budget=budget)
-        spent = 0.0
-        flip_log: list[tuple[int, int, int]] = []
-
-        # Preemption: the greedy loop itself consumes no RNG, so pseudo
-        # labels + the inner weight init + the interleaved flip log are the
-        # whole loop state.  Replaying the recorded flips onto the dense
-        # buffers reconstructs the interrupted state bit-exactly.
-        unit = snapshots.begin_unit(f"attack:{self.name}")
-        resumed = unit.resume_state()
-        if resumed is not None:
-            arrays, meta = resumed
-            labels = arrays["labels"]
-            w_init = arrays["w_init"]
-            flip_log = [
-                (int(kind), int(u), int(v))
-                for kind, (u, v) in zip(arrays["flip_kinds"], arrays["flip_uv"])
-            ]
-            for kind, u, v in flip_log:
-                if kind == 0:
-                    new_value = 0.0 if adj_hat[u, v] else 1.0
-                    adj_hat[u, v] = new_value
-                    adj_hat[v, u] = new_value
-                    edge_allowed[u, v] = False
-                    result.edge_flips.append(EdgeFlip(u, v))
-                else:
-                    feat_hat[u, v] = 1.0 - feat_hat[u, v]
-                    feat_allowed[u, v] = False
-                    result.feature_flips.append(FeatureFlip(u, v))
-            result.objective_trace = [float(x) for x in arrays["objective_trace"]]
-            spent = float(meta["spent"])
-            snapshots.restore_generator(self._rng, meta["rng"])
-        else:
-            labels = self._pseudo_labels(graph) if self.self_training else graph.labels
-            n_classes = int(labels.max()) + 1
-            limit = np.sqrt(6.0 / (d + n_classes))
-            w_init = self._rng.uniform(-limit, limit, size=(d, n_classes))
-        attack_mask = (
-            ~graph.train_mask if self.self_training else graph.train_mask
+        run = GreedyRun(
+            self,
+            graph,
+            budget,
+            "metattack",
+            min_cost=1.0 if not self.attack_features else min(1.0, budget.feature_cost),
+            x=graph.features.copy(),
+            dense=True,
         )
-        min_cost = 1.0 if not self.attack_features else min(1.0, budget.feature_cost)
+        # Drawn from the seed before the loop, so a resumed run redraws the
+        # same pseudo-labels and inner initialization.
+        labels = self._pseudo_labels(graph) if self.self_training else graph.labels
+        n_classes = int(labels.max()) + 1
+        limit = np.sqrt(6.0 / (d + n_classes))
+        w_init = self._rng.uniform(-limit, limit, size=(d, n_classes))
+        attack_mask = ~graph.train_mask if self.self_training else graph.train_mask
+        upper = np.triu(np.ones((n, n), dtype=bool), k=1)
 
-        def attack_state() -> tuple[dict, dict]:
-            return (
-                {
-                    "flip_kinds": np.asarray(
-                        [kind for kind, _, _ in flip_log], dtype=np.int8
-                    ),
-                    "flip_uv": np.asarray(
-                        [(u, v) for _, u, v in flip_log], dtype=np.int64
-                    ).reshape(-1, 2),
-                    "objective_trace": np.asarray(
-                        result.objective_trace, dtype=np.float64
-                    ),
-                    "labels": np.asarray(labels),
-                    "w_init": w_init,
-                },
-                {
-                    "step": len(result.objective_trace),
-                    "spent": spent,
-                    "rng": snapshots.generator_state(self._rng),
-                },
-            )
-
-        while spent + min_cost <= budget.total + 1e-12:
-            faults.perturb(
-                "metattack", attacker=self.name, step=len(result.objective_trace)
-            )
-            cancellation.checkpoint(
-                "metattack",
-                unit=unit,
-                state=attack_state,
-                attacker=self.name,
-                step=len(result.objective_trace),
-            )
+        def step(run: GreedyRun):
             adj_grad, feat_grad, loss_value = self._meta_gradient(
-                adj_hat, feat_hat, labels, graph.train_mask, attack_mask, w_init
+                run.adj, run.x, labels, graph.train_mask, attack_mask, w_init
             )
-            result.objective_trace.append(loss_value)
-
             grad_sym = adj_grad + adj_grad.T
-            score_t = grad_sym * (-2.0 * adj_hat + 1.0)
-            score_t = np.where(edge_allowed, score_t, -np.inf)
+            score_t = grad_sym * (-2.0 * run.adj + 1.0)
+            score_t = np.where(upper, score_t, -np.inf)
+            score_t[run.flipped("edge")] = -np.inf
             best_edge = np.unravel_index(int(np.argmax(score_t)), score_t.shape)
             best_edge_score = score_t[best_edge]
 
-            best_feat_score = -np.inf
-            best_feat = (0, 0)
             if feat_grad is not None:
-                score_f = feat_grad * (-2.0 * feat_hat + 1.0) / budget.feature_cost
-                score_f = np.where(feat_allowed, score_f, -np.inf)
+                score_f = feat_grad * (-2.0 * run.x + 1.0) / budget.feature_cost
+                score_f[run.flipped("feature")] = -np.inf
                 best_feat = np.unravel_index(int(np.argmax(score_f)), score_f.shape)
-                best_feat_score = score_f[best_feat]
+                if score_f[best_feat] > best_edge_score and run.fits(
+                    budget.feature_cost
+                ):
+                    return [("feature", *best_feat, budget.feature_cost)], loss_value
+            if not np.isfinite(best_edge_score):
+                return [], loss_value
+            return [("edge", *best_edge, 1.0)], loss_value
 
-            use_feature = (
-                feat_grad is not None
-                and best_feat_score > best_edge_score
-                and spent + budget.feature_cost <= budget.total + 1e-12
-            )
-            if use_feature:
-                u, dim = best_feat
-                feat_hat[u, dim] = 1.0 - feat_hat[u, dim]
-                feat_allowed[u, dim] = False
-                result.feature_flips.append(FeatureFlip(int(u), int(dim)))
-                flip_log.append((1, int(u), int(dim)))
-                spent += budget.feature_cost
-            else:
-                if not np.isfinite(best_edge_score) or spent + 1.0 > budget.total + 1e-12:
-                    break
-                u, v = best_edge
-                new_value = 0.0 if adj_hat[u, v] else 1.0
-                adj_hat[u, v] = new_value
-                adj_hat[v, u] = new_value
-                edge_allowed[u, v] = False
-                result.edge_flips.append(EdgeFlip(int(u), int(v)))
-                flip_log.append((0, int(u), int(v)))
-                spent += 1.0
-
-        result.poisoned = apply_perturbations(
-            graph, result.edge_flips + result.feature_flips
-        )
-        return result
+        return run.run(step)
 
 
 def _train_linear_classifier(

@@ -38,6 +38,7 @@ from ..graph import (
 )
 from ..utils.rng import SeedLike
 from .base import AttackBudget, Attacker, AttackResult
+from .greedy import GreedyRun
 from .metattack import _train_linear_classifier
 
 __all__ = ["Nettack"]
@@ -131,23 +132,29 @@ class Nettack(Attacker):
         if not 0 <= self.target < graph.num_nodes:
             raise ConfigError(f"target {self.target} out of range")
 
-        # Surrogate training (gray-box: labels of the train split only).
+        run = GreedyRun(self, graph, budget, "nettack")
+        # Surrogate training (gray-box: labels of the train split only),
+        # redone from the seed when the run resumes from a snapshot.
         normalized = gcn_normalize(graph.adjacency)
         propagated = normalized @ (normalized @ graph.features)
         weights = _train_linear_classifier(
             propagated, graph.labels, graph.train_mask, steps=200, lr=0.1, rng=self._rng
         )
 
-        result = AttackResult(original=graph, poisoned=graph, budget=budget)
-        current = graph
-        banned: set = set()
-        spent = 0.0
         nodes = self._attacker_nodes(graph, self.target)
+        true_class = int(graph.labels[self.target])
 
-        while spent + 1.0 <= budget.total + 1e-12:
+        def margin_of(logits: np.ndarray) -> float:
+            others = np.delete(logits, true_class)
+            return float(logits[true_class] - others.max())
+
+        def step(run: GreedyRun):
+            current = run.poisoned()
+            banned = {("e", f.u, f.v) for f in run.result.edge_flips}
+            banned.update(("f", f.node, f.dim) for f in run.result.feature_flips)
             candidates = self._candidates(current, nodes, banned)
             if not candidates:
-                break
+                return None
             best_margin = np.inf
             best: Optional[EdgeFlip | FeatureFlip] = None
 
@@ -160,12 +167,6 @@ class Nettack(Attacker):
                 (normalized_now[self.target] @ normalized_now).todense()
             ).ravel()
             base_logits = (row @ current.features) @ weights
-            true_class = int(graph.labels[self.target])
-
-            def margin_of(logits: np.ndarray) -> float:
-                others = np.delete(logits, true_class)
-                return float(logits[true_class] - others.max())
-
             for candidate in candidates:
                 if isinstance(candidate, FeatureFlip):
                     direction = 1.0 - 2.0 * current.features[candidate.node, candidate.dim]
@@ -179,17 +180,12 @@ class Nettack(Attacker):
                     best = candidate
             assert best is not None
             cost = budget.cost_of(best)
-            if spent + cost > budget.total + 1e-12:
-                break
-            current = apply_perturbations(current, [best])
+            if not run.fits(cost):
+                return None
             if isinstance(best, EdgeFlip):
-                banned.add(("e", best.u, best.v))
-                result.edge_flips.append(best)
+                chosen = ("edge", best.u, best.v, cost)
             else:
-                banned.add(("f", best.node, best.dim))
-                result.feature_flips.append(best)
-            result.objective_trace.append(-best_margin)  # higher = worse margin
-            spent += cost
+                chosen = ("feature", best.node, best.dim, cost)
+            return [chosen], -best_margin  # higher = worse margin
 
-        result.poisoned = current
-        return result
+        return run.run(step)

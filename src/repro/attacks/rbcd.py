@@ -18,11 +18,14 @@ new threat model.  Scoring goes through
 :meth:`~repro.core.difference.IncrementalScorer.pair_gradients`: closed-form
 sparse gradients restricted to the sampled pairs, with the cache's dirty-row
 patching amortizing everything a committed flip touches.  Per-iteration cost
-is O(block · layers · d), never O(n²).
+is O(block · layers · d), never O(n²).  GRBCD is a step function in the
+greedy loop it shares with PEEGA (:mod:`repro.attacks.greedy`), which owns
+its flip log, cache commits, ``rbcd`` poll site and snapshots; PRBCD keeps
+its own epoch loop.
 
 Exhaustive reduction: when ``block_size`` covers the whole candidate space
 ``n(n-1)/2`` the samplers disappear and scoring routes through the
-full-matrix engine — GRBCD becomes exactly PEEGA's topology-only greedy
+full-matrix engine — GRBCD's step becomes exactly PEEGA's topology-only step
 (bit-identical flip sequences, including argpartition tie order) and PRBCD's
 top-mass commit reduces to exhaustive top-δ selection.  The equivalence tier
 in ``tests/test_rbcd_equivalence.py`` locks both down against the dense
@@ -44,6 +47,7 @@ from ..surrogate import PropagationCache
 from ..utils import cancellation, faults, snapshots
 from ..utils.rng import SeedLike
 from .base import AttackBudget, Attacker, AttackResult
+from .greedy import GreedyRun
 
 __all__ = [
     "PRBCD",
@@ -267,131 +271,63 @@ class GRBCD(_BlockCoordinateAttacker):
         self._active_block = self.block_size
         cache, scorer = self._make_scorer(graph)
         features = np.asarray(graph.features, dtype=np.float64)
-        result = AttackResult(original=graph, poisoned=graph, budget=budget)
         exhaustive = self._is_exhaustive(n)
-        k = self.flips_per_step
-        spent = 0.0
+        # Sampled mode's exclusion list: the sorted keys of flipped pairs,
+        # merged with the flips committed since the previous step.
         flipped_keys = np.empty(0, dtype=np.int64)
-        # Exhaustive mode scores the full matrix through PEEGA's selector,
-        # with PEEGA's ±1 flip directions; built on first use.
-        selector: Optional[FlipSelector] = None
-        direction: Optional[np.ndarray] = None
+        seen = 0
 
-        # Preemption: flips + sampler position + working block geometry are
-        # the whole loop state.  The cached A_n is a pure function of the
-        # current topology, so replaying the recorded flips as one batch
-        # reconstructs it bit-exactly mid-attack.
-        unit = snapshots.begin_unit(f"attack:{self.name}")
-        resumed = unit.resume_state()
-        if resumed is not None:
-            arrays, meta = resumed
-            batch = [EdgeFlip(int(u), int(v)) for u, v in arrays["flip_uv"]]
-            cache.apply_batch(batch)
-            result.edge_flips.extend(batch)
-            result.objective_trace = [float(x) for x in arrays["objective_trace"]]
-            spent = float(meta["spent"])
+        def restore(meta: dict) -> None:
             self._active_block = int(meta["active_block"])
-            exhaustive = bool(meta["exhaustive"])
-            if len(batch):
-                flipped_keys = np.unique(
-                    np.asarray([flip.u * n + flip.v for flip in batch], dtype=np.int64)
-                )
-            snapshots.restore_generator(self._rng, meta["rng"])
 
-        def attack_state() -> tuple[dict, dict]:
-            return (
-                {
-                    "flip_uv": np.asarray(
-                        [(f.u, f.v) for f in result.edge_flips], dtype=np.int64
-                    ).reshape(-1, 2),
-                    "objective_trace": np.asarray(
-                        result.objective_trace, dtype=np.float64
-                    ),
-                },
-                {
-                    "step": len(result.objective_trace),
-                    "spent": spent,
-                    "active_block": self._active_block,
-                    "exhaustive": exhaustive,
-                    "rng": snapshots.generator_state(self._rng),
-                },
-            )
+        # Exhaustive mode scores the full matrix through PEEGA's selector,
+        # with PEEGA's ±1 flip directions.  The block only ever shrinks, so
+        # once a MemoryError drops it below the candidate space the run
+        # stays on sampled blocks.
+        run = GreedyRun(
+            self,
+            graph,
+            budget,
+            "rbcd",
+            flips_per_step=self.flips_per_step,
+            cache=cache,
+            selector=FlipSelector(n) if exhaustive else None,
+            directions=exhaustive,
+            meta=lambda: {
+                "active_block": self._active_block,
+                "exhaustive": self._is_exhaustive(n),
+            },
+            restore=restore,
+        )
 
-        while spent + 1.0 <= budget.total + 1e-12:
-            try:
-                faults.perturb(
-                    "rbcd", attacker=self.name, block=self._active_block
+        def step(run: GreedyRun):
+            nonlocal flipped_keys, seen
+            k = self.flips_per_step
+            if self._is_exhaustive(n):
+                grads = scorer.gradients(features, need_features=False)
+                scores = np.multiply(
+                    grads.grad_topology, run.direction, out=grads.grad_topology
                 )
-                cancellation.checkpoint(
-                    "rbcd",
-                    unit=unit,
-                    state=attack_state,
-                    attacker=self.name,
-                    step=len(result.objective_trace),
-                )
-                if exhaustive:
-                    if selector is None:
-                        selector = FlipSelector(n)
-                        direction = 1.0 - 2.0 * graph.dense_adjacency()
-                        for flip in result.edge_flips:
-                            selector.block_edge(flip.u, flip.v)
-                            direction[flip.u, flip.v] = -direction[flip.u, flip.v]
-                            direction[flip.v, flip.u] = -direction[flip.v, flip.u]
-                    grads = scorer.gradients(features, need_features=False)
-                    scores = np.multiply(
-                        grads.grad_topology, direction, out=grads.grad_topology
-                    )
-                    loss = grads.loss
-                else:
-                    keys = sample_candidate_pairs(
-                        self._rng, n, self._active_block, exclude_keys=flipped_keys
-                    )
-                    uu, vv = decode_pair_keys(keys, n)
-                    if len(uu) == 0:
-                        break
-                    scores, loss = self._block_scores(
-                        scorer, cache, features, uu, vv, False
-                    )
-            except MemoryError as error:
-                if not self._shrink_block(error):
-                    raise
-                # A shrunken block may no longer cover the candidate space;
-                # ``flipped_keys`` is maintained in both modes, so dropping
-                # to sampled blocks keeps the already-flipped exclusion.
-                exhaustive = exhaustive and self._is_exhaustive(n)
-                continue
-            if exhaustive:
-                selected = [(u, v) for _, u, v, _ in selector.select(scores, k)[:k]]
-                if not selected:
-                    break
-            else:
-                order = np.argsort(-scores, kind="stable")[:k]
-                selected = [(int(uu[i]), int(vv[i])) for i in order]
-            result.objective_trace.append(loss)
-
-            batch: list[EdgeFlip] = []
-            new_keys: list[int] = []
-            for u, v in selected:
-                if spent + 1.0 > budget.total + 1e-12:
-                    continue
-                batch.append(EdgeFlip(u, v))
-                new_keys.append(u * n + v)
-                if exhaustive:
-                    selector.block_edge(u, v)
-                    direction[u, v] = -direction[u, v]
-                    direction[v, u] = -direction[v, u]
-                spent += 1.0
-            cache.apply_batch(batch)
-            result.edge_flips.extend(batch)
-            if not batch:
-                break
-            if new_keys:
+                candidates = run.selector.select(scores, k)
+                return (candidates, grads.loss) if candidates else None
+            new = run.result.edge_flips[seen:]
+            if new:
                 flipped_keys = np.union1d(
-                    flipped_keys, np.asarray(new_keys, dtype=np.int64)
+                    flipped_keys,
+                    np.asarray([flip.u * n + flip.v for flip in new], dtype=np.int64),
                 )
+                seen += len(new)
+            keys = sample_candidate_pairs(
+                self._rng, n, self._active_block, exclude_keys=flipped_keys
+            )
+            uu, vv = decode_pair_keys(keys, n)
+            if len(uu) == 0:
+                return None
+            scores, loss = self._block_scores(scorer, cache, features, uu, vv, False)
+            order = np.argsort(-scores, kind="stable")[:k]
+            return [("edge", int(uu[i]), int(vv[i]), 1.0) for i in order], loss
 
-        result.poisoned = apply_perturbations(graph, result.edge_flips)
-        return result
+        return run.run(step, self._shrink_block)
 
 
 class PRBCD(_BlockCoordinateAttacker):

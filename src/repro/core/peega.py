@@ -13,7 +13,10 @@ whose gradient score most increases the representation-difference objective
 
 The discrete gradients use the standard continuous relaxation (as in
 Metattack): ``Â``/``X̂`` are treated as dense real tensors and the objective
-is differentiated through the GCN normalization.
+is differentiated through the GCN normalization.  This module holds the
+setup and the scoring step; the loop of step 3 — committing flips, the
+``peega`` poll site, snapshots and resume — is the one
+:mod:`repro.attacks.greedy` runs for every greedy attacker.
 """
 
 from __future__ import annotations
@@ -24,11 +27,11 @@ import numpy as np
 
 from ..attacks.base import AttackBudget, Attacker, AttackResult
 from ..attacks.constraints import AttackerNodes
+from ..attacks.greedy import GreedyRun
 from ..errors import ConfigError
-from ..graph import EdgeFlip, FeatureFlip, Graph, apply_perturbations
+from ..graph import Graph
 from ..surrogate import PropagationCache
 from ..tensor import Tensor
-from ..utils import cancellation, faults, snapshots
 from ..utils.rng import SeedLike
 from .difference import DifferenceObjective, IncrementalScorer
 from .selection import FeatureScores, FlipSelector
@@ -129,7 +132,6 @@ class PEEGA(Attacker):
             dense_reference=cache is None and self.attack_topology,
         )
         n = graph.num_nodes
-        adj_hat = graph.dense_adjacency()
 
         # Candidate frontier for the sparse engine: every allowed edge has an
         # accessible endpoint, and attack scores are symmetric, so only the
@@ -143,7 +145,6 @@ class PEEGA(Attacker):
         features = (
             FeatureScores(graph.features, accessible) if self.attack_features else None
         )
-        feat_hat = graph.features.copy() if features is None else features.values
         selector = FlipSelector(
             n,
             edge_mask=(
@@ -155,140 +156,57 @@ class PEEGA(Attacker):
             features=features,
             feature_cost=budget.feature_cost,
         )
-
         scorer = IncrementalScorer(objective, cache) if cache is not None else None
-        # Candidate directions (Def. 4) are ±1-valued; the incremental path
-        # keeps them as a persistent array and negates the flipped entry in
-        # place — exact, and avoids an O(n²) rebuild per iteration.
-        direction_t = None
-        if scorer is not None and self.attack_topology:
-            direction_t = -2.0 * adj_hat + 1.0
-
-        result = AttackResult(original=graph, poisoned=graph, budget=budget)
-        spent = 0.0
-        min_cost = min(
-            [1.0] * self.attack_topology + [budget.feature_cost] * self.attack_features
+        run = GreedyRun(
+            self,
+            graph,
+            budget,
+            "peega",
+            flips_per_step=self.flips_per_step,
+            min_cost=min(
+                [1.0] * self.attack_topology
+                + [budget.feature_cost] * self.attack_features
+            ),
+            cache=cache,
+            selector=selector,
+            features=features,
+            x=None if features is not None else graph.features.copy(),
+            # The dense oracle differentiates through Â itself; the
+            # incremental engine only needs the ±1 directions (Def. 4),
+            # negated in place per flip instead of rebuilt per step.
+            dense=cache is None,
+            directions=cache is not None and self.attack_topology,
         )
 
-        # Flip application is shared by the live greedy loop and the
-        # snapshot-resume replay below: replaying the recorded flips through
-        # the exact same updates (cache deltas included — A_n values are
-        # pure functions of the integral degrees, so replay is bit-exact)
-        # reconstructs every derived array mid-attack.
-        flip_log: list[tuple[int, int, int]] = []
-
-        def apply_edge_flip(u: int, v: int) -> EdgeFlip:
-            new_value = 0.0 if adj_hat[u, v] else 1.0
-            adj_hat[u, v] = new_value
-            adj_hat[v, u] = new_value
-            if direction_t is not None:
-                direction_t[u, v] = -direction_t[u, v]
-                direction_t[v, u] = -direction_t[v, u]
-            selector.block_edge(u, v)
-            flip = EdgeFlip(int(u), int(v))
-            result.edge_flips.append(flip)
-            flip_log.append((0, int(u), int(v)))
-            return flip
-
-        def apply_feature_flip(u: int, dim: int) -> FeatureFlip:
-            features.flip(u, dim)
-            flip = FeatureFlip(int(u), int(dim))
-            result.feature_flips.append(flip)
-            flip_log.append((1, int(u), int(dim)))
-            return flip
-
-        unit = snapshots.begin_unit(f"attack:{self.name}")
-        resumed = unit.resume_state()
-        if resumed is not None:
-            arrays, meta = resumed
-            replayed = [
-                apply_edge_flip(int(u), int(v))
-                if int(kind) == 0
-                else apply_feature_flip(int(u), int(v))
-                for kind, (u, v) in zip(arrays["flip_kinds"], arrays["flip_uv"])
-            ]
-            if cache is not None:
-                cache.apply_batch(replayed)
-            result.objective_trace = [float(x) for x in arrays["objective_trace"]]
-            spent = float(meta["spent"])
-            snapshots.restore_generator(self._rng, meta["rng"])
-
-        def attack_state() -> tuple[dict, dict]:
-            return (
-                {
-                    "flip_kinds": np.asarray(
-                        [kind for kind, _, _ in flip_log], dtype=np.int8
-                    ),
-                    "flip_uv": np.asarray(
-                        [(u, v) for _, u, v in flip_log], dtype=np.int64
-                    ).reshape(-1, 2),
-                    "objective_trace": np.asarray(
-                        result.objective_trace, dtype=np.float64
-                    ),
-                },
-                {
-                    "step": len(result.objective_trace),
-                    "spent": spent,
-                    "rng": snapshots.generator_state(self._rng),
-                },
-            )
-
-        while spent + min_cost <= budget.total + 1e-12:
-            iteration = len(result.objective_trace)
-            faults.perturb("peega", attacker=self.name, iteration=iteration)
-            cancellation.checkpoint(
-                "peega", unit=unit, state=attack_state, iteration=iteration
-            )
-            if scorer is not None:
-                # Closed-form gradients off the sparse cache: the scorer
-                # re-materializes only the rows the applied flips touched.
-                grads = scorer.gradients(
-                    feat_hat,
-                    rows=frontier,
-                    need_topology=self.attack_topology,
-                    need_features=self.attack_features,
-                )
-                score_t = None
-                if self.attack_topology:
-                    # grad_topology is the scorer's per-call scratch; scoring
-                    # in place avoids another (n, n) allocation per flip.
-                    direction = (
-                        direction_t if frontier is None else direction_t[frontier]
-                    )
-                    score_t = np.multiply(
-                        grads.grad_topology, direction, out=grads.grad_topology
-                    )
-                if features is not None:
-                    features.update(grads.grad_features, grads.feature_rows)
-                loss_value = grads.loss
-            else:
-                score_t, grad_f, loss_value = self._scores(objective, adj_hat, feat_hat)
+        def step(run: GreedyRun):
+            if scorer is None:
+                score_t, grad_f, loss = self._scores(objective, run.adj, run.x)
                 if features is not None:
                     features.update(grad_f)
-            result.objective_trace.append(loss_value)
+                return selector.select(score_t, self.flips_per_step), loss
+            # Closed-form gradients off the sparse cache: the scorer
+            # re-materializes only the rows the applied flips touched.
+            grads = scorer.gradients(
+                run.x,
+                rows=frontier,
+                need_topology=self.attack_topology,
+                need_features=self.attack_features,
+            )
+            score_t = None
+            if self.attack_topology:
+                # grad_topology is the scorer's per-call scratch; scoring in
+                # place avoids another (n, n) allocation per flip.
+                direction = run.direction
+                if frontier is not None:
+                    direction = direction[frontier]
+                score_t = np.multiply(
+                    grads.grad_topology, direction, out=grads.grad_topology
+                )
+            if features is not None:
+                features.update(grads.grad_features, grads.feature_rows)
+            return selector.select(score_t, self.flips_per_step), grads.loss
 
-            candidates = selector.select(score_t, self.flips_per_step)
-            if not candidates:
-                break
-
-            applied_any = False
-            for kind, u, v, cost in candidates[: self.flips_per_step]:
-                if spent + cost > budget.total + 1e-12:
-                    continue
-                if kind == "edge":
-                    flip = apply_edge_flip(u, v)
-                else:
-                    flip = apply_feature_flip(u, v)
-                if cache is not None:
-                    cache.apply(flip)
-                spent += cost
-                applied_any = True
-            if not applied_any:
-                break
-
-        poisoned = apply_perturbations(graph, result.edge_flips + result.feature_flips)
-        result.poisoned = poisoned
-        return result
+        return run.run(step)
 
     # ------------------------------------------------------------------
     def _scores(

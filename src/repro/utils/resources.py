@@ -47,6 +47,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from ..errors import ConfigError, ResourceError
 from . import faults
+from .keystore import evict_fraction
 
 __all__ = [
     "MEMORY_BUDGET_ENV_VAR",
@@ -153,10 +154,9 @@ class MemoryBudget:
     current RSS, fires any watermark whose threshold was crossed upward
     since the last check (each re-arms when RSS drops back below it), and
     — only when ``enforce`` is set — raises :class:`ResourceError` above
-    the ceiling.  Enforcement is opt-in because the natural consumers
-    (supervised trials, block attacks) prefer the degradation ladders to
-    a hard failure; watermark-driven cache eviction is the default
-    response to pressure.
+    the ceiling.  A hand-built budget only measures unless ``enforce`` is
+    set; the ``--memory-budget`` one (:func:`budget_from_env`) enforces,
+    and the sweep's retry ladder turns its error into a degraded re-run.
 
     ``reader`` is injectable so tests can script RSS trajectories.
     """
@@ -248,17 +248,23 @@ def active_budget(budget: Optional[MemoryBudget]) -> Iterator[Optional[MemoryBud
 
 
 def budget_from_env(env: Optional[dict] = None) -> Optional[MemoryBudget]:
-    """Build a budget from ``REPRO_MEMORY_BUDGET`` (unset/empty/0 → None).
+    """Build the ``--memory-budget`` budget from ``REPRO_MEMORY_BUDGET``
+    (unset/empty/0 → None).
 
-    This is how ``--jobs`` pool workers inherit the parent's ceiling: the
-    CLI exports the variable, the worker initializer calls this.
+    The budget enforces its ceiling, and an 80% watermark evicts half of
+    the cached bytes (:func:`repro.utils.keystore.evict_fraction`) before
+    the ceiling is judged.  This is how ``--jobs`` pool workers inherit the
+    parent's ceiling: the CLI exports the variable, the worker initializer
+    calls this.
     """
     raw = (env if env is not None else os.environ).get(
         MEMORY_BUDGET_ENV_VAR, ""
     ).strip()
     if not raw or raw == "0":
         return None
-    return MemoryBudget(parse_bytes(raw))
+    budget = MemoryBudget(parse_bytes(raw), enforce=True)
+    budget.add_watermark(0.8, lambda rss, limit: evict_fraction())
+    return budget
 
 
 def budget_check(context: str = "") -> Optional[int]:

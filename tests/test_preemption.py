@@ -34,7 +34,7 @@ import numpy as np
 import pytest
 
 from repro import io
-from repro.attacks import AttackBudget, GRBCD, Metattack, PRBCD
+from repro.attacks import AttackBudget, GFAttack, GRBCD, Metattack, Nettack, PRBCD
 from repro.cli import EXIT_INTERRUPTED
 from repro.core import PEEGA
 from repro.errors import DeadlineError, DegradedWarning
@@ -313,6 +313,21 @@ class TestBitIdenticalResume:
         ).attack(small_cora, perturbation_rate=0.05)
         self._assert_attacks_match(*self._interrupt_and_resume(tmp_path, run, 3))
 
+    def test_gf_attack(self, tmp_path, small_cora):
+        run = lambda: GFAttack(candidate_pool=200, exact_candidates=2, seed=0).attack(
+            small_cora, AttackBudget(total=5.0)
+        )
+        self._assert_attacks_match(*self._interrupt_and_resume(tmp_path, run, 3))
+
+    def test_nettack(self, tmp_path, small_cora):
+        target = int(np.argmax(small_cora.degrees()))
+        run = lambda: Nettack(target=target, influencers=1, seed=0).attack(
+            small_cora, AttackBudget(total=4.0)
+        )
+        reference, resumed = self._interrupt_and_resume(tmp_path, run, 3)
+        self._assert_attacks_match(reference, resumed)
+        assert reference.feature_flips == resumed.feature_flips
+
     def test_peega(self, tmp_path, small_cora):
         run = lambda: PEEGA(seed=0).attack(small_cora, perturbation_rate=0.08)
         self._assert_attacks_match(*self._interrupt_and_resume(tmp_path, run, 3))
@@ -330,27 +345,39 @@ class TestBitIdenticalResume:
         self, tmp_path, small_cora, monkeypatch, kwargs, budget
     ):
         """A PEEGA attack resumed from a mid-attack snapshot equals the
-        uninterrupted run, feature flips included, and the recorded flips
-        reach the cache through a single ``apply_batch`` call."""
-        batches = []
-        apply_batch = PropagationCache.apply_batch
+        uninterrupted run, feature flips included, and the first
+        ``apply_batch`` of the resumed run holds every recorded flip."""
+        runs = []  # per run: ("apply" | "apply_batch", flips) cache calls
+        apply, apply_batch = PropagationCache.apply, PropagationCache.apply_batch
+
+        def counting_apply(self, flip):
+            runs[-1].append(("apply", [flip]))
+            apply(self, flip)
 
         def counting_apply_batch(self, flips):
             flips = list(flips)
-            batches.append(len(flips))
+            runs[-1].append(("apply_batch", flips))
             apply_batch(self, flips)
 
+        monkeypatch.setattr(PropagationCache, "apply", counting_apply)
         monkeypatch.setattr(PropagationCache, "apply_batch", counting_apply_batch)
-        run = lambda: PEEGA(seed=0, **kwargs).attack(
-            small_cora, AttackBudget(**budget)
-        )
+
+        def run():
+            runs.append([])
+            return PEEGA(seed=0, **kwargs).attack(small_cora, AttackBudget(**budget))
+
         reference, resumed = self._interrupt_and_resume(tmp_path, run, 5)
         self._assert_attacks_match(reference, resumed)
         assert reference.feature_flips == resumed.feature_flips
         np.testing.assert_array_equal(
             reference.poisoned.features, resumed.poisoned.features
         )
-        assert len(batches) == 1 and batches[0] > 0
+        # The interrupted run snapshotted at its last poll, after its last
+        # commit: the replay batch is every flip it had committed, in order.
+        _, interrupted, resumed_calls = runs
+        recorded = [flip for _, flips in interrupted for flip in flips]
+        batches = [flips for name, flips in resumed_calls if name == "apply_batch"]
+        assert recorded and batches[0] == recorded
 
     def test_trainer_weight_trajectory(self, tmp_path, small_cora):
         def run():

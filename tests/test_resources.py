@@ -172,6 +172,22 @@ class TestMemoryBudget:
         budget = budget_from_env({"REPRO_MEMORY_BUDGET": "2G"})
         assert budget.limit_bytes == 2 * 1024**3
 
+    def test_env_budget_evicts_then_enforces(self):
+        # The --memory-budget budget: crossing 80% evicts cached bytes,
+        # crossing the ceiling raises the ladder's structured error.
+        clear_all_stores()
+        store = KeyedArtifactStore("t-env-budget")
+        for i in range(4):
+            store.put(i, _array(1))
+        budget = budget_from_env({"REPRO_MEMORY_BUDGET": "100"})
+        readings = iter([50, 85, 150, 150])
+        budget.reader = lambda: next(readings)
+        assert budget.check() == 50 and len(store) == 4
+        assert budget.check() == 85 and len(store) < 4
+        with pytest.raises(ResourceError) as caught:
+            budget.check("attack")
+        assert caught.value.resource == "memory"
+
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ConfigError):
             MemoryBudget(limit_bytes=0)
