@@ -25,6 +25,7 @@ from ..graph import (
     structural_distance,
     validate_graph,
 )
+from ..utils.resources import budget_check
 from ..utils.rng import SeedLike, ensure_rng
 
 __all__ = [
@@ -168,8 +169,10 @@ class Attacker(abc.ABC):
         (``strict``/``repair``/``off``) before the attack sees it, and a
         budget exceeding the graph's feasible flip ceiling is clamped with
         a :class:`~repro.errors.BudgetWarning` rather than sending the
-        attacker chasing spend it can never realize.
+        attacker chasing spend it can never realize.  An installed memory
+        budget (``--memory-budget``) is sampled first.
         """
+        budget_check(f"{self.name} attack on {graph.name}")
         graph = validate_graph(
             graph, policy=validate, context=f"{self.name} attack input"
         )

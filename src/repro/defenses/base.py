@@ -16,6 +16,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..graph import Graph, validate_graph
+from ..utils.resources import budget_check
 from ..utils.rng import SeedLike, ensure_rng
 
 __all__ = ["Defender", "DefenseResult", "validate_pruned_graph"]
@@ -68,8 +69,10 @@ class Defender(abc.ABC):
         """Train the defense on ``graph`` and evaluate on its test mask.
 
         The input passes contract validation under ``validate``
-        (``strict``/``repair``/``off``) before training.
+        (``strict``/``repair``/``off``) before training.  An installed
+        memory budget (``--memory-budget``) is sampled first.
         """
+        budget_check(f"{self.name} fit on {graph.name}")
         if graph.labels is None or graph.train_mask is None or graph.val_mask is None:
             raise ConfigError("defenders require labels and train/val masks")
         graph = validate_graph(

@@ -121,18 +121,22 @@ class ProGNN(Defender):
         symmetrized (bitwise a no-op on the fit's symmetric iterate), those
         are the moduli of its eigenvalues, so shrinking each eigenvalue
         toward zero by ``beta_nuclear`` is the same operator, computed by
-        one symmetric eigendecomposition.
+        one symmetric eigendecomposition.  The n×n steps run in two
+        buffers, op for op as their allocating forms; the result is fresh.
         """
-        s = 0.5 * (s + s.T)
-        eigenvalues, eigenvectors = np.linalg.eigh(s)
+        a = np.add(s, s.T)
+        np.multiply(a, 0.5, out=a)
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
         shrunk = np.sign(eigenvalues) * np.maximum(np.abs(eigenvalues) - beta_nuclear, 0.0)
-        s = (eigenvectors * shrunk) @ eigenvectors.T
-        # L1 soft-threshold.
-        s = np.sign(s) * np.maximum(np.abs(s) - gamma_l1, 0.0)
+        s = np.matmul(np.multiply(eigenvectors, shrunk, out=a), eigenvectors.T)
+        # L1 soft-threshold: sign(s) * max(|s| - γ, 0).
+        np.maximum(np.subtract(np.abs(s, out=a), gamma_l1, out=a), 0.0, out=a)
+        np.multiply(np.sign(s, out=s), a, out=s)
         # Box + symmetry + no self-loops.
-        s = np.clip(0.5 * (s + s.T), 0.0, 1.0)
-        np.fill_diagonal(s, 0.0)
-        return s
+        np.multiply(np.add(s, s.T, out=a), 0.5, out=a)
+        np.clip(a, 0.0, 1.0, out=a)
+        np.fill_diagonal(a, 0.0)
+        return a
 
     def _learn(self, graph: Graph) -> tuple[GCN, np.ndarray, float, np.ndarray]:
         """Run the alternation; return the best-validation model (weights

@@ -71,7 +71,6 @@ from ..utils.snapshots import TrialSnapshotter
 from ..utils.blas import cpu_count, limit_blas_threads, plan_worker_threads
 from ..utils.resources import (
     MAX_DEGRADE_LEVEL,
-    budget_check,
     budget_from_env,
     degraded_footprint,
     install_budget,
@@ -277,7 +276,6 @@ def trial_body(
     if kind == "attack":
 
         def attack(attempt: int) -> AttackResult:
-            budget_check(f"attack {key.attacker} on {key.dataset}")
             faults.perturb(
                 "attacker",
                 dataset=key.dataset,

@@ -14,12 +14,12 @@ computes them directly:
 * one NumPy pass for the forward (loss included), one for every parameter
   gradient, with no ``Tensor`` graph construction, no gather/scatter loss
   backward, and preallocated buffers reused across epochs;
-* the never-consumed feature gradient of layer 0 (``g @ W⁰ᵀ``, an
-  ``n × in_dim`` GEMM per view) is never formed — features carry no grad,
-  and autodiff skips that partial too;
-* for GNAT's multi-view forward the first-layer product ``X @ W⁰`` is
-  computed **once** and shared across the t/f/e views — they differ only in
-  the propagation operator applied on top of it.
+* the never-consumed feature gradient of layer 0 (``g @ W⁰ᵀ``) is never
+  formed — features carry no grad, and autodiff skips that partial too;
+* GNAT's t/f/e views differ only in their propagation operator, so the
+  first-layer product ``X @ W⁰`` is computed **once** per epoch, and its
+  weight gradient is one ``Xᵀ`` GEMM over the views' folded gradients;
+* GAT's attention runs its elementwise steps on the support entries only.
 
 The kernels compose a few forward/backward primitives, each owning its
 epoch-reused buffers: propagation over a CSR or dense operator, linear,
@@ -130,9 +130,12 @@ class MultiViewForward:
     Returning ``log(Z̄)`` keeps the standard cross-entropy loss exact
     (log-softmax of a log-probability vector is itself).
 
-    As a class (rather than GNAT's former inline closure) the trainer can
-    recognize it and dispatch to :class:`_FusedMultiView`; calling it runs
-    the identical autodiff composition.
+    The views differ only in the propagation operator, so ``X @ W⁰`` is one
+    node they all read: autodiff folds the views' propagated layer-0
+    gradients before a single ``Xᵀ`` GEMM.  As a class (rather than GNAT's
+    former inline closure) the trainer can recognize it and dispatch to
+    :class:`_FusedMultiView`; calling it runs the identical autodiff
+    composition.
     """
 
     def __init__(self, model: GCN, operators: Sequence[sp.spmatrix]) -> None:
@@ -142,9 +145,13 @@ class MultiViewForward:
         self.operators = list(operators)
 
     def __call__(self, _adjacency: object, features: Tensor) -> Tensor:
-        probs = F.softmax(self.model.forward(self.operators[0], features), axis=1)
-        for operator in self.operators[1:]:
-            probs = probs + F.softmax(self.model.forward(operator, features), axis=1)
+        model = self.model
+        x = features if isinstance(features, Tensor) else Tensor(features)
+        support = x.matmul(model.layers[0].weight)
+        probs = None
+        for operator in self.operators:
+            p = F.softmax(model.forward_from_support(operator, support), axis=1)
+            probs = p if probs is None else probs + p
         return (probs * (1.0 / float(len(self.operators))) + 1e-12).log()
 
 
@@ -327,23 +334,17 @@ class _ELU:
 class _GCNStack:
     """The L-layer GCN ``hⁱ = A·(dropout(relu(hⁱ⁻¹))·Wⁱ) + bⁱ`` over one operator.
 
-    Layer 0 (no activation, no dropout, no input gradient) takes its
-    support ``X·W⁰`` as an argument, so GNAT's views can share it.
+    Layer 0 (no activation, no dropout) starts from its support ``X·W⁰``
+    and its backward stops at that support's gradient, so GNAT's views can
+    share the product and its one ``Xᵀ`` GEMM.
     """
 
-    def __init__(self, model: GCN, operator, features: np.ndarray) -> None:
+    def __init__(self, model: GCN, operator, n: int) -> None:
         self.model = model
-        self.features = features
         pair = _operator_pair(operator)
         layers = model.layers
-        n = features.shape[0]
         last = len(layers) - 1
-        self.linears = [
-            _Linear(l.weight, n, input_grad=i > 0) for i, l in enumerate(layers)
-        ]
-        # Only the first of several views runs layer 0's forward; every
-        # view's backward still needs its input.
-        self.linears[0].x = features
+        self.linears = [None] + [_Linear(l.weight, n) for l in layers[1:]]
         self.props = [
             _Propagate(pair, (n, l.weight.shape[1]), fresh=i == last)
             for i, l in enumerate(layers)
@@ -353,10 +354,6 @@ class _GCNStack:
         self.dropouts = [None] + [_Dropout(shape) for shape in inputs]
         self._gb = [np.empty(l.bias.shape) for l in layers]
         self.hidden0: Optional[np.ndarray] = None
-
-    def support0(self) -> np.ndarray:
-        """``X @ W⁰`` into layer 0's buffer."""
-        return self.linears[0].forward(self.features)
 
     def _propagate(self, i: int, support: np.ndarray) -> np.ndarray:
         h = self.props[i].forward(support)
@@ -385,14 +382,17 @@ class _GCNStack:
         return h
 
     def backward(self, g: np.ndarray) -> list:
-        """Per-layer ``(dW, db)`` from the gradient of the logits."""
+        """Per-layer ``(dW, db)`` from the gradient of the logits, except that
+        layer 0 gives the gradient of its support ``X·W⁰`` in place of
+        ``dW⁰``: the caller folds the views' before one ``Xᵀ`` GEMM."""
         grads = []
-        for i in range(len(self.model.layers) - 1, -1, -1):
+        for i in range(len(self.model.layers) - 1, 0, -1):
             gb = np.sum(g, axis=0, out=self._gb[i])
             gw, g = self.linears[i].backward(self.props[i].backward(g))
-            if i > 0:
-                g = self.relus[i].backward(self.dropouts[i].backward(g))
+            g = self.relus[i].backward(self.dropouts[i].backward(g))
             grads.append((gw, gb))
+        gb = np.sum(g, axis=0, out=self._gb[0])
+        grads.append((self.props[0].backward(g), gb))
         return grads[::-1]
 
 
@@ -406,8 +406,10 @@ class _FusedGCN:
 
     def __init__(self, model: GCN, operators: Sequence, graph) -> None:
         self.model = model
-        features = np.asarray(graph.features, dtype=np.float64)
-        self.stacks = [_GCNStack(model, op, features) for op in operators]
+        self.features = np.asarray(graph.features, dtype=np.float64)
+        n = self.features.shape[0]
+        self.support = _Linear(model.layers[0].weight, n, input_grad=False)
+        self.stacks = [_GCNStack(model, op, n) for op in operators]
         self.loss = _MaskedCrossEntropy(graph, model.layers[-1].weight.shape[1])
 
     def _output(self, logits: list[np.ndarray], training: bool) -> np.ndarray:
@@ -417,7 +419,7 @@ class _FusedGCN:
         return [g]
 
     def train_forward(self) -> tuple[float, np.ndarray]:
-        support = self.stacks[0].support0()
+        support = self.support.forward(self.features)
         logits = [stack.train_logits(support) for stack in self.stacks]
         out = self._output(logits, training=True)
         return self.loss.forward(out), out
@@ -425,16 +427,19 @@ class _FusedGCN:
     def backward(self) -> None:
         grads = self._stack_grads(self.loss.backward())
         views = [stack.backward(g) for stack, g in zip(self.stacks, grads)]
-        # Reverse-view left fold = autodiff's accumulation order.
+        # Reverse-view left fold = autodiff's accumulation order; layer 0
+        # folds the support gradients, then runs its one Xᵀ GEMM.
         for i, layer in enumerate(self.model.layers):
             w_acc, b_acc = views[-1][i]
             for view in views[-2::-1]:
                 w_acc = w_acc + view[i][0]
                 b_acc = b_acc + view[i][1]
+            if i == 0:
+                w_acc, _ = self.support.backward(w_acc)
             layer.weight.grad, layer.bias.grad = w_acc, b_acc
 
     def eval_forward(self) -> np.ndarray:
-        support = self.stacks[0].support0()
+        support = self.support.forward(self.features)
         logits = [stack.eval_logits(support) for stack in self.stacks]
         return self._output(logits, training=False)
 
@@ -479,13 +484,11 @@ class _FusedMultiView(_FusedGCN):
     """Closed-form kernel for GNAT's shared-weight multi-view GCN.
 
     Replicates :class:`MultiViewForward` bit for bit with one stack per
-    view.  ``X @ W⁰`` is computed once per epoch and shared across views
-    (the views differ only in the propagation operator, so the per-view
-    autodiff recomputations are value-identical).  The views' softmaxes
-    are averaged; backward runs each view's chain independently, then folds
-    the per-view parameter gradients in reverse view order — the order
-    autodiff's topological sweep accumulates them in, which matters
-    because float addition is not associative.
+    view over one shared ``X @ W⁰``.  The views' softmaxes are averaged;
+    backward runs each view's chain, then folds the per-view gradients
+    (layer 0's of its support) in reverse view order — the order autodiff's
+    topological sweep accumulates them in, which matters because float
+    addition is not associative.
     """
 
     def _output(self, logits: list[np.ndarray], training: bool) -> np.ndarray:
@@ -510,23 +513,28 @@ class _FusedGAT:
     """Closed-form kernel for the two-layer multi-head GAT.
 
     Replicates :meth:`repro.nn.gat.GAT.forward` + masked cross-entropy op
-    for op: per-head ``h¹ = x W``, LeakyReLU attention scores, the support
-    mask applied as a ``-1e9`` fill, row softmax, the concatenated-head ELU,
-    and both dropout draws from the model's own RNG stream.  The support
-    mask (the O(n²) densification the autodiff path pays every forward) is
-    built once per fit; the big (n, n) attention intermediates live in
-    epoch-reused buffers.  Backward folds the three gradients of each
-    head's ``h¹`` (attention product, then dst scores, then src scores) in
-    exactly autodiff's reverse post-order, and skips the never-consumed
-    feature gradient.
+    for op, both dropout draws from the model's own RNG stream included.
+    The support (edges plus self-loops) is found once per fit as E
+    row-major entries, and every elementwise step of the attention runs on
+    those only; the values land in dense (n, n) buffers whose off-support
+    entries stay ``+0.0``.  What depends on summation order stays dense, as
+    in autodiff: the three GEMMs, the softmax row sums and the
+    score-gradient sums.  Backward folds the three gradients of each head's
+    ``h¹`` (attention product, dst scores, src scores) in autodiff's
+    reverse post-order and skips the never-consumed feature gradient.
     """
 
     def __init__(self, model: GAT, adjacency, graph) -> None:
         self.model = model
-        self.mask = _support_mask(adjacency)
-        self.notmask = ~self.mask
+        mask = _support_mask(adjacency)
+        n = mask.shape[0]
+        self._rows, self._cols = np.nonzero(mask)
+        self._flat = self._rows * n + self._cols
+        counts = np.count_nonzero(mask, axis=1)
+        self._starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+        # The dense masked row max reads -1e9 wherever a row has masked entries.
+        self._partial = counts < n
         self.features = np.asarray(graph.features, dtype=np.float64)
-        n, in_dim = self.features.shape
         d = model.heads[0].weight.shape[1]
         width = d * len(model.heads)
         self._heads = [slice(k * d, (k + 1) * d) for k in range(len(model.heads))]
@@ -538,71 +546,59 @@ class _FusedGAT:
             _Linear(layer.weight, n, input_grad=layer is model.out_layer)
             for layer in self.layers
         ]
-        self._att = [np.empty((n, n)) for _ in self.layers]
-        self._pos = [np.empty((n, n), dtype=bool) for _ in self.layers]
+        # Per layer: the dense attention, and its support values with the
+        # signs of the scores they came from.
+        self._att = [np.zeros((n, n)) for _ in self.layers]
+        self._saved: list = [None] * len(self.layers)
         self._gh1 = [np.empty(linear.out.shape) for linear in self._linears]
-        self._drop_in = _Dropout((n, in_dim))
+        self._drop_in = _Dropout(self.features.shape)
         self._merged = np.empty((n, width))
         self._elu = _ELU((n, width))
         self._drop_hidden = _Dropout((n, width))
-        # (n, n) scratch shared by every attention layer's forward/backward.
-        self._S = np.empty((n, n))
-        self._T = np.empty((n, n))
-        self._B = np.empty((n, n), dtype=bool)
-        self._row = np.empty((n, 1))
+        # (n, n) backward scratch of every layer: g @ h¹ᵀ, and +0.0 off the support.
+        self._datt = np.empty((n, n))
+        self._Z = np.zeros((n, n))
 
     def _attention(self, k: int, x: np.ndarray) -> np.ndarray:
         """Attention layer ``k``'s forward into its buffers; returns ``h¹``."""
-        layer, att, pos = self.layers[k], self._att[k], self._pos[k]
-        S, row = self._S, self._row
+        layer, att, rows, flat = self.layers[k], self._att[k], self._rows, self._flat
         h1 = self._linears[k].forward(x)
-        src = h1 @ layer.attn_src.data
-        dst = h1 @ layer.attn_dst.data
-        np.add(src, dst.T, out=S)
-        # leaky_relu: np.where(pre > 0, pre, slope * pre), via masked copy.
-        np.greater(S, 0, out=pos)
-        np.multiply(S, layer.slope, out=self._T)
-        np.logical_not(pos, out=self._B)
-        np.copyto(S, self._T, where=self._B)
-        np.copyto(S, _NEG_INF, where=self.notmask)
-        # softmax: exp(a - rowmax) / rowsum.  Off-support entries sit at
-        # -1e9 - rowmax, where IEEE exp underflows to exactly +0.0 — so
-        # exp-ing only the support (after zeroing the buffer) reproduces
-        # the full-matrix result bit for bit while skipping the underflow
-        # slow path the autodiff oracle pays on every masked entry.
-        np.max(S, axis=1, keepdims=True, out=row)
-        np.subtract(S, row, out=S)
-        np.copyto(att, 0.0)
-        np.exp(S, out=att, where=self.mask)
-        np.sum(att, axis=1, keepdims=True, out=row)
-        np.divide(att, row, out=att)
+        e = np.take(h1 @ layer.attn_src.data, rows) + np.take(h1 @ layer.attn_dst.data, self._cols)
+        # leaky_relu's np.where(pre > 0, pre, slope * pre).
+        pos = e > 0
+        e = np.where(pos, e, e * layer.slope)
+        # softmax: exp(a - rowmax) / rowsum.  Off the support, exp(-1e9 -
+        # rowmax) underflows to +0.0, which the dense buffer holds there.  The
+        # max is exact in any order; the row sum stays dense.
+        peak = np.maximum.reduceat(e, self._starts)
+        np.maximum(peak, _NEG_INF, out=peak, where=self._partial)
+        e -= peak[rows]
+        np.exp(e, out=e)
+        np.put(att, flat, e)
+        e /= np.sum(att, axis=1)[rows]
+        np.put(att, flat, e)
+        self._saved[k] = e, pos
         return h1
 
     def _attention_backward(self, k: int, gout: np.ndarray) -> Optional[np.ndarray]:
         """Backward of attention layer ``k`` from the gradient of its output
         ``att @ h¹``: sets the layer's grads, returns its input gradient
         (None for the heads, whose input is the features)."""
-        layer, att, pos = self.layers[k], self._att[k], self._pos[k]
+        layer, att, (a, pos) = self.layers[k], self._att[k], self._saved[k]
+        flat, Z = self._flat, self._Z
         h1 = self._linears[k].out
-        S, T, row = self._S, self._T, self._row
         # h¹'s first gradient contribution: the attention product.
         gh1 = np.matmul(att.T, gout, out=self._gh1[k])
-        datt = np.matmul(gout, h1.T, out=S)
-        # softmax backward: out * (g - (g*out).sum(axis=1)).
-        np.multiply(datt, att, out=T)
-        np.sum(T, axis=1, keepdims=True, out=row)
-        np.subtract(datt, row, out=S)
-        np.multiply(att, S, out=S)
-        # masked_fill backward zeroes the filled entries.
-        np.copyto(S, 0.0, where=self.notmask)
-        # leaky_relu backward: g * where(pre > 0, 1, slope), via masked copy.
-        np.multiply(S, layer.slope, out=T)
-        np.logical_not(pos, out=self._B)
-        np.copyto(S, T, where=self._B)
+        datt = np.take(np.matmul(gout, h1.T, out=self._datt), flat)
+        # softmax backward: out * (g - (g*out).sum(axis=1)), the row sum dense.
+        np.put(Z, flat, datt * a)
+        g = a * (datt - np.sum(Z, axis=1)[self._rows])
+        # masked_fill's backward zeroes the off-support; leaky_relu's: g * where(pre>0, 1, slope).
+        np.put(Z, flat, np.where(pos, g, g * layer.slope))
         # src + dst.T backward: unbroadcast to the (n, 1) score columns;
         # autodiff's reverse post-order folds dst's contribution before src's.
-        dsrc = S.sum(axis=1, keepdims=True)
-        ddst = S.sum(axis=0, keepdims=True).T
+        dsrc = Z.sum(axis=1, keepdims=True)
+        ddst = Z.sum(axis=0, keepdims=True).T
         np.add(gh1, ddst @ layer.attn_dst.data.T, out=gh1)
         layer.attn_dst.grad = h1.T @ ddst
         np.add(gh1, dsrc @ layer.attn_src.data.T, out=gh1)

@@ -42,7 +42,10 @@ class GraphConvolution(Module):
         self.bias = zeros(out_dim) if bias else None
 
     def forward(self, adjacency: AdjacencyLike, x: Tensor) -> Tensor:
-        support = x.matmul(self.weight)
+        return self.propagate(adjacency, x.matmul(self.weight))
+
+    def propagate(self, adjacency: AdjacencyLike, support: Tensor) -> Tensor:
+        """The layer after its ``X W`` product: ``A_n · support + b``."""
         out = _propagate(adjacency, support)
         if self.bias is not None:
             out = out + self.bias
@@ -87,10 +90,15 @@ class GCN(Module):
     def forward(self, adjacency: AdjacencyLike, features: Tensor) -> Tensor:
         """Return raw logits ``(n, out_dim)``."""
         h = features if isinstance(features, Tensor) else Tensor(features)
-        for index, layer in enumerate(self.layers):
-            if index > 0:
-                h = F.relu(h)
-                h = F.dropout(h, self.dropout, self._dropout_rng, training=self.training)
+        return self.forward_from_support(adjacency, h.matmul(self.layers[0].weight))
+
+    def forward_from_support(self, adjacency: AdjacencyLike, support: Tensor) -> Tensor:
+        """Logits from layer 0's support ``X @ W⁰``, which several
+        propagation operators may share (GNAT's views)."""
+        h = self.layers[0].propagate(adjacency, support)
+        for layer in self.layers[1:]:
+            h = F.relu(h)
+            h = F.dropout(h, self.dropout, self._dropout_rng, training=self.training)
             h = layer.forward(adjacency, h)
         return h
 

@@ -15,6 +15,8 @@ content-addressed invalidation.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -46,6 +48,7 @@ from repro.nn import (
     TrainConfig,
     train_node_classifier,
 )
+from repro.nn.gat import _support_mask
 from repro.nn.fastpath import (
     ENGINES,
     make_fused_kernel,
@@ -240,6 +243,122 @@ class TestGATBitIdentity:
             )
         assert outcome(results["autodiff"]) == outcome(results["fused"])
         assert_same_weights(results["autodiff"].model, results["fused"].model)
+
+
+class TestSupportKernelsDifferential:
+    """Fused ≡ autodiff, weights and final logits, where the GAT kernel's
+    support indexing and the multi-view kernel's one-GEMM fold could slip.
+
+    The GAT graph has a hub row that attends to every node (its row max
+    takes no ``-1e9`` clamp, and its row sum runs over a full row) and
+    self-loop-only rows, as a sparse or a dense ``ndarray`` adjacency.
+    """
+
+    @staticmethod
+    def _gat_adjacency(graph, kind):
+        dense = graph.adjacency.toarray()
+        dense[1:5] = 0.0  # rows 1-4 attend to themselves only
+        dense[0] = 1.0  # row 0 attends to every node
+        return dense if kind == "dense" else sp.csr_matrix(dense)
+
+    @staticmethod
+    def _fit_both(build, graph, adjacency):
+        """Fit ``build()``'s ``(model, forward)`` with each engine; return
+        the fused fit's model and forward once the weights agree."""
+        fits = {}
+        for engine in ("autodiff", "fused"):
+            model, forward = build()
+            result = train_node_classifier(
+                model, graph, CONFIG, adjacency=adjacency, forward=forward,
+                engine=engine,
+            )
+            assert len(result.train_losses) > 1
+            fits[engine] = (model, forward)
+        assert_same_weights(fits["autodiff"][0], fits["fused"][0])
+        return fits["fused"]
+
+    @staticmethod
+    def _assert_logits_equal(model, forward, graph, adjacency):
+        model.eval()
+        kernel = make_fused_kernel(model, graph, adjacency, forward, None, strict=True)
+        expected = forward(adjacency, Tensor(graph.features)).data
+        assert np.array_equal(kernel.eval_forward(), expected)
+
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    @pytest.mark.parametrize("num_heads", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_gat(self, small_cora, kind, num_heads, dropout):
+        adjacency = self._gat_adjacency(small_cora, kind)
+
+        def build():
+            model = GAT(
+                small_cora.num_features, small_cora.num_classes, hidden_dim=4,
+                num_heads=num_heads, dropout=dropout, seed=8,
+            )
+            return model, model.forward
+
+        model, forward = self._fit_both(build, small_cora, adjacency)
+        self._assert_logits_equal(model, forward, small_cora, adjacency)
+
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_multi_view(self, small_cora, views, num_layers):
+        adjacency = small_cora.adjacency
+        two_hop = sp.csr_matrix(((adjacency @ adjacency) > 0).astype(np.float64))
+        operators = [
+            gcn_normalize(adjacency),
+            gcn_normalize(two_hop),
+            gcn_normalize(sp.eye(small_cora.num_nodes, format="csr")),
+        ][:views]
+
+        def build():
+            model = GCN(
+                small_cora.num_features, small_cora.num_classes, hidden_dim=8,
+                num_layers=num_layers, dropout=0.5, seed=23,
+            )
+            return model, MultiViewForward(model, operators)
+
+        model, forward = self._fit_both(build, small_cora, operators[0])
+        self._assert_logits_equal(model, forward, small_cora, operators[0])
+
+    def test_gat_scores_below_the_fill_take_the_dense_masked_max(self, small_cora):
+        """Where every support score of a row sits below the ``-1e9`` fill,
+        the dense masked row max reads the fill, so the kernel clamps to it
+        — but not on the hub row, which has no masked entry.
+
+        Neither engine's softmax means much there (autodiff's mass moves
+        to the masked entries), so this pins the kernel against the dense
+        masked formula it replaces rather than against autodiff.
+        """
+        n = small_cora.num_nodes
+        features = np.hstack([np.ones((n, 1)), small_cora.features])
+        features[0, 0] += 2e-8  # the hub's scores sit ~20 below the fill
+        graph = dataclasses.replace(small_cora, features=features)
+        adjacency = self._gat_adjacency(graph, "sparse")
+        model = GAT(features.shape[1], graph.num_classes, hidden_dim=4,
+                    num_heads=1, dropout=0.0, seed=2)
+        head = model.heads[0]
+        head.weight.data[:, 0] = 0.0
+        head.weight.data[0, 0] = 1.0  # h¹[:, 0] is feature column 0
+        head.attn_src.data[:] = 0.0
+        head.attn_src.data[0] = -5e9  # src scores of about -5e9
+        head.attn_dst.data[0] = 0.0  # dst scores stay O(1)
+        kernel = make_fused_kernel(model, graph, adjacency, model.forward, None, strict=True)
+        kernel.eval_forward()
+        h1 = features @ head.weight.data
+        pre = h1 @ head.attn_src.data + (h1 @ head.attn_dst.data).T
+        scores = np.where(pre > 0, pre, head.slope * pre)
+        mask = _support_mask(adjacency)
+        scores[~mask] = -1e9
+        below = (np.where(mask, scores, -np.inf).max(axis=1) < -1e9) & (
+            mask.sum(axis=1) > 1
+        )
+        assert below[0] and mask[0].all() and below.sum() >= 3
+        expected = np.zeros((n, n))
+        np.exp(scores - scores.max(axis=1, keepdims=True), out=expected, where=mask)
+        expected /= expected.sum(axis=1, keepdims=True)
+        assert np.isfinite(expected).all()
+        assert np.array_equal(kernel._att[0], expected)
 
 
 class TestRGCNBitIdentity:

@@ -24,6 +24,7 @@ import pytest
 
 from repro.attacks import GRBCD, PRBCD
 from repro.attacks.base import AttackBudget
+from repro.cli import main
 from repro.datasets import load_dataset
 from repro.errors import CapacityWarning, ConfigError, DegradedWarning, ResourceError
 from repro.experiments import (
@@ -34,6 +35,8 @@ from repro.experiments import (
     TrialSupervisor,
     make_executor,
 )
+from repro.experiments.parallel import trial_body
+from repro.experiments.supervisor import TrialKey
 from repro.utils import faults
 from repro.utils.faults import FaultInjector
 from repro.utils.keystore import (
@@ -52,6 +55,7 @@ from repro.utils.resources import (
     degraded_footprint,
     format_bytes,
     free_disk_bytes,
+    install_budget,
     parse_bytes,
     require_free_disk,
     with_disk_retry,
@@ -191,6 +195,50 @@ class TestMemoryBudget:
     def test_rejects_nonpositive_limit(self):
         with pytest.raises(ConfigError):
             MemoryBudget(limit_bytes=0)
+
+
+class TestBudgetSampledWhereWorkStarts:
+    """Every attack and every fit samples the ambient budget as it starts:
+    the ``attack``/``defend`` CLI commands and a sweep's defense trials."""
+
+    @pytest.fixture
+    def governed_cli(self, monkeypatch):
+        # The CLI exports the budget and installs it process-wide; undo both.
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "")
+        yield
+        install_budget(None)
+
+    @pytest.fixture
+    def graph_file(self, tmp_path):
+        path = tmp_path / "cora.npz"
+        assert main(["dataset", "cora", "--scale", "0.05", "--out", str(path)]) == 0
+        return path
+
+    def test_cli_attack_over_budget_exits_2(self, governed_cli, graph_file, tmp_path, capsys):
+        out = tmp_path / "poison.npz"
+        argv = ["attack", "PEEGA", "--graph", str(graph_file), "--rate", "0.05",
+                "--out", str(out), "--memory-budget", "1M"]
+        assert main(argv) == 2
+        assert "1.0 MiB memory budget during PEEGA attack on cora" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_defend_over_budget_exits_2(self, governed_cli, graph_file, capsys):
+        argv = ["defend", "GCN", "--graph", str(graph_file), "--seeds", "1",
+                "--memory-budget", "1M"]
+        assert main(argv) == 2
+        assert "1.0 MiB memory budget during GCN fit on cora" in capsys.readouterr().err
+        argv[-1] = "8G"  # a budget the fit stays under changes nothing
+        assert main(argv) == 0
+        assert "GCN on cora" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("kind", ["attack", "defense"])
+    def test_sweep_trials_sampled(self, small_cora, kind):
+        key = TrialKey("cora", "PEEGA", 0.05, *(("GCN", 0) if kind == "defense" else ()))
+        body = trial_body(kind, key, small_cora, "strict")
+        with active_budget(MemoryBudget(limit_bytes=100, enforce=True, reader=lambda: 150)):
+            with pytest.raises(ResourceError, match="memory budget during") as caught:
+                body(0)
+        assert caught.value.resource == "memory"
 
 
 # ---------------------------------------------------------------------------
