@@ -57,12 +57,13 @@ GNAT_SCALE = 0.15 if QUICK else 0.3
 CONFIG = TrainConfig(epochs=200, patience=30)
 
 # Per-model speedup floors (quick, full), set under the lowest full-mode
-# speedups measured over three runs on a 2-vCPU host: GCN 1.70x, GCN-SVD
-# 1.48x, GNAT 1.44x, GAT 1.20x, RGCN 1.81x, SimPGCN 1.40x.  The autodiff
-# oracle skips the partials of constant operands (features, operators,
-# masks), so neither engine pays for a dead gradient; the kernels win on
-# tracing overhead, buffer reuse, deferred validation and GNAT's shared
-# ``X @ W⁰``.
+# speedups (median of per-pair ratios) measured over three runs on a
+# 2-vCPU host: GCN 1.81x, GCN-SVD 1.49x, GNAT 1.41x, GAT 1.63x, RGCN
+# 1.67x, SimPGCN 1.54x.  The autodiff oracle skips the partials of
+# constant operands (features, operators, masks) and shares GNAT's
+# ``X @ W⁰`` across views, so neither engine pays for a dead gradient or
+# a repeated product; the kernels win on tracing overhead, buffer reuse,
+# deferred validation and GAT's support-only attention.
 FLOORS = {
     "GCN": (1.2, 1.5),
     "GCN-SVD": (1.1, 1.3),

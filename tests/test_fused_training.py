@@ -5,8 +5,9 @@ trajectories to the autodiff engine — not approximately equal, equal to the
 last ULP.  These tests pin that promise across the whole fusible family
 (GCN depths 1-4 with and without dropout, GCN over GCN-SVD's dense
 operator, SGC, every GNAT view subset in both merged and multi-view form,
-GAT's dense masked attention, and the RGCN/SimPGCN defense fits via their
-recognized loss terms), verify the
+GAT's masked attention — including differential cases for its support
+indexing and for the multi-view layer-0 fold — and the RGCN/SimPGCN defense
+fits via their recognized loss terms), verify the
 closed-form backwards against finite differences, check that ineligible
 setups fall back (or refuse, naming the specific blocker) exactly as
 documented, and exercise the sweep-wide view-operator cache's
@@ -48,13 +49,13 @@ from repro.nn import (
     TrainConfig,
     train_node_classifier,
 )
-from repro.nn.gat import _support_mask
 from repro.nn.fastpath import (
     ENGINES,
     make_fused_kernel,
     resolve_engine,
     training_matches_eval,
 )
+from repro.nn.gat import _support_mask
 from repro.tensor import Tensor
 from repro.utils.rng import ensure_rng
 
