@@ -28,11 +28,23 @@ import numpy as np
 from ..graph import Graph, gcn_normalize_dense
 from ..nn import GCN, accuracy
 from ..nn.fastpath import _FusedGCN
-from ..tensor import Adam, Tensor, functional as F
+from ..tensor import Adam, CSRConstant, Tensor, functional as F
 from ..utils.rng import SeedLike
 from .base import Defender
 
-__all__ = ["ProGNN"]
+__all__ = ["ProGNN", "pairwise_sq_distances"]
+
+
+def pairwise_sq_distances(features: CSRConstant) -> np.ndarray:
+    """Dense ``‖x_u − x_v‖²`` for every node pair, ``|x_u|² + |x_v|² −
+    2 x_u·x_v``, with the Gram matrix ``X Xᵀ`` and the squared row norms
+    (its diagonal) from the feature CSR.  For binary features every term
+    is an integer count, exact in any summation order, so the result is
+    bitwise the dense-GEMM form's.
+    """
+    gram = (features.matrix @ features.matrix_t).toarray()
+    sq_norms = np.diagonal(gram)
+    return sq_norms[:, None] + sq_norms[None, :] - 2.0 * gram
 
 
 class ProGNN(Defender):
@@ -89,7 +101,7 @@ class ProGNN(Defender):
     # ------------------------------------------------------------------
     def _structure_grad(
         self, s: np.ndarray, observed: np.ndarray, pairwise_sq: Tensor,
-        features: Tensor, model: GCN, graph: Graph,
+        features: CSRConstant, model: GCN, graph: Graph,
     ) -> np.ndarray:
         """``∂/∂S`` of the S objective at ``s``, with θ held constant.
 
@@ -142,12 +154,10 @@ class ProGNN(Defender):
         """Run the alternation; return the best-validation model (weights
         restored), its structure ``S``, validation accuracy and eval logits."""
         observed = graph.dense_adjacency()
-        features = Tensor(graph.features)
-        # Pairwise squared feature distances for the smoothness term.
-        sq_norms = (graph.features**2).sum(axis=1)
-        pairwise_sq = Tensor(
-            sq_norms[:, None] + sq_norms[None, :] - 2.0 * graph.features @ graph.features.T
-        )
+        # One feature CSR for the fit: every θ-step kernel and S-step forward
+        # multiplies W⁰ through it.
+        features = CSRConstant(graph.features)
+        pairwise_sq = Tensor(pairwise_sq_distances(features))
 
         model = GCN(
             graph.num_features,
@@ -163,7 +173,7 @@ class ProGNN(Defender):
         s = observed.copy()
         # One normalization of S per epoch: the kernel over it runs that
         # epoch's validation forward and the next epoch's θ-steps.
-        theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph)
+        theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph, features)
 
         best_val, best_state, best_s, best_logits = -1.0, model.state_dict(), s, None
         for _ in range(self.outer_epochs):
@@ -179,7 +189,7 @@ class ProGNN(Defender):
                 self.beta_nuclear,
                 self.gamma_l1,
             )
-            theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph)
+            theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph, features)
 
             # Track the best validation structure/parameters.
             logits = theta.eval_forward()

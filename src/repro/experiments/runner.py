@@ -51,6 +51,10 @@ class CellResult:
         array = np.asarray(values, dtype=np.float64)
         return cls(mean=float(array.mean()), std=float(array.std()), values=tuple(values))
 
+    @property
+    def median(self) -> float:
+        return float(np.median(self.values))
+
     def __str__(self) -> str:
         return f"{100 * self.mean:.2f}±{100 * self.std:.2f}"
 

@@ -64,42 +64,61 @@ def format_timing_table(
     timings: Mapping[str, Mapping[str, CellResult]],
     title: str = "",
     unit: str = "s",
+    statistic: str = "mean",
 ) -> str:
     """Render a Table VII/VIII-style timing grid (rows: methods, cols: datasets).
 
     Rows may be ragged (e.g. GCN-Jaccard has no Polblogs column); missing
-    cells render as ``—``.
+    cells render as ``—``.  ``statistic="mean"`` renders ``mean±std``;
+    ``"median"`` renders the median with the range of the values.  The
+    fastest method of each column (by that statistic) is parenthesized.
     """
+    if statistic not in ("mean", "median"):
+        raise ValueError(f"statistic must be 'mean' or 'median', got {statistic!r}")
+
+    def value(cell: CellResult) -> float:
+        return cell.mean if statistic == "mean" else cell.median
+
+    def render(cell: CellResult) -> str:
+        if statistic == "mean":
+            return f"{cell.mean:.2f}±{cell.std:.2f}{unit}"
+        return f"{cell.median:.2f}{unit} [{min(cell.values):.2f}–{max(cell.values):.2f}]"
+
     datasets: list[str] = []
     for row in timings.values():
         for ds in row:
             if ds not in datasets:
                 datasets.append(ds)
     header = ["Method"] + datasets
-    widths = [max(14, len(h) + 2) for h in header]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
-    lines.append("-+-".join("-" * w for w in widths))
     best = {
         ds: min(
             (m for m in timings if ds in timings[m]),
-            key=lambda m: timings[m][ds].mean,
+            key=lambda m: value(timings[m][ds]),
         )
         for ds in datasets
     }
+    rows = []
     for method, row in timings.items():
         cells = [method]
         for ds in datasets:
             if ds not in row:
                 cells.append("—")
                 continue
-            cell = row[ds]
-            text = f"{cell.mean:.2f}±{cell.std:.2f}{unit}"
+            text = render(row[ds])
             if best[ds] == method:
                 text = f"({text})"
             cells.append(text)
+        rows.append(cells)
+    widths = [
+        max(14, len(h) + 2, *(len(cells[i]) for cells in rows))
+        for i, h in enumerate(header)
+    ]
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append(" | ".join(h.ljust(w) for h, w in zip(header, widths)))
+    lines.append("-+-".join("-" * w for w in widths))
+    for cells in rows:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(cells, widths)))
     return "\n".join(lines)
 

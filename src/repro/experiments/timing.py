@@ -134,10 +134,15 @@ def defender_timings(
     datasets: Sequence[str],
     defenders: Optional[Sequence[str]] = None,
     config: Optional[ExperimentScale] = None,
-    repeats: int = 2,
+    repeats: int = 5,
 ) -> dict[str, dict[str, CellResult]]:
     """Wall-clock seconds to train each defender on the clean graphs
-    (Table VIII; the paper reports clean-graph times as representative)."""
+    (Table VIII; the paper reports clean-graph times as representative).
+
+    Each cell holds ``repeats`` fits with defender seeds ``0..repeats-1``;
+    Table VIII reports their median (``CellResult.median``), which one slow
+    moment of the host cannot move the way it moves a mean of two.
+    """
     config = config or ExperimentScale.from_env()
     runner = ExperimentRunner(config)
     all_defenders = defenders

@@ -16,15 +16,21 @@ computes them directly:
   backward, and preallocated buffers reused across epochs;
 * the never-consumed feature gradient of layer 0 (``g @ W⁰ᵀ``) is never
   formed — features carry no grad, and autodiff skips that partial too;
+* every product that reads the features — ``X @ W`` and its weight
+  gradient ``Xᵀ g`` in every first layer, and GAT's input dropout — runs
+  over the feature CSR (:class:`~repro.tensor.CSRConstant`, built once per
+  fit), which the autodiff models multiply through too;
 * GNAT's t/f/e views differ only in their propagation operator, so the
   first-layer product ``X @ W⁰`` is computed **once** per epoch, and its
-  weight gradient is one ``Xᵀ`` GEMM over the views' folded gradients;
+  weight gradient is one ``Xᵀ g`` over the views' folded gradients;
 * GAT's attention runs its elementwise steps on the support entries only.
 
 The kernels compose a few forward/backward primitives, each owning its
-epoch-reused buffers: propagation over a CSR or dense operator, linear,
-dropout, ReLU, ELU, and the L-layer GCN stack that plain GCN and every
-GNAT view share.  Each kernel adds only its model-specific code.
+epoch-reused buffers: propagation over a CSR or dense operator, linear
+(over a dense input or the feature CSR), dropout (dense or over the
+feature CSR's stored entries), ReLU, ELU, and the L-layer GCN stack that
+plain GCN and every GNAT view share.  Each kernel adds only its
+model-specific code.
 
 The contract is *bit-identity*, in the tradition of PR 1's incremental
 PEEGA scorer and PR 3's SGC memo: every float operation of the autodiff
@@ -56,9 +62,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ConfigError, ShapeError
-from ..tensor import Tensor, functional as F
+from ..tensor import CSRConstant, Tensor, functional as F
+from ..tensor.sparse import spmm as _spmm
 from .gat import GAT, _NEG_INF, _support_mask
-from .gcn import GCN
+from .gcn import GCN, as_input
 from .sgc import SGC
 
 __all__ = [
@@ -67,50 +74,12 @@ __all__ = [
     "MultiViewForward",
     "resolve_engine",
     "make_fused_kernel",
+    "takes_csr_features",
     "training_matches_eval",
 ]
 
 ENGINES = ("auto", "fused", "autodiff")
 ENGINE_ENV_VAR = "REPRO_ENGINE"
-
-try:  # SciPy's CSR kernel, reachable with a caller-owned output buffer.
-    from scipy.sparse import _sparsetools as _sparsetools
-
-    _csr_matvecs = _sparsetools.csr_matvecs
-except Exception:  # pragma: no cover - depends on scipy internals
-    _csr_matvecs = None
-
-
-def _spmm(
-    matrix, dense: np.ndarray, out: Optional[np.ndarray] = None
-) -> np.ndarray:
-    """``matrix @ dense`` into ``out``, or into a fresh array when ``out=None``.
-
-    A dense ``matrix`` is one ``np.matmul``, autodiff's own kernel.  For CSR,
-    SciPy's ``_mul_multivector`` allocates a zeroed result and accumulates
-    with ``csr_matvecs`` — doing the same directly is bit-identical while
-    skipping the scipy dispatch (and, into ``out``, the allocation).
-    """
-    if isinstance(matrix, np.ndarray):
-        return np.matmul(matrix, dense, out=out)
-    if _csr_matvecs is None or not dense.flags.c_contiguous:
-        return matrix @ dense
-    if out is None:
-        out = np.zeros((matrix.shape[0], dense.shape[1]))
-    else:
-        out[...] = 0.0
-    _csr_matvecs(
-        matrix.shape[0],
-        matrix.shape[1],
-        dense.shape[1],
-        matrix.indptr,
-        matrix.indices,
-        matrix.data,
-        dense.ravel(),
-        out.ravel(),
-    )
-    return out
-
 
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Normalize an engine request (``None`` → ``$REPRO_ENGINE`` → auto)."""
@@ -144,10 +113,9 @@ class MultiViewForward:
         self.model = model
         self.operators = list(operators)
 
-    def __call__(self, _adjacency: object, features: Tensor) -> Tensor:
+    def __call__(self, _adjacency: object, features) -> Tensor:
         model = self.model
-        x = features if isinstance(features, Tensor) else Tensor(features)
-        support = x.matmul(model.layers[0].weight)
+        support = as_input(features).matmul(model.layers[0].weight)
         probs = None
         for operator in self.operators:
             p = F.softmax(model.forward_from_support(operator, support), axis=1)
@@ -219,6 +187,12 @@ def _operator_pair(operator) -> tuple:
     return matrix, matrix.T.tocsr()
 
 
+def _feature_csr(graph, features: Optional[CSRConstant]) -> CSRConstant:
+    """The fit's feature CSR: the caller's (built once per fit), else the
+    graph's features converted here."""
+    return features if features is not None else CSRConstant(graph.features)
+
+
 class _Propagate:
     """Propagation ``A @ x`` over a sparse or dense ``A``; its backward is
     ``Aᵀ @ g``.  With ``fresh=True`` the forward allocates its output
@@ -238,20 +212,29 @@ class _Propagate:
 
 class _Linear:
     """``x @ W``; backward returns ``(dW, dx)``, with ``dx = None`` (the
-    GEMM skipped) when built with ``input_grad=False``, as for features."""
+    GEMM skipped) when built with ``input_grad=False``, as for features.
+
+    Features come as a :class:`~repro.tensor.CSRConstant`: the forward is
+    then the CSR kernel's ``X @ W`` and ``dW`` is ``Xᵀ g`` over the stored
+    transpose, :func:`~repro.tensor.functional.sparse_matmul`'s products.
+    """
 
     def __init__(self, weight, rows: int, input_grad: bool = True) -> None:
         self.weight = weight
-        self.x: Optional[np.ndarray] = None
+        self.x = None
         self.out = np.empty((rows, weight.shape[1]))
         self._gw = np.empty(weight.shape)
         self._gx = np.empty((rows, weight.shape[0])) if input_grad else None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x) -> np.ndarray:
         self.x = x
+        if isinstance(x, CSRConstant):
+            return _spmm(x.matrix, self.weight.data, self.out)
         return np.matmul(x, self.weight.data, out=self.out)
 
     def backward(self, g: np.ndarray):
+        if isinstance(self.x, CSRConstant):
+            return _spmm(self.x.matrix_t, g, self._gw), None
         gw = np.matmul(self.x.T, g, out=self._gw)
         if self._gx is None:
             return gw, None
@@ -261,21 +244,41 @@ class _Linear:
 class _Dropout:
     """Inverted dropout: the draws and expression of ``F.dropout`` from the
     model's own ``_dropout_rng``, into reused buffers (bool -> float division
-    is the exact astype-then-divide arithmetic).  Identity at rate 0."""
+    is the exact astype-then-divide arithmetic).  Identity at rate 0.
 
-    def __init__(self, shape: tuple[int, int]) -> None:
+    Built over a :class:`~repro.tensor.CSRConstant` (``like``), it still
+    draws the full (n, d) array but keeps and scales only the stored
+    entries, into one output matrix of the same structure whose values (and
+    transpose's values) it rewrites each epoch.
+    """
+
+    def __init__(self, shape: tuple[int, int], like: Optional[CSRConstant] = None) -> None:
         self._rand = np.empty(shape)
-        self._keepb = np.empty(shape, dtype=bool)
-        self._keep = np.empty(shape)
-        self._out = np.empty(shape)
         self.keep: Optional[np.ndarray] = None
+        if like is None:
+            entries = shape
+            self._out = np.empty(shape)
+        else:
+            entries = like.matrix.nnz
+            self._out = like.with_data(like.matrix.data.copy())
+            self._at = np.empty(entries)
+        self._keepb = np.empty(entries, dtype=bool)
+        self._keep = np.empty(entries)
 
-    def forward(self, x: np.ndarray, model) -> np.ndarray:
+    def forward(self, x, model):
         rate = model.dropout
         self.keep = None
         if not rate > 0.0:
             return x
         model._dropout_rng.random(out=self._rand)
+        if isinstance(x, CSRConstant):
+            out = self._out
+            draws = np.take(self._rand.reshape(-1), x.flat_index, out=self._at)
+            np.greater_equal(draws, rate, out=self._keepb)
+            np.divide(self._keepb, 1.0 - rate, out=self._keep)
+            np.multiply(x.matrix.data, self._keep, out=out.matrix.data)
+            np.take(out.matrix.data, x.transpose_order, out=out.matrix_t.data)
+            return out
         np.greater_equal(self._rand, rate, out=self._keepb)
         self.keep = np.divide(self._keepb, 1.0 - rate, out=self._keep)
         return np.multiply(x, self.keep, out=self._out)
@@ -404,9 +407,12 @@ class _FusedGCN:
     dense operator: one :class:`_GCNStack` per operator (one here; one per
     view in the :class:`_FusedMultiView` subclass) over a shared ``X @ W⁰``."""
 
-    def __init__(self, model: GCN, operators: Sequence, graph) -> None:
+    def __init__(
+        self, model: GCN, operators: Sequence, graph,
+        features: Optional[CSRConstant] = None,
+    ) -> None:
         self.model = model
-        self.features = np.asarray(graph.features, dtype=np.float64)
+        self.features = _feature_csr(graph, features)
         n = self.features.shape[0]
         self.support = _Linear(model.layers[0].weight, n, input_grad=False)
         self.stacks = [_GCNStack(model, op, n) for op in operators]
@@ -524,7 +530,7 @@ class _FusedGAT:
     reverse post-order and skips the never-consumed feature gradient.
     """
 
-    def __init__(self, model: GAT, adjacency, graph) -> None:
+    def __init__(self, model: GAT, adjacency, graph, features=None) -> None:
         self.model = model
         mask = _support_mask(adjacency)
         n = mask.shape[0]
@@ -534,7 +540,7 @@ class _FusedGAT:
         self._starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
         # The dense masked row max reads -1e9 wherever a row has masked entries.
         self._partial = counts < n
-        self.features = np.asarray(graph.features, dtype=np.float64)
+        self.features = _feature_csr(graph, features)
         d = model.heads[0].weight.shape[1]
         width = d * len(model.heads)
         self._heads = [slice(k * d, (k + 1) * d) for k in range(len(model.heads))]
@@ -551,7 +557,7 @@ class _FusedGAT:
         self._att = [np.zeros((n, n)) for _ in self.layers]
         self._saved: list = [None] * len(self.layers)
         self._gh1 = [np.empty(linear.out.shape) for linear in self._linears]
-        self._drop_in = _Dropout(self.features.shape)
+        self._drop_in = _Dropout(self.features.shape, like=self.features)
         self._merged = np.empty((n, width))
         self._elu = _ELU((n, width))
         self._drop_hidden = _Dropout((n, width))
@@ -647,10 +653,10 @@ class _FusedRGCN:
     afterwards), so :meth:`deferred_eval_forward` just returns them.
     """
 
-    def __init__(self, model, operators, graph, loss) -> None:
+    def __init__(self, model, operators, graph, loss, features=None) -> None:
         self.model = model
         mean_op, var_op = (_operator_pair(op) for op in operators)
-        self.features = np.asarray(graph.features, dtype=np.float64)
+        self.features = _feature_csr(graph, features)
         self.beta_kl = float(loss.beta_kl)
         n = self.features.shape[0]
         d = model.w_mean_1.shape[1]
@@ -851,10 +857,10 @@ class _FusedSimPGCN:
     so the trainer reuses training logits for validation outright.
     """
 
-    def __init__(self, model, operators, graph, ssl) -> None:
+    def __init__(self, model, operators, graph, ssl, features=None) -> None:
         self.model = model
         topo, feat = (_operator_pair(op) for op in operators)
-        self.features = np.asarray(graph.features, dtype=np.float64)
+        self.features = _feature_csr(graph, features)
         self.ssl = ssl
         n = self.features.shape[0]
         self.loss = _MaskedCrossEntropy(graph, model.layer2.weight.shape[1])
@@ -959,8 +965,12 @@ def make_fused_kernel(
     forward: Callable,
     loss_fn: Optional[Callable],
     strict: bool = False,
+    features: Optional[CSRConstant] = None,
 ):
     """Return a fused kernel for this training setup, or None if ineligible.
+
+    ``features`` is the fit's feature CSR (see :func:`takes_csr_features`);
+    the kernels that read the features convert ``graph.features`` without it.
 
     Eligibility is deliberately exact-type and exact-forward: subclasses or
     wrapped forwards may compute anything, so they keep the autodiff path.
@@ -990,7 +1000,7 @@ def make_fused_kernel(
                 reason = _operator_pair_reason(adjacency, operator_names)
             if reason is not None:
                 return _ineligible(strict, reason)
-            return kernel_cls(model, adjacency, graph, loss_fn)
+            return kernel_cls(model, adjacency, graph, loss_fn, features)
         name = getattr(type(loss_fn), "__qualname__", type(loss_fn).__name__)
         if name in ("function", "lambda"):
             name = getattr(loss_fn, "__qualname__", repr(loss_fn))
@@ -1022,7 +1032,7 @@ def make_fused_kernel(
         # adjacencies are as fusible as sparse ones.
         if not 0.0 <= model.dropout < 1.0:
             return _ineligible(strict, f"GAT dropout {model.dropout} is outside [0, 1)")
-        return _FusedGAT(model, adjacency, graph)
+        return _FusedGAT(model, adjacency, graph, features)
     elif not (
         sp.issparse(adjacency)
         or (type(model) is GCN and isinstance(adjacency, np.ndarray))
@@ -1041,13 +1051,31 @@ def make_fused_kernel(
                 strict, "the GCN has dropout >= 1 or bias-free layers"
             )
         if multi_view:
-            return _FusedMultiView(model, forward.operators, graph)
-        return _FusedGCN(model, [adjacency], graph)
+            return _FusedMultiView(model, forward.operators, graph, features)
+        return _FusedGCN(model, [adjacency], graph, features)
     if type(model) is SGC:
         return _FusedSGC(model, adjacency, graph)
     return _ineligible(
         strict, f"no fused kernel covers model class {type(model).__name__}"
     )
+
+
+def takes_csr_features(model, forward: Callable) -> bool:
+    """Does this fit's forward take its constant features as a
+    :class:`~repro.tensor.CSRConstant`?
+
+    True for the forwards whose first layer multiplies the features through
+    ``matmul`` (the fused kernels' models, SGC aside, whose product reads
+    ``A^K X``): exactly GCN, GAT, RGCN's and SimPGCN's models under their
+    own forward, and GNAT's :class:`MultiViewForward`.  Every other forward
+    (subclasses, wrapped forwards) keeps the dense :class:`Tensor`.
+    """
+    if isinstance(forward, MultiViewForward):
+        return forward.model is model and type(model) is GCN
+    if not _is_plain_bound_forward(forward, model):
+        return False
+    GaussianGCNModel, _, SimPGCNModel, _ = _loss_classes()
+    return type(model) in (GCN, GAT, GaussianGCNModel, SimPGCNModel)
 
 
 def training_matches_eval(model, forward: Callable, loss_fn: Optional[Callable]) -> bool:

@@ -5,6 +5,12 @@ every node pair, entries outside the (self-looped) adjacency support are
 masked to −∞ before the row softmax.  Dense attention is exact and fast at
 the scales this reproduction runs at, and it accepts either sparse or dense
 adjacencies (only the support pattern is read).
+
+Constant features may come as a :class:`~repro.tensor.CSRConstant` (the
+trainer's form): the input dropout then still draws the full (n, d)
+uniform array from ``_dropout_rng``, so the hidden dropout's draws are the
+dense form's, but keeps and scales only the stored entries, and each
+head's ``X @ W`` runs over the CSR.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import scipy.sparse as sp
 
 from ..tensor import Tensor, functional as F, glorot_uniform, no_grad
 from ..utils.rng import SeedLike, ensure_rng
+from .gcn import FeaturesLike, as_input
 from .module import Module
 
 __all__ = ["GraphAttentionLayer", "GAT"]
@@ -48,7 +55,7 @@ class GraphAttentionLayer(Module):
         self.attn_dst = glorot_uniform(out_dim, 1, rng)
         self.slope = float(slope)
 
-    def forward(self, mask: np.ndarray, x: Tensor) -> Tensor:
+    def forward(self, mask: np.ndarray, x: FeaturesLike) -> Tensor:
         h = x.matmul(self.weight)  # (n, out_dim)
         src_scores = h.matmul(self.attn_src)  # (n, 1)
         dst_scores = h.matmul(self.attn_dst)  # (n, 1)
@@ -82,11 +89,12 @@ class GAT(Module):
         self.dropout = float(dropout)
         self._dropout_rng = ensure_rng(rng.integers(0, 2**63 - 1))
 
-    def forward(self, adjacency: AdjacencyLike, features: Tensor) -> Tensor:
+    def forward(self, adjacency: AdjacencyLike, features: FeaturesLike) -> Tensor:
         """Return raw logits ``(n, out_dim)``."""
         mask = _support_mask(adjacency)
-        h = features if isinstance(features, Tensor) else Tensor(features)
-        h = F.dropout(h, self.dropout, self._dropout_rng, training=self.training)
+        h = F.dropout(
+            as_input(features), self.dropout, self._dropout_rng, training=self.training
+        )
         outputs = [head.forward(mask, h) for head in self.heads]
         merged = outputs[0]
         for other in outputs[1:]:
@@ -95,7 +103,7 @@ class GAT(Module):
         merged = F.dropout(merged, self.dropout, self._dropout_rng, training=self.training)
         return self.out_layer.forward(mask, merged)
 
-    def predict(self, adjacency: AdjacencyLike, features: Tensor) -> np.ndarray:
+    def predict(self, adjacency: AdjacencyLike, features: FeaturesLike) -> np.ndarray:
         """Hard label predictions in eval mode (no autodiff graph)."""
         was_training = self.training
         self.eval()

@@ -15,13 +15,22 @@ from typing import Optional, Union
 import numpy as np
 import scipy.sparse as sp
 
-from ..tensor import Tensor, functional as F, glorot_uniform, zeros
+from ..tensor import CSRConstant, Tensor, functional as F, glorot_uniform, zeros
 from ..utils.rng import SeedLike, ensure_rng
 from .module import Module
 
 AdjacencyLike = Union[sp.spmatrix, Tensor, np.ndarray]
+FeaturesLike = Union[Tensor, CSRConstant, np.ndarray]
 
 __all__ = ["GraphConvolution", "GCN"]
+
+
+def as_input(features: FeaturesLike) -> Union[Tensor, CSRConstant]:
+    """Model input: a :class:`Tensor` or :class:`CSRConstant` as given, any
+    other array as a dense constant :class:`Tensor`."""
+    if isinstance(features, (Tensor, CSRConstant)):
+        return features
+    return Tensor(features)
 
 
 def _propagate(adjacency: AdjacencyLike, x: Tensor) -> Tensor:
@@ -87,10 +96,15 @@ class GCN(Module):
         self.dropout = float(dropout)
         self._dropout_rng = ensure_rng(rng.integers(0, 2**63 - 1))
 
-    def forward(self, adjacency: AdjacencyLike, features: Tensor) -> Tensor:
-        """Return raw logits ``(n, out_dim)``."""
-        h = features if isinstance(features, Tensor) else Tensor(features)
-        return self.forward_from_support(adjacency, h.matmul(self.layers[0].weight))
+    def forward(self, adjacency: AdjacencyLike, features: FeaturesLike) -> Tensor:
+        """Return raw logits ``(n, out_dim)``.
+
+        Constant features given as a :class:`~repro.tensor.CSRConstant`
+        (the trainer's form) multiply ``W⁰`` through the CSR kernel.
+        """
+        return self.forward_from_support(
+            adjacency, as_input(features).matmul(self.layers[0].weight)
+        )
 
     def forward_from_support(self, adjacency: AdjacencyLike, support: Tensor) -> Tensor:
         """Logits from layer 0's support ``X @ W⁰``, which several
@@ -102,7 +116,7 @@ class GCN(Module):
             h = layer.forward(adjacency, h)
         return h
 
-    def predict(self, adjacency: AdjacencyLike, features: Tensor) -> np.ndarray:
+    def predict(self, adjacency: AdjacencyLike, features: FeaturesLike) -> np.ndarray:
         """Hard label predictions (argmax over logits) in eval mode."""
         was_training = self.training
         self.eval()

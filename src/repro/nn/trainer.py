@@ -29,10 +29,15 @@ import scipy.sparse as sp
 
 from ..errors import ConfigError, DivergenceError
 from ..graph import Graph, gcn_normalize
-from ..tensor import Adam, Tensor, functional as F, no_grad
+from ..tensor import Adam, CSRConstant, Tensor, functional as F, no_grad
 from ..utils import cancellation, faults, snapshots
 from ..utils.rng import SeedLike
-from .fastpath import make_fused_kernel, resolve_engine, training_matches_eval
+from .fastpath import (
+    make_fused_kernel,
+    resolve_engine,
+    takes_csr_features,
+    training_matches_eval,
+)
 from .metrics import accuracy
 from .module import Module
 
@@ -226,8 +231,15 @@ def train_node_classifier(
 
     if adjacency is None:
         adjacency = gcn_normalize(graph.adjacency)
-    features = Tensor(graph.features)
     forward = forward or model.forward  # type: ignore[attr-defined]
+    # Bag-of-words features are ~1% non-zero: every first-layer product of
+    # the models that take them reads one CSR, built here once per fit and
+    # shared by both engines.
+    features = (
+        CSRConstant(graph.features)
+        if takes_csr_features(model, forward)
+        else Tensor(graph.features)
+    )
     optimizer = Adam(model.parameters(), lr=config.lr, weight_decay=config.weight_decay)
 
     engine_name = resolve_engine(engine)
@@ -238,6 +250,7 @@ def train_node_classifier(
         kernel = make_fused_kernel(
             model, graph, adjacency, forward, loss_fn,
             strict=engine_name == "fused",
+            features=features if isinstance(features, CSRConstant) else None,
         )
     # Deterministic-forward models (no dropout, no stochastic loss term):
     # a train-mode forward is bit-identical to an eval-mode one, so epoch

@@ -10,10 +10,12 @@ from . import functional
 from .gradcheck import check_gradients, numeric_gradient
 from .init import glorot_normal, glorot_uniform, uniform, zeros
 from .optim import SGD, Adam, Optimizer
+from .sparse import CSRConstant
 from .tensor import Tensor, as_tensor, is_grad_enabled, no_grad, stack
 
 __all__ = [
     "Tensor",
+    "CSRConstant",
     "as_tensor",
     "no_grad",
     "is_grad_enabled",

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ..errors import ShapeError
+from .sparse import CSRConstant, spmm
 from .tensor import Tensor, as_tensor, _needs_grad
 
 __all__ = [
@@ -166,31 +167,53 @@ def cross_entropy(
     return nll_loss(log_softmax(logits, axis=-1), targets, mask)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
-    """Inverted dropout.  Identity when ``training`` is False or ``rate`` is 0."""
-    x = as_tensor(x)
+def dropout(
+    x: Union[Tensor, CSRConstant],
+    rate: float,
+    rng: np.random.Generator,
+    training: bool = True,
+) -> Union[Tensor, CSRConstant]:
+    """Inverted dropout.  Identity when ``training`` is False or ``rate`` is 0.
+
+    A :class:`CSRConstant` input draws the same full-shape uniform array
+    from ``rng`` (later draws depend on the stream position), but keeps and
+    scales only its stored entries: the result has ``x``'s structure and
+    the values the dense form takes there.
+    """
+    if not isinstance(x, CSRConstant):
+        x = as_tensor(x)
     if not training or rate <= 0.0:
         return x
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = (rng.random(x.shape) >= rate).astype(np.float64) / (1.0 - rate)
+    draws = rng.random(x.shape)
+    if isinstance(x, CSRConstant):
+        keep = (draws.ravel()[x.flat_index] >= rate).astype(np.float64) / (1.0 - rate)
+        return x.with_data(x.matrix.data * keep)
+    keep = (draws >= rate).astype(np.float64) / (1.0 - rate)
     return x * Tensor(keep)
 
 
-def sparse_matmul(matrix: sp.spmatrix, x: Tensor) -> Tensor:
+def sparse_matmul(matrix: Union[sp.spmatrix, CSRConstant], x: Tensor) -> Tensor:
     """Multiply a *constant* SciPy sparse matrix with a dense tensor.
 
     The sparse operand is treated as data (no gradient flows into it); the
     gradient w.r.t. ``x`` is ``matrix.T @ upstream``.  This is the fast path
-    used during GNN training where the (normalized) adjacency is fixed.
+    used during GNN training where the (normalized) adjacency is fixed, and
+    for the first-layer product of the features as a :class:`CSRConstant`,
+    whose transpose is built once.  Both products run
+    :func:`~repro.tensor.sparse.spmm`, the fused engine's kernel.
     """
     x = as_tensor(x)
-    matrix = matrix.tocsr()
-    out_data = matrix @ x.data
-    out = Tensor(out_data, requires_grad=_needs_grad(x), _parents=(x,))
+    if isinstance(matrix, CSRConstant):
+        matrix, matrix_t = matrix.matrix, matrix.matrix_t
+    else:
+        matrix, matrix_t = matrix.tocsr(), None
+    out = Tensor(spmm(matrix, x.data), requires_grad=_needs_grad(x), _parents=(x,))
     if out.requires_grad:
-        matrix_t = matrix.T.tocsr()
-        out._backward = lambda g: (matrix_t @ g,)
+        if matrix_t is None:
+            matrix_t = matrix.T.tocsr()
+        out._backward = lambda g: (spmm(matrix_t, g),)
     return out
 
 

@@ -134,22 +134,26 @@ def _svd_proximal(s, beta_nuclear, gamma_l1):
     return s
 
 
-def _autodiff_prognn(defender, graph):
+def _autodiff_prognn(defender, graph, pairwise_sq=None):
     """Pro-GNN's alternation with the θ-steps, validation and test forwards
     on autodiff, and the S-step forming every parameter gradient too: the
     oracle for the fused fit.  Returns (model, best S, val acc, test acc,
-    the restored model's eval logits)."""
+    the restored model's eval logits).  ``pairwise_sq`` defaults to the
+    dense-GEMM form of the squared feature distances."""
     from repro.graph import gcn_normalize_dense
     from repro.nn import GCN, accuracy
-    from repro.tensor import Adam, Tensor, functional as F
+    from repro.tensor import Adam, CSRConstant, Tensor, functional as F
 
     observed = graph.dense_adjacency()
-    features = Tensor(graph.features)
+    # Constant features enter every forward as the trainer's CSR operand.
+    features = CSRConstant(graph.features)
     labels = graph.labels
-    sq_norms = (graph.features**2).sum(axis=1)
-    pairwise_sq = Tensor(
-        sq_norms[:, None] + sq_norms[None, :] - 2.0 * graph.features @ graph.features.T
-    )
+    if pairwise_sq is None:
+        sq_norms = (graph.features**2).sum(axis=1)
+        pairwise_sq = (
+            sq_norms[:, None] + sq_norms[None, :] - 2.0 * graph.features @ graph.features.T
+        )
+    pairwise_sq = Tensor(pairwise_sq)
     model = GCN(
         graph.num_features, graph.num_classes, hidden_dim=defender.hidden_dim,
         dropout=0.5, seed=defender._model_seed(),

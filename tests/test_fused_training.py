@@ -7,7 +7,8 @@ last ULP.  These tests pin that promise across the whole fusible family
 operator, SGC, every GNAT view subset in both merged and multi-view form,
 GAT's masked attention — including differential cases for its support
 indexing and for the multi-view layer-0 fold — and the RGCN/SimPGCN defense
-fits via their recognized loss terms), verify the
+fits via their recognized loss terms), pin the first-layer products over
+the feature CSR on signed, non-binary features, verify the
 closed-form backwards against finite differences, check that ineligible
 setups fall back (or refuse, naming the specific blocker) exactly as
 documented, and exercise the sweep-wide view-operator cache's
@@ -56,7 +57,7 @@ from repro.nn.fastpath import (
     training_matches_eval,
 )
 from repro.nn.gat import _support_mask
-from repro.tensor import Tensor
+from repro.tensor import CSRConstant, Tensor, check_gradients, functional as F
 from repro.utils.rng import ensure_rng
 
 CONFIG = TrainConfig(epochs=30, patience=10)
@@ -160,7 +161,7 @@ class TestDenseOperatorBitIdentity:
         kernel = make_fused_kernel(
             model, small_cora, dense, model.forward, None, strict=True
         )
-        autodiff_logits = model.forward(dense, Tensor(small_cora.features)).data
+        autodiff_logits = model.forward(dense, CSRConstant(small_cora.features)).data
         assert np.array_equal(kernel.eval_forward(), autodiff_logits)
 
     def test_defender_fit_identical(self, small_cora, monkeypatch):
@@ -282,7 +283,8 @@ class TestSupportKernelsDifferential:
     def _assert_logits_equal(model, forward, graph, adjacency):
         model.eval()
         kernel = make_fused_kernel(model, graph, adjacency, forward, None, strict=True)
-        expected = forward(adjacency, Tensor(graph.features)).data
+        # The trainer's feature operand: the CSR both engines multiply by.
+        expected = forward(adjacency, CSRConstant(graph.features)).data
         assert np.array_equal(kernel.eval_forward(), expected)
 
     @pytest.mark.parametrize("kind", ["sparse", "dense"])
@@ -406,6 +408,215 @@ class TestSimPGCNBitIdentity:
             result = defender.fit(small_cora)
             accuracies[engine] = (result.test_accuracy, result.val_accuracy)
         assert accuracies["autodiff"] == accuracies["auto"]
+
+
+# ---------------------------------------------------------------------------
+# First-layer products over the feature CSR
+
+
+@pytest.fixture
+def odd_features_graph(small_cora):
+    """``small_cora`` with non-binary (signed) feature values, an all-zero
+    row and an all-zero column."""
+    rng = np.random.default_rng(19)
+    features = small_cora.features * rng.uniform(-1.5, 2.5, small_cora.features.shape)
+    features[0] = 0.0
+    features[:, 3] = 0.0
+    return small_cora.with_features(features)
+
+
+class TestSparseFeatureProducts:
+    """Both engines multiply the features through one CSR and its stored
+    transpose, so fused ≡ autodiff holds by construction on any features."""
+
+    @staticmethod
+    def _fit_both(build, graph, adjacency=None, loss=None):
+        """Fit ``build()``'s ``(model, forward, loss_fn)`` with each engine;
+        assert equal outcomes and weights; return the fused fit's setup."""
+        fits, results = {}, {}
+        for engine in ("autodiff", "fused"):
+            model, forward, loss_fn = build()
+            results[engine] = train_node_classifier(
+                model, graph, CONFIG, adjacency=adjacency, forward=forward,
+                loss_fn=loss_fn, engine=engine,
+            )
+            fits[engine] = (model, forward, loss_fn)
+        assert len(results["fused"].train_losses) > 1
+        assert outcome(results["autodiff"]) == outcome(results["fused"])
+        assert_same_weights(fits["autodiff"][0], fits["fused"][0])
+        return fits["fused"]
+
+    @staticmethod
+    def _assert_eval_logits_equal(setup, graph, adjacency):
+        model, forward, loss_fn = setup
+        model.eval()
+        kernel = make_fused_kernel(
+            model, graph, adjacency, forward or model.forward, loss_fn, strict=True
+        )
+        forward = forward or model.forward
+        expected = forward(adjacency, CSRConstant(graph.features)).data
+        assert np.array_equal(kernel.eval_forward(), expected)
+
+    def test_features_have_the_odd_rows_and_columns(self, odd_features_graph):
+        x = odd_features_graph.features
+        assert not x[0].any() and not x[:, 3].any()
+        assert set(np.unique(x)) - {0.0, 1.0}
+        assert (x < 0).any()
+
+    @pytest.mark.parametrize("num_layers", [1, 2, 3])
+    def test_gcn(self, odd_features_graph, num_layers):
+        graph = odd_features_graph
+        adjacency = gcn_normalize(graph.adjacency)
+
+        def build():
+            model = GCN(
+                graph.num_features, graph.num_classes, hidden_dim=8,
+                num_layers=num_layers, dropout=0.5, seed=31,
+            )
+            return model, None, None
+
+        setup = self._fit_both(build, graph, adjacency)
+        self._assert_eval_logits_equal(setup, graph, adjacency)
+
+    @pytest.mark.parametrize("views", [1, 2, 3])
+    def test_gnat_views(self, odd_features_graph, views):
+        graph = odd_features_graph
+        adjacency = graph.adjacency
+        two_hop = sp.csr_matrix(((adjacency @ adjacency) > 0).astype(np.float64))
+        operators = [
+            gcn_normalize(adjacency),
+            gcn_normalize(two_hop),
+            gcn_normalize(sp.eye(graph.num_nodes, format="csr")),
+        ][:views]
+
+        def build():
+            model = GCN(
+                graph.num_features, graph.num_classes, hidden_dim=8,
+                dropout=0.5, seed=37,
+            )
+            return model, MultiViewForward(model, operators), None
+
+        setup = self._fit_both(build, graph, operators[0])
+        self._assert_eval_logits_equal(setup, graph, operators[0])
+
+    @pytest.mark.parametrize("num_heads", [1, 4])
+    @pytest.mark.parametrize("dropout", [0.0, 0.5])
+    def test_gat(self, odd_features_graph, num_heads, dropout):
+        graph = odd_features_graph
+        adjacency = gcn_normalize(graph.adjacency)
+
+        def build():
+            model = GAT(
+                graph.num_features, graph.num_classes, hidden_dim=4,
+                num_heads=num_heads, dropout=dropout, seed=41,
+            )
+            return model, None, None
+
+        setup = self._fit_both(build, graph, adjacency)
+        self._assert_eval_logits_equal(setup, graph, adjacency)
+
+    def test_rgcn(self, odd_features_graph):
+        graph = odd_features_graph
+        _, operators, _ = rgcn_setup(graph, seed=43)
+
+        def build():
+            model, _, loss = rgcn_setup(graph, seed=43)
+            return model, None, loss
+
+        setup = self._fit_both(build, graph, operators)
+        self._assert_eval_logits_equal(setup, graph, operators)
+
+    def test_simpgcn(self, odd_features_graph):
+        graph = odd_features_graph
+        _, operators, _ = simpgcn_setup(graph, seed=47)
+
+        def build():
+            model, _, ssl = simpgcn_setup(graph, seed=47)
+            return model, None, ssl
+
+        setup = self._fit_both(build, graph, operators)
+        self._assert_eval_logits_equal(setup, graph, operators)
+
+    def test_prognn(self, odd_features_graph):
+        from repro.defenses import ProGNN
+        from repro.defenses.prognn import pairwise_sq_distances
+
+        from .test_defenses import _autodiff_prognn
+
+        graph = odd_features_graph
+        pairwise = pairwise_sq_distances(CSRConstant(graph.features))
+        oracle_model, oracle_s, oracle_val, _, oracle_logits = _autodiff_prognn(
+            ProGNN(outer_epochs=4, seed=0), graph, pairwise_sq=pairwise
+        )
+        model, best_s, best_val, logits = ProGNN(outer_epochs=4, seed=0)._learn(graph)
+        assert_same_weights(model, oracle_model)
+        assert np.array_equal(best_s, oracle_s)
+        assert np.array_equal(logits, oracle_logits)
+        assert best_val == oracle_val
+
+    def test_csr_product_matches_dense_gemm(self, odd_features_graph):
+        x = odd_features_graph.features
+        rng = np.random.default_rng(5)
+        weight = Tensor(rng.normal(size=(x.shape[1], 7)), requires_grad=True)
+        upstream = rng.normal(size=(x.shape[0], 7))
+        out = CSRConstant(x).matmul(weight)
+        (out * Tensor(upstream)).sum().backward()
+        np.testing.assert_allclose(out.data, x @ weight.data, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(weight.grad, x.T @ upstream, rtol=0.0, atol=1e-12)
+
+    def test_stored_transpose_is_scipys(self, odd_features_graph):
+        features = CSRConstant(odd_features_graph.features)
+        for matrix in (features, features.with_data(features.matrix.data * 3.0 - 1.0)):
+            reference = matrix.matrix.T.tocsr()
+            assert np.array_equal(matrix.matrix_t.indptr, reference.indptr)
+            assert np.array_equal(matrix.matrix_t.indices, reference.indices)
+            assert np.array_equal(matrix.matrix_t.data, reference.data)
+
+    def test_sparse_dropout_matches_dense_and_leaves_the_stream_alike(
+        self, odd_features_graph
+    ):
+        from repro.nn.fastpath import _Dropout
+
+        x = odd_features_graph.features
+        features = CSRConstant(x)
+        dense_rng, sparse_rng = ensure_rng(3), ensure_rng(3)
+        dense = F.dropout(Tensor(x), 0.5, dense_rng)
+        sparse = F.dropout(features, 0.5, sparse_rng)
+        assert np.array_equal(sparse.matrix.toarray(), dense.data)
+        assert sparse.matrix.nnz == features.matrix.nnz
+        assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+        # The fused primitive: same values, same stream position.
+        holder = dataclasses.make_dataclass("Holder", ["dropout", "_dropout_rng"])
+        owner = holder(0.5, ensure_rng(3))
+        fused = _Dropout(x.shape, like=features).forward(features, owner)
+        assert np.array_equal(fused.matrix.data, sparse.matrix.data)
+        assert np.array_equal(fused.matrix_t.data, sparse.matrix_t.data)
+        assert owner._dropout_rng.bit_generator.state == dense_rng.bit_generator.state
+
+    def test_requires_grad_features_stay_dense_and_differentiable(self, tiny_graph):
+        adjacency = gcn_normalize(tiny_graph.adjacency)
+        gcn = GCN(tiny_graph.num_features, tiny_graph.num_classes, hidden_dim=3, seed=2)
+        gat = GAT(
+            tiny_graph.num_features, tiny_graph.num_classes, hidden_dim=3,
+            num_heads=2, seed=2,
+        )
+        probe = np.random.default_rng(4).normal(size=(tiny_graph.num_nodes, 2))
+        for model in (gcn, gat):
+            model.eval()
+            check_gradients(
+                lambda x, model=model: (model.forward(adjacency, x) * Tensor(probe)).sum(),
+                [tiny_graph.features],
+            )
+
+    def test_prognn_pairwise_distances_bitwise_on_cora(self):
+        from repro.datasets import load_dataset
+        from repro.defenses.prognn import pairwise_sq_distances
+
+        x = load_dataset("cora", scale=0.15, seed=0).features
+        assert set(np.unique(x)) <= {0.0, 1.0}
+        sq_norms = (x**2).sum(axis=1)
+        dense = sq_norms[:, None] + sq_norms[None, :] - 2.0 * x @ x.T
+        assert np.array_equal(pairwise_sq_distances(CSRConstant(x)), dense)
 
 
 # ---------------------------------------------------------------------------

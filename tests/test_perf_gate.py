@@ -84,6 +84,23 @@ class TestGate:
         # every model regressed, so every model is named
         assert len(report["failures"]) == 4
 
+    def test_training_gate_reads_the_paired_speedup(self):
+        # Per-engine medians that look unchanged cannot hide a paired
+        # speedup that collapsed: the gate judges the bench's own number.
+        baseline = training_report(fused=1.0, autodiff=2.0)
+        fresh = training_report(fused=1.0, autodiff=2.0)
+        for record in fresh["models"].values():
+            record["speedup"] = 0.5
+        report = gate(baseline, fresh)
+        assert not report["passed"]
+        assert all(check["fresh_ratio"] == 2.0 for check in report["checks"])
+        # ...and per-engine medians that look regressed do not fail a run
+        # whose paired speedup held.
+        fresh = training_report(fused=3.0, autodiff=2.0)
+        for record in fresh["models"].values():
+            record["speedup"] = 2.0
+        assert gate(baseline, fresh)["passed"]
+
     def test_within_tolerance_passes(self):
         baseline = training_report(fused=1.0, autodiff=2.0)
         fresh = training_report(fused=1.2, autodiff=2.0)  # 0.6 <= 0.5*1.5+0.05
