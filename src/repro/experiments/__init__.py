@@ -11,7 +11,6 @@ from .config import (
 from .parallel import (
     ParallelTrialExecutor,
     SweepPlan,
-    SweepRuntime,
     TrialTask,
     assemble_table,
     make_executor,
@@ -54,7 +53,6 @@ __all__ = [
     "attacker_timings",
     "defender_timings",
     "SweepPlan",
-    "SweepRuntime",
     "TrialTask",
     "ParallelTrialExecutor",
     "make_executor",

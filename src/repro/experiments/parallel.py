@@ -59,7 +59,7 @@ import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 import multiprocessing
 
@@ -78,6 +78,7 @@ from ..utils.resources import (
 from .config import make_attacker, make_defender
 from .supervisor import (
     RESEED_STRIDE,
+    SweepCheckpoint,
     TrialFailure,
     TrialKey,
     TrialOutcome,
@@ -86,10 +87,12 @@ from .supervisor import (
 )
 from .timing import SweepTimings
 
+if TYPE_CHECKING:
+    from .runner import ExperimentRunner
+
 __all__ = [
     "TrialTask",
     "SweepPlan",
-    "SweepRuntime",
     "ParallelTrialExecutor",
     "make_executor",
     "trial_body",
@@ -209,55 +212,31 @@ class SweepPlan:
         return plan
 
 
-@dataclass
-class SweepRuntime:
-    """What the scheduler needs from the :class:`ExperimentRunner`.
-
-    ``supervisor`` is the runner's shared supervisor: in-process trials run
-    through it and pool workers build their own from its policy.  The
-    ``poison_*`` callbacks keep the runner's poison cache and the
-    checkpoint authoritative, ``record_cell`` journals a completed cell the
-    moment its last seed lands, and ``snapshot_path`` names a trial's
-    mid-trial snapshot archive (``None`` without a checkpoint; see
-    :mod:`repro.utils.snapshots`).
-    """
-
-    dataset: str
-    rate: float
-    scale: float
-    dataset_seed: int
-    supervisor: TrialSupervisor
-    clean_graph: Callable[[], Graph]
-    poison_lookup: Callable[[str], Optional[AttackResult]]
-    poison_path: Callable[[str], Optional[str]]
-    store_poison: Callable[[str, AttackResult], Optional[str]]
-    record_cell: Callable[[str, str, list[float]], None]
-    snapshot_path: Callable[[TrialKey], Optional[str]]
-    validate: str = "strict"
-
-
 class _CellTracker:
     """Journals each cell as soon as all of its seed trials have succeeded.
 
     Every task is offered at most once, so a cell with a failed seed never
-    collects its full set of values.
+    collects its full set of values.  Without a checkpoint nothing is
+    journalled.
     """
 
-    def __init__(self, plan: SweepPlan, record_cell: Callable[[str, str, list[float]], None]):
+    def __init__(self, plan: SweepPlan, checkpoint: Optional[SweepCheckpoint]):
         self._expected = {cell: len(tasks) for cell, tasks in plan.cell_tasks.items()}
         self._values: dict[tuple[str, str], dict[int, float]] = {}
-        self._record = record_cell
+        self._checkpoint = checkpoint
 
     def offer(self, task: TrialTask, outcome: TrialOutcome) -> None:
-        if not outcome.ok:
+        if not outcome.ok or self._checkpoint is None:
             return
-        cell = (task.key.attacker, task.key.defender)
-        values = self._values.setdefault(cell, {})
-        values[task.key.seed] = float(outcome.value)
-        if len(values) == self._expected[cell]:
-            self._record(
-                task.key.attacker,
-                task.key.defender,
+        key = task.key
+        values = self._values.setdefault((key.attacker, key.defender), {})
+        values[key.seed] = float(outcome.value)
+        if len(values) == self._expected[(key.attacker, key.defender)]:
+            self._checkpoint.record_cell(
+                key.dataset,
+                key.attacker,
+                key.rate,
+                key.defender,
                 [values[seed] for seed in sorted(values)],
             )
 
@@ -618,7 +597,12 @@ class ParallelTrialExecutor:
             initargs=(self.blas_threads,),
         )
 
-    def run(self, plan: SweepPlan, runtime: SweepRuntime) -> dict[int, TrialOutcome]:
+    def run(
+        self, plan: SweepPlan, runner: "ExperimentRunner", supervisor: TrialSupervisor
+    ) -> dict[int, TrialOutcome]:
+        """Run ``plan`` on ``runner``'s graphs, poison cache and checkpoint;
+        outcomes by task index.  In-process trials run through
+        ``supervisor``; pool workers build their own from its policy."""
         timings = SweepTimings(jobs=self.jobs)
         timings.start()
         self.timings = timings
@@ -628,15 +612,16 @@ class ParallelTrialExecutor:
             return outcomes
 
         in_process = self.jobs == 1
-        cells = _CellTracker(plan, runtime.record_cell)
+        checkpoint = runner.checkpoint
+        cells = _CellTracker(plan, checkpoint)
         quarantine: dict[tuple, TrialFailure] = {}
         graph_refs: dict[str, tuple] = {
             CLEAN_ROW: (
                 "dataset",
-                runtime.dataset.lower(),
-                runtime.scale,
-                runtime.dataset_seed,
-                runtime.validate,
+                plan.dataset.lower(),
+                runner.config.scale,
+                runner.dataset_seed,
+                runner.validate,
             )
         }
         ambient = faults.current()
@@ -682,20 +667,28 @@ class ParallelTrialExecutor:
             # sweeps without a checkpoint) train on the in-memory poison.
             graph_refs[attacker] = (
                 ("npz", str(path))
-                if path is not None and not in_process
+                if not in_process and path is not None and path.exists()
                 else ("inline", result.poisoned)
             )
+
+        def snapshot_path(key: TrialKey) -> Optional[str]:
+            # One snapshot archive per trial key, next to the journal: an
+            # interrupted trial resumes mid-flight on its next attempt (or
+            # the next --resume) instead of restarting.
+            return None if checkpoint is None else str(checkpoint.snapshot_path(key))
 
         def run_here(task: TrialTask, graph_ref: tuple) -> None:
             """Run one trial in this process, then process its result."""
             check_shutdown()
-            graph = runtime.clean_graph() if graph_ref[0] == "dataset" else graph_ref[1]
-            path = runtime.snapshot_path(task.key)
+            graph = (
+                runner.graph(plan.dataset) if graph_ref[0] == "dataset" else graph_ref[1]
+            )
+            path = snapshot_path(task.key)
             sink = TrialSnapshotter(path) if path is not None else None
             started = time.monotonic()
             with cancellation.trial_scope(sink=sink):
-                outcome = runtime.supervisor.run(
-                    task.key, trial_body(task.kind, task.key, graph, runtime.validate)
+                outcome = supervisor.run(
+                    task.key, trial_body(task.kind, task.key, graph, runner.validate)
                 )
             process(None, task, _WorkerResult(outcome, (), started, time.monotonic()))
 
@@ -710,14 +703,20 @@ class ParallelTrialExecutor:
                     cells.offer(task, outcome)
                 return
             if task.kind == "attack":
-                cached = runtime.poison_lookup(task.key.attacker)
+                attacker = task.key.attacker
+                cached = runner._poison_lookup(plan.dataset, attacker, plan.rate)
                 if cached is not None:
                     # Shared poison cache hit: resolve without touching the
                     # pool and without re-persisting (the archive's mtime is
                     # part of the resume contract).
-                    set_poison(
-                        task.key.attacker, cached, runtime.poison_path(task.key.attacker)
+                    path = (
+                        checkpoint.poison_path(
+                            *runner._poison_key(plan.dataset, attacker, plan.rate)
+                        )
+                        if checkpoint is not None
+                        else None
                     )
+                    set_poison(attacker, cached, path)
                     outcome = TrialOutcome(key=task.key, value=cached, attempts=0)
                     outcomes[task.index] = outcome
                     for dependent in waiting.pop(task.index, ()):
@@ -732,15 +731,15 @@ class ParallelTrialExecutor:
             payload = _TaskPayload(
                 kind=task.kind,
                 key=task.key,
-                policy=runtime.supervisor.policy,
+                policy=supervisor.policy,
                 graph_ref=graph_ref,
                 fault_specs=fault_specs,
                 site_ordinal=task.site_ordinal,
-                validate=runtime.validate,
+                validate=runner.validate,
                 degrade=degrade_levels.get(task.index, 0),
                 prior_kills=kill_counts.get(task.index, 0),
                 task_index=task.index,
-                snapshot_path=runtime.snapshot_path(task.key),
+                snapshot_path=snapshot_path(task.key),
                 beacon_path=(
                     os.path.join(beacon_dir, f"beacon_{task.index}.json")
                     if beacon_dir is not None
@@ -761,7 +760,9 @@ class ParallelTrialExecutor:
         ) -> None:
             """Store the row's poison and release its waiting defense tasks."""
             if outcome.ok:
-                path = runtime.store_poison(task.key.attacker, outcome.value)
+                path = runner._store_poison(
+                    plan.dataset, task.key.attacker, plan.rate, outcome.value
+                )
                 set_poison(task.key.attacker, outcome.value, path)
             for dependent in waiting.pop(task.index, ()):
                 if outcome.ok:

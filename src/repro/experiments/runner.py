@@ -214,48 +214,6 @@ class ExperimentRunner:
         return CellResult.from_values(values)
 
     # -- supervised sweep ----------------------------------------------
-    def _sweep_runtime(self, dataset: str, rate: float, supervisor: TrialSupervisor):
-        """The :class:`~repro.experiments.parallel.SweepRuntime` adapter the
-        scheduler uses to reach this runner's caches and checkpoint."""
-        from .parallel import SweepRuntime
-
-        checkpoint = self.checkpoint
-
-        def poison_path(attacker_name: str) -> Optional[str]:
-            if checkpoint is None:
-                return None
-            path = checkpoint.poison_path(*self._poison_key(dataset, attacker_name, rate))
-            return str(path) if path.exists() else None
-
-        def record_cell(attacker_name: str, defender_name: str, values: list[float]):
-            if checkpoint is not None:
-                checkpoint.record_cell(
-                    dataset.lower(), attacker_name, rate, defender_name, values
-                )
-
-        def snapshot_path(key: TrialKey) -> Optional[str]:
-            # One snapshot archive per trial key, living next to the journal:
-            # interrupted trials resume mid-flight on the next attempt (or
-            # the next --resume invocation) instead of restarting.
-            return None if checkpoint is None else str(checkpoint.snapshot_path(key))
-
-        return SweepRuntime(
-            dataset=dataset,
-            rate=rate,
-            scale=self.config.scale,
-            dataset_seed=self.dataset_seed,
-            supervisor=supervisor,
-            validate=self.validate,
-            clean_graph=lambda: self.graph(dataset),
-            poison_lookup=lambda name: self._poison_lookup(dataset, name, rate),
-            poison_path=poison_path,
-            store_poison=lambda name, result: self._store_poison(
-                dataset, name, rate, result
-            ),
-            record_cell=record_cell,
-            snapshot_path=snapshot_path,
-        )
-
     def accuracy_table(
         self,
         dataset: str,
@@ -305,7 +263,7 @@ class ExperimentRunner:
             completed=set(cached),
         )
         executor = self.executor or ParallelTrialExecutor(1)
-        outcomes = executor.run(plan, self._sweep_runtime(dataset, rate, supervisor))
+        outcomes = executor.run(plan, self, supervisor)
         table = assemble_table(plan, outcomes, cached)
         # Failures are journalled at merge time, in canonical order, wherever
         # the trials ran; a kill loses at most failure records (cells are

@@ -8,7 +8,11 @@ two pieces the runner composes:
 :class:`TrialSupervisor`
     Runs one trial callable with a wall-clock deadline, bounded retries with
     exponential backoff and per-attempt reseeding, and converts exhausted
-    retries into structured :class:`TrialFailure` records.  (Quarantine —
+    retries into structured :class:`TrialFailure` records.  Every attempt
+    runs in the calling thread: the deadline is a
+    :class:`~repro.utils.cancellation.CancelToken` that the trial's poll
+    sites observe, so a trial that never polls delays its own
+    :class:`~repro.errors.DeadlineError` until it returns.  (Quarantine —
     a permanently broken method fails once and is skipped thereafter —
     lives in the sweep scheduler, :mod:`repro.experiments.parallel`.)
 
@@ -28,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 import traceback
 import warnings
@@ -76,10 +79,6 @@ PathLike = Union[str, Path]
 # Odd prime stride separating per-attempt reseeds from the base seed range,
 # so retry seeds never collide with another trial's base seed.
 RESEED_STRIDE = 1_000_003
-
-# How long a deadline-cancelled trial gets to reach its next poll site and
-# unwind before the supervisor stops waiting for its thread.
-_DEADLINE_GRACE_SECONDS = 1.0
 
 
 def _memory_exhaustion(error: BaseException) -> bool:
@@ -325,58 +324,26 @@ class TrialSupervisor:
         if deadline is None:
             return fn(attempt)
 
-        # Cooperative deadline: the trial thread inherits the ambient scope
-        # (snapshot sink, heartbeat beacon, any outer shutdown token) plus a
-        # deadline token.  Poll sites inside the trial observe expiry, write
-        # a final snapshot, and raise — so the thread *exits* and is joined
-        # instead of being abandoned mid-flight.
+        # Cooperative deadline, in this thread: the attempt runs under a
+        # child of the ambient token (any outer shutdown or worker token)
+        # that carries the deadline.  Poll sites inside the trial observe
+        # expiry, write a final snapshot, and raise.  A value computed past
+        # the deadline is discarded: the deadline beats a lucky late finish.
         token = cancellation.CancelToken(
             deadline_seconds=deadline,
             parent=cancellation.current_token(),
             name=f"trial-{key.label()}",
         )
-        ambient = cancellation.current_scope()
-        box: dict[str, Any] = {}
-        done = threading.Event()
-
-        def target() -> None:
-            try:
-                with cancellation.trial_scope(token=token, inherit=ambient):
-                    box["value"] = fn(attempt)
-            except BaseException as error:  # noqa: BLE001 — re-raised below
-                box["error"] = error
-            finally:
-                done.set()
-
-        worker = threading.Thread(
-            target=target, name=f"trial-{key.label()}", daemon=True
-        )
         started = time.perf_counter()
-        worker.start()
-        if done.wait(deadline):
-            error = box.get("error")
-            if isinstance(error, cancellation.CancelledError) and (
-                error.cause == cancellation.CAUSE_DEADLINE
-            ):
-                pass  # trial observed its own deadline at a poll site
-            elif error is not None:
-                raise error
-            else:
-                return box["value"]
+        try:
+            with cancellation.trial_scope(token=token):
+                value = fn(attempt)
+        except cancellation.CancelledError as error:
+            if error.cause != cancellation.CAUSE_DEADLINE:
+                raise
         else:
-            # Backstop for trials blocked between poll sites: flip the
-            # token explicitly (its own deadline has also expired by now)
-            # and give the thread a bounded grace period to reach a poll
-            # site, write its final snapshot, and unwind.  Only a trial
-            # that never polls — a genuine hang in foreign code — is still
-            # abandoned (daemon) after the grace join times out.  A value
-            # computed past the deadline is discarded either way: the
-            # deadline contract beats a lucky late finish.
-            token.cancel(
-                cancellation.CAUSE_DEADLINE,
-                f"trial {key.label()} exceeded its {deadline:g}s deadline",
-            )
-            worker.join(_DEADLINE_GRACE_SECONDS)
+            if token.cause != cancellation.CAUSE_DEADLINE:
+                return value
         raise DeadlineError(
             f"trial {key.label()} exceeded its {deadline:g}s deadline "
             f"on attempt {attempt + 1}",
@@ -423,11 +390,9 @@ class SweepCheckpoint:
         self.failures: list[TrialFailure] = []
         self.corrupt_records: list[dict] = []
         self.quarantines: list[Path] = []
-        # Journal writes are serialized in the sweep's parent process: pool
+        # Journal writes happen only in the sweep's parent process: pool
         # workers never hold a SweepCheckpoint, they return outcomes and the
-        # scheduler journals them here.  The lock guards against a future
-        # multi-threaded scheduler interleaving records mid-line.
-        self._write_lock = threading.Lock()
+        # scheduler journals them here.
         if resume:
             self._load()
         else:
@@ -508,9 +473,7 @@ class SweepCheckpoint:
                 site="journal_disk",
                 kind=record.get("kind"),
             )
-            with self._write_lock, open(
-                self.journal_path, "a", encoding="utf-8"
-            ) as handle:
+            with open(self.journal_path, "a", encoding="utf-8") as handle:
                 handle.write(line)
                 handle.flush()
 

@@ -30,7 +30,6 @@ Design notes
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -42,19 +41,10 @@ ArrayLike = Union["Tensor", np.ndarray, float, int, list, tuple]
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
 
-class _GradMode(threading.local):
-    """Per-thread switch for gradient tracking (mimics ``torch.no_grad``).
-
-    Thread-local, not process-wide: the experiment supervisor runs trials
-    in worker threads (and abandons ones that miss their deadline), so one
-    thread entering ``no_grad`` must never disable tracing for another.
-    Every thread starts with tracking enabled.
-    """
-
-    enabled: bool = True
-
-
-_grad_mode = _GradMode()
+# Process-wide switch for gradient tracking, flipped by :class:`no_grad`.
+# A plain flag suffices: the library starts no threads, and the supervisor
+# runs every trial in the thread that calls it.
+_grad_enabled = True
 
 
 class no_grad:
@@ -70,17 +60,19 @@ class no_grad:
     """
 
     def __enter__(self) -> "no_grad":
-        self._previous = _grad_mode.enabled
-        _grad_mode.enabled = False
+        global _grad_enabled
+        self._previous = _grad_enabled
+        _grad_enabled = False
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        _grad_mode.enabled = self._previous
+        global _grad_enabled
+        _grad_enabled = self._previous
 
 
 def is_grad_enabled() -> bool:
     """Return whether new operations are currently being traced."""
-    return _grad_mode.enabled
+    return _grad_enabled
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
@@ -51,7 +50,6 @@ __all__ = [
     "Beacon",
     "read_beacon",
     "trial_scope",
-    "current_scope",
     "current_token",
     "current_sink",
     "checkpoint",
@@ -93,6 +91,10 @@ class CancelToken:
     token on its parent chain is cancelled — parent-linking lets a
     supervisor hand a trial a deadline-scoped child of the process-wide
     shutdown token, so one SIGTERM fans out to every running trial.
+
+    Tokens take no lock: the library starts no threads, and a signal
+    handler that cancels a token mid-poll must never wait on the poll it
+    interrupted.
     """
 
     def __init__(
@@ -106,7 +108,6 @@ class CancelToken:
         self.name = name
         self.parent = parent
         self._clock = clock
-        self._lock = threading.Lock()
         self._cause: Optional[str] = None
         self._message = ""
         self._deadline: Optional[float] = None
@@ -117,21 +118,19 @@ class CancelToken:
         """Cancel the token; returns True only for the winning (first) call."""
         if cause not in _CAUSES:
             raise ValueError(f"unknown cancel cause {cause!r}; choose from {_CAUSES}")
-        with self._lock:
-            if self._cause is None:
-                self._cause = cause
-                self._message = message
-                return True
-        return False
+        if self._cause is not None:
+            return False
+        self._cause = cause
+        self._message = message
+        return True
 
     def _own_cause(self) -> Optional[str]:
-        with self._lock:
-            if self._cause is not None:
-                return self._cause
-            if self._deadline is not None and self._clock() >= self._deadline:
-                self._cause = CAUSE_DEADLINE
-                return self._cause
-        return None
+        if self._cause is None and self._deadline is not None:
+            # cancel() re-checks the cause: a signal handler that cancelled
+            # the token during the clock read keeps its (first) cause.
+            if self._clock() >= self._deadline:
+                self.cancel(CAUSE_DEADLINE)
+        return self._cause
 
     @property
     def cause(self) -> Optional[str]:
@@ -164,7 +163,6 @@ class CancelToken:
 # Process-wide shutdown token.  Signal handlers cancel this one token; every
 # trial token is (directly or via checkpoint()) observed against it.
 
-_SHUTDOWN_LOCK = threading.Lock()
 _SHUTDOWN = CancelToken(name="process-shutdown")
 
 
@@ -188,8 +186,7 @@ def shutdown_requested() -> Optional[str]:
 def reset_shutdown() -> None:
     """Replace the process shutdown token (tests and pool-worker re-use)."""
     global _SHUTDOWN
-    with _SHUTDOWN_LOCK:
-        _SHUTDOWN = CancelToken(name="process-shutdown")
+    _SHUTDOWN = CancelToken(name="process-shutdown")
 
 
 def shutdown_token() -> CancelToken:
@@ -266,7 +263,7 @@ def read_beacon(path: str) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Ambient trial scope (thread-local): token + beacon + snapshot sink.
+# Ambient trial scope: token + beacon + snapshot sink.
 
 
 class _Scope:
@@ -278,23 +275,16 @@ class _Scope:
         self.sink = sink
 
 
-_TLS = threading.local()
-
-
-def current_scope() -> Optional[_Scope]:
-    """The innermost ambient trial scope on this thread, or ``None``."""
-    return getattr(_TLS, "scope", None)
+_SCOPE: Optional[_Scope] = None
 
 
 def current_token() -> Optional[CancelToken]:
-    scope = current_scope()
-    return scope.token if scope is not None else None
+    return _SCOPE.token if _SCOPE is not None else None
 
 
 def current_sink():
     """The ambient snapshot sink (duck-typed; see ``utils.snapshots``)."""
-    scope = current_scope()
-    return scope.sink if scope is not None else None
+    return _SCOPE.sink if _SCOPE is not None else None
 
 
 @contextmanager
@@ -302,27 +292,26 @@ def trial_scope(
     token: Optional[CancelToken] = None,
     beacon: Optional[Beacon] = None,
     sink=None,
-    inherit: Optional[_Scope] = None,
 ) -> Iterator[_Scope]:
-    """Install an ambient trial scope on the current thread.
+    """Install an ambient trial scope for the duration of the block.
 
-    Unspecified fields are inherited from ``inherit`` (an explicit scope
-    captured on another thread — how the supervisor's deadline worker
-    thread keeps the spawning thread's beacon and sink) or, failing that,
-    from the current thread's innermost scope.
+    Unspecified fields are inherited from the innermost enclosing scope, so
+    the supervisor's deadline token keeps the sweep's beacon and sink.
+    The scope is process-wide: trials run one at a time, in the thread
+    that calls them.
     """
-    base = inherit if inherit is not None else current_scope()
+    global _SCOPE
+    base = _SCOPE
     scope = _Scope(
         token=token if token is not None else (base.token if base else None),
         beacon=beacon if beacon is not None else (base.beacon if base else None),
         sink=sink if sink is not None else (base.sink if base else None),
     )
-    previous = current_scope()
-    _TLS.scope = scope
+    _SCOPE = scope
     try:
         yield scope
     finally:
-        _TLS.scope = previous
+        _SCOPE = base
 
 
 def checkpoint(
@@ -339,7 +328,7 @@ def checkpoint(
     observed cancellation the state builder is invoked one final time so
     the trial resumes from the exact iteration it was cancelled at.
     """
-    scope = current_scope()
+    scope = _SCOPE
     beacon = scope.beacon if scope is not None else None
     if beacon is not None:
         beacon.beat(site)

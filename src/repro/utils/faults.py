@@ -16,7 +16,8 @@ Fault actions:
     ``times=N`` the fault disarms after N triggers, modelling a transient
     failure that retries can ride out.
 ``hang``
-    Sleep for ``seconds`` — used to exercise trial deadlines.
+    Sleep for ``seconds``, or until the trial is cancelled — used to
+    exercise trial deadlines and heartbeat detection.
 ``kill``
     Raise :class:`InjectedKill`, which derives from ``BaseException`` (like
     ``KeyboardInterrupt``), simulating an operator interrupt or OOM kill.
@@ -78,13 +79,13 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from ..errors import ConfigError
+from . import cancellation
 
 __all__ = [
     "FaultSpec",
@@ -108,6 +109,9 @@ _PERTURB_ACTIONS = ("throw", "hang", "kill", "oom", "oomkill", "sigterm")
 _CORRUPT_ACTIONS = ("nan",)
 _DAMAGE_ACTIONS = ("bitflip",)
 _EXHAUST_ACTIONS = ("disk_full",)
+
+# How often a ``hang`` checks whether its trial was cancelled.
+_HANG_POLL_SECONDS = 0.05
 _ACTIONS = _PERTURB_ACTIONS + _CORRUPT_ACTIONS + _DAMAGE_ACTIONS + _EXHAUST_ACTIONS
 
 
@@ -189,7 +193,6 @@ class FaultInjector:
         self.specs = list(specs)
         self.events: list[FaultEvent] = []
         self._counters: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -247,37 +250,34 @@ class FaultInjector:
         the worker's injector with it, so trial-index accounting survives
         process boundaries.
         """
-        with self._lock:
-            for site, index in counters.items():
-                self._counters[site] = int(index)
+        for site, index in counters.items():
+            self._counters[site] = int(index)
 
     # -- triggering -----------------------------------------------------
     def _next_index(self, site: str) -> int:
-        with self._lock:
-            index = self._counters.get(site, 0)
-            self._counters[site] = index + 1
-            return index
+        index = self._counters.get(site, 0)
+        self._counters[site] = index + 1
+        return index
 
     def _trigger(
         self, site: str, context: dict, actions: tuple[str, ...]
     ) -> Optional[FaultSpec]:
         index = self._next_index(site)
-        with self._lock:
-            for spec in self.specs:
-                if spec.site != site or spec.action not in actions:
-                    continue
-                if not spec.matches(index, context):
-                    continue
-                spec.fired += 1
-                self.events.append(
-                    FaultEvent(
-                        site=site,
-                        action=spec.action,
-                        index=index,
-                        context=tuple(sorted((k, str(v)) for k, v in context.items())),
-                    )
+        for spec in self.specs:
+            if spec.site != site or spec.action not in actions:
+                continue
+            if not spec.matches(index, context):
+                continue
+            spec.fired += 1
+            self.events.append(
+                FaultEvent(
+                    site=site,
+                    action=spec.action,
+                    index=index,
+                    context=tuple(sorted((k, str(v)) for k, v in context.items())),
                 )
-                return spec
+            )
+            return spec
         return None
 
     def perturb(self, site: str, **context) -> None:
@@ -301,7 +301,7 @@ class FaultInjector:
             # cancellation poll site turns that into a snapshot + exit.
             os.kill(os.getpid(), signal.SIGTERM)
             return
-        time.sleep(spec.seconds)
+        _hang(spec.seconds)
 
     def corrupt(self, site: str, value: float, **context) -> float:
         """Return ``nan`` instead of ``value`` if a nan rule matches."""
@@ -327,6 +327,25 @@ class FaultInjector:
         disk would, deterministically.
         """
         return self._trigger(site, context, _EXHAUST_ACTIONS) is not None
+
+
+def _hang(seconds: float) -> None:
+    """Sleep up to ``seconds``; return early once the trial is cancelled.
+
+    Polls the ambient token (with its parent chain) and the shutdown token
+    directly, not through :func:`~repro.utils.cancellation.checkpoint`, so
+    a hang never beats the heartbeat beacon.  It returns rather than
+    raises: the trial's next poll site writes the final snapshot.
+    """
+    token = cancellation.current_token()
+    end = time.monotonic() + seconds
+    while not (
+        cancellation.shutdown_requested() or (token is not None and token.cancelled)
+    ):
+        left = end - time.monotonic()
+        if left <= 0:
+            return
+        time.sleep(min(left, _HANG_POLL_SECONDS))
 
 
 # ---------------------------------------------------------------------------

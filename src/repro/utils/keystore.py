@@ -25,10 +25,8 @@ Memory pressure integrates through :mod:`repro.utils.resources`: install a
 :func:`evict_fraction` and the caches shrink *before* the kernel's OOM
 killer gets a vote.
 
-Thread-safety: one module-level lock covers every store (operations are
-dict moves and counter bumps — contention is irrelevant next to the
-matmuls being cached), which makes cross-store global eviction trivially
-deadlock-free.
+The stores take no lock: the library starts no threads, and every
+trial runs in the thread that calls it.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-import threading
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -58,7 +55,6 @@ __all__ = [
 
 CACHE_BYTES_ENV_VAR = "REPRO_CACHE_BYTES"
 
-_lock = threading.RLock()
 _tick = itertools.count(1)
 _stores: "list[weakref.ref[KeyedArtifactStore]]" = []
 _budget_bytes: Optional[int] = None
@@ -160,21 +156,19 @@ class KeyedArtifactStore:
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._stats = StoreStats()
         self.total_bytes = 0
-        with _lock:
-            _stores.append(weakref.ref(self))
+        _stores.append(weakref.ref(self))
 
     # ------------------------------------------------------------------
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value, else ``default``."""
-        with _lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._stats.misses += 1
-                return default
-            entry.tick = next(_tick)
-            self._entries.move_to_end(key)
-            self._stats.hits += 1
-            return entry.value
+        entry = self._entries.get(key)
+        if entry is None:
+            self._stats.misses += 1
+            return default
+        entry.tick = next(_tick)
+        self._entries.move_to_end(key)
+        self._stats.hits += 1
+        return entry.value
 
     def put(
         self,
@@ -185,16 +179,15 @@ class KeyedArtifactStore:
     ) -> Any:
         """Insert (or refresh) ``key`` and enforce every byte ceiling."""
         size = int(nbytes) if nbytes is not None else estimate_nbytes(value)
-        with _lock:
-            previous = self._entries.pop(key, None)
-            if previous is not None:
-                self.total_bytes -= previous.nbytes
-            self._entries[key] = _Entry(
-                value=value, nbytes=size, tick=next(_tick), pinned=pinned
-            )
-            self.total_bytes += size
-            self._enforce_local()
-            _enforce_global()
+        previous = self._entries.pop(key, None)
+        if previous is not None:
+            self.total_bytes -= previous.nbytes
+        self._entries[key] = _Entry(
+            value=value, nbytes=size, tick=next(_tick), pinned=pinned
+        )
+        self.total_bytes += size
+        self._enforce_local()
+        _enforce_global()
         return value
 
     def resize(
@@ -203,62 +196,54 @@ class KeyedArtifactStore:
         max_entries: Any = ...,
     ) -> None:
         """Change a ceiling (``None`` lifts it) and enforce it immediately."""
-        with _lock:
-            if capacity_bytes is not ...:
-                if capacity_bytes is not None and capacity_bytes < 0:
-                    raise ConfigError(
-                        f"capacity_bytes must be >= 0, got {capacity_bytes}"
-                    )
-                self.capacity_bytes = capacity_bytes
-            if max_entries is not ...:
-                if max_entries is not None and max_entries < 1:
-                    raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
-                self.max_entries = max_entries
-            self._enforce_local()
-            _enforce_global()
+        if capacity_bytes is not ...:
+            if capacity_bytes is not None and capacity_bytes < 0:
+                raise ConfigError(
+                    f"capacity_bytes must be >= 0, got {capacity_bytes}"
+                )
+            self.capacity_bytes = capacity_bytes
+        if max_entries is not ...:
+            if max_entries is not None and max_entries < 1:
+                raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
+            self.max_entries = max_entries
+        self._enforce_local()
+        _enforce_global()
 
     def unpin(self, key: Hashable) -> None:
         """Make a previously pinned entry evictable (e.g. once a disk copy
         of the payload exists)."""
-        with _lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                entry.pinned = False
+        entry = self._entries.get(key)
+        if entry is not None:
+            entry.pinned = False
 
     def discard(self, key: Hashable) -> None:
         """Drop ``key`` if present."""
-        with _lock:
-            entry = self._entries.pop(key, None)
-            if entry is not None:
-                self.total_bytes -= entry.nbytes
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self.total_bytes -= entry.nbytes
 
     def clear(self) -> None:
         """Drop every entry; reset the counters."""
-        with _lock:
-            self._entries.clear()
-            self.total_bytes = 0
-            self._stats = StoreStats()
+        self._entries.clear()
+        self.total_bytes = 0
+        self._stats = StoreStats()
 
     def __len__(self) -> int:
-        with _lock:
-            return len(self._entries)
+        return len(self._entries)
 
     def __contains__(self, key: Hashable) -> bool:
-        with _lock:
-            return key in self._entries
+        return key in self._entries
 
     def keys(self) -> list:
-        with _lock:
-            return list(self._entries)
+        return list(self._entries)
 
     def stats(self) -> dict:
-        with _lock:
-            stats = self._stats.as_dict()
-            stats["entries"] = len(self._entries)
-            stats["bytes"] = self.total_bytes
-            stats["capacity_bytes"] = self.capacity_bytes
-            stats["max_entries"] = self.max_entries
-            return stats
+        stats = self._stats.as_dict()
+        stats["entries"] = len(self._entries)
+        stats["bytes"] = self.total_bytes
+        stats["capacity_bytes"] = self.capacity_bytes
+        stats["max_entries"] = self.max_entries
+        return stats
 
     # ------------------------------------------------------------------
     def _lru_evictable(self) -> Optional[Hashable]:
@@ -358,22 +343,19 @@ def set_cache_bytes(total: Optional[int]) -> None:
     global _budget_bytes, _budget_from_env
     if total is not None and total < 0:
         raise ConfigError(f"cache byte budget must be >= 0, got {total}")
-    with _lock:
-        _budget_bytes = int(total) if total is not None else None
-        _budget_from_env = True  # explicit call overrides the env default
-        _enforce_global()
+    _budget_bytes = int(total) if total is not None else None
+    _budget_from_env = True  # explicit call overrides the env default
+    _enforce_global()
 
 
 def cache_bytes_budget() -> Optional[int]:
     """The shared byte budget (``None`` = unlimited)."""
-    with _lock:
-        return _resolved_budget()
+    return _resolved_budget()
 
 
 def total_cache_bytes() -> int:
     """Bytes currently held across every registered store."""
-    with _lock:
-        return sum(store.total_bytes for store in _live_stores())
+    return sum(store.total_bytes for store in _live_stores())
 
 
 def evict_fraction(fraction: float = 0.5) -> int:
@@ -383,22 +365,20 @@ def evict_fraction(fraction: float = 0.5) -> int:
     """
     if not 0.0 < fraction <= 1.0:
         raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
-    with _lock:
-        stores = _live_stores()
-        before = sum(s.total_bytes for s in stores)
-        _evict_down_to(stores, int(before * (1.0 - fraction)))
-        return before - sum(s.total_bytes for s in stores)
+    stores = _live_stores()
+    before = sum(s.total_bytes for s in stores)
+    _evict_down_to(stores, int(before * (1.0 - fraction)))
+    return before - sum(s.total_bytes for s in stores)
 
 
 def cache_report() -> dict:
     """Per-store stats plus the shared totals (for tests and diagnostics)."""
-    with _lock:
-        stores = {store.name: store.stats() for store in _live_stores()}
-        return {
-            "budget_bytes": _resolved_budget(),
-            "total_bytes": sum(s["bytes"] for s in stores.values()),
-            "stores": stores,
-        }
+    stores = {store.name: store.stats() for store in _live_stores()}
+    return {
+        "budget_bytes": _resolved_budget(),
+        "total_bytes": sum(s["bytes"] for s in stores.values()),
+        "stores": stores,
+    }
 
 
 def clear_all_stores() -> None:

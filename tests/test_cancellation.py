@@ -9,14 +9,18 @@ the integration with attackers/trainers lives in ``test_preemption.py``.
 from __future__ import annotations
 
 import json
-import threading
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro import io
 from repro.errors import IntegrityWarning
-from repro.utils import cancellation, snapshots
+from repro.utils import cancellation, faults, snapshots
 from repro.utils.cancellation import (
     CAUSE_DEADLINE,
     CAUSE_KILL,
@@ -31,7 +35,10 @@ from repro.utils.cancellation import (
     shutdown_requested,
     trial_scope,
 )
+from repro.utils.faults import FaultInjector, FaultSpec
 from repro.utils.snapshots import TrialSnapshotter
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def counting_clock(step=1.0, start=0.0):
@@ -126,6 +133,41 @@ class TestShutdownFlag:
     def test_checkpoint_without_scope_is_cheap_noop(self):
         checkpoint("free-running")  # no scope, no shutdown: returns
 
+    def test_signal_handler_cancels_token_mid_poll(self):
+        # A SIGTERM can land while a poll is evaluating a token's cause, and
+        # the handler then cancels that same token.  The token's clock
+        # raises the signal on its second call (the first is __init__), so
+        # the handler runs inside ``token.cause``.  A token that locks its
+        # state hangs here until the timeout kills the child.
+        script = textwrap.dedent(
+            """
+            import os, signal
+            from repro.utils.cancellation import CAUSE_SHUTDOWN, CancelToken
+
+            calls = []
+
+            def clock():
+                calls.append(None)
+                if len(calls) == 2:
+                    os.kill(os.getpid(), signal.SIGTERM)
+                return 0.0
+
+            token = CancelToken(deadline_seconds=60.0, clock=clock)
+            signal.signal(
+                signal.SIGTERM,
+                lambda signum, frame: token.cancel(CAUSE_SHUTDOWN, "SIGTERM"),
+            )
+            print(token.cause)
+            """
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == CAUSE_SHUTDOWN
+
 
 class TestScopes:
     def test_checkpoint_polls_scope_token(self):
@@ -151,37 +193,35 @@ class TestScopes:
                 assert cancellation.current_token() is inner
                 assert cancellation.current_sink() is sink
 
-    def test_scope_is_thread_local(self):
-        token = CancelToken()
-        seen = {}
 
-        def other_thread():
-            seen["token"] = cancellation.current_token()
+class TestHangFault:
+    """A ``hang`` fault returns as soon as its trial is cancelled, without
+    a heartbeat: it must still look hung to the heartbeat monitor."""
 
-        with trial_scope(token=token):
-            worker = threading.Thread(target=other_thread)
-            worker.start()
-            worker.join()
-        assert seen["token"] is None
+    HANG = [FaultSpec(site="slow", action="hang", seconds=30.0)]
 
-    def test_explicit_inherit_carries_scope_across_threads(self, tmp_path):
-        # The supervisor hands its captured scope to the trial thread.
-        sink = TrialSnapshotter(tmp_path / "snap.npz")
-        token = CancelToken()
-        seen = {}
-        with trial_scope(token=token, sink=sink):
-            captured = cancellation.current_scope()
+    @pytest.fixture(autouse=True)
+    def no_sleep(self, monkeypatch):
+        # Already cancelled, the hang must return before its first sleep.
+        def sleep(seconds):
+            raise AssertionError(f"hang slept {seconds}s after cancellation")
 
-        def worker_body():
-            with trial_scope(inherit=captured):
-                seen["token"] = cancellation.current_token()
-                seen["sink"] = cancellation.current_sink()
+        monkeypatch.setattr(faults.time, "sleep", sleep)
 
-        worker = threading.Thread(target=worker_body)
-        worker.start()
-        worker.join()
-        assert seen["token"] is token
-        assert seen["sink"] is sink
+    def test_cancelled_ambient_token_cuts_the_hang(self, tmp_path):
+        parent = CancelToken()
+        parent.cancel(CAUSE_KILL, "stop")
+        beacon = Beacon(tmp_path / "beacon.json", task_index=0)
+        with trial_scope(token=CancelToken(parent=parent), beacon=beacon):
+            FaultInjector(self.HANG).perturb("slow")
+        assert not (tmp_path / "beacon.json").exists()
+
+    def test_shutdown_request_cuts_the_hang(self, tmp_path):
+        request_shutdown("operator")
+        beacon = Beacon(tmp_path / "beacon.json", task_index=0)
+        with trial_scope(beacon=beacon):
+            FaultInjector(self.HANG).perturb("slow")
+        assert not (tmp_path / "beacon.json").exists()
 
 
 class TestBeacon:

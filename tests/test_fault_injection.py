@@ -215,32 +215,6 @@ class TestTrialSupervisor:
         assert excinfo.value.key == key
         assert excinfo.value.attempts == 1
 
-    def test_abandoned_thread_cannot_poison_grad_mode(self):
-        # A deadlined worker is abandoned mid-trial; if it later enters
-        # no_grad(), that must not disable tracing for the main thread
-        # (grad mode is thread-local — regression for a global-flag race).
-        import threading
-
-        from repro.tensor import Tensor, is_grad_enabled, no_grad
-
-        entered = threading.Event()
-        release = threading.Event()
-
-        def worker():
-            with no_grad():
-                entered.set()
-                release.wait(5.0)
-
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        assert entered.wait(5.0)
-        try:
-            assert is_grad_enabled()
-            assert Tensor([1.0], requires_grad=True).requires_grad
-        finally:
-            release.set()
-            thread.join(5.0)
-
     def test_kill_propagates_uncaught(self):
         supervisor = TrialSupervisor(TrialPolicy(max_attempts=3), sleep=lambda _: None)
 
