@@ -184,8 +184,8 @@ class _BlockCoordinateAttacker(Attacker):
         The shrink is deterministic given the failure point (no clocks, no
         sampling), so an injected ``rbcd:oom`` fault reproduces the exact
         degraded flip sequence.  Returns False once the block cannot shrink
-        below a single pair, at which point the error must propagate to the
-        supervisor's process-level ladder.
+        below a single pair, at which point the error propagates to the
+        trial supervisor, which retries the trial as configured.
         """
         if self._active_block <= 1:
             return False

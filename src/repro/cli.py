@@ -130,9 +130,9 @@ def _add_resource_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="BYTES",
         help="soft RSS ceiling per process, e.g. 8G or 500M (default: "
-        "unlimited); crossing it raises a structured ResourceError that the "
-        "retry ladder turns into a degraded re-run; also settable via "
-        f"${MEMORY_BUDGET_ENV_VAR}",
+        "unlimited); crossing it raises a structured ResourceError: a sweep "
+        "retries the trial as configured, attack and defend exit 2; also "
+        f"settable via ${MEMORY_BUDGET_ENV_VAR}",
     )
     parser.add_argument(
         "--cache-bytes",

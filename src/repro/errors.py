@@ -35,9 +35,9 @@ class CapacityWarning(ReproWarning):
 
 
 class DegradedWarning(ReproWarning):
-    """Work was retried at a reduced resource footprint (fewer BLAS
-    threads, smaller candidate blocks, autodiff fallback) after a
-    resource-exhaustion failure."""
+    """Work survived a resource failure: a block attacker halved its
+    candidate block after a ``MemoryError``, or a sweep requeued a trial
+    whose pool worker died or stalled."""
 
 
 class ShapeError(ReproError, ValueError):

@@ -69,12 +69,7 @@ from ..graph import Graph
 from ..utils import cancellation, faults
 from ..utils.snapshots import TrialSnapshotter
 from ..utils.blas import cpu_count, limit_blas_threads, plan_worker_threads
-from ..utils.resources import (
-    MAX_DEGRADE_LEVEL,
-    budget_from_env,
-    degraded_footprint,
-    install_budget,
-)
+from ..utils.resources import budget_from_env, install_budget
 from .config import make_attacker, make_defender
 from .supervisor import (
     RESEED_STRIDE,
@@ -100,6 +95,10 @@ __all__ = [
 ]
 
 CLEAN_ROW = "Clean"
+
+# A trial whose pool worker dies more often than this becomes a structured
+# failure instead of an endless kill loop.
+_MAX_WORKER_DEATHS = 3
 
 
 # ---------------------------------------------------------------------------
@@ -394,11 +393,10 @@ def _worker_graph(ref: tuple) -> Graph:
 class _TaskPayload:
     """Everything a worker needs to run one trial, picklable.
 
-    ``degrade`` is the degradation-ladder rung the trial runs under (0 =
-    full footprint; raised by the parent each time a pool worker running
-    this trial died).  ``prior_kills`` counts those deaths: the replacement
-    worker pre-fires its ``oomkill`` fault specs by that amount so a
-    bounded kill rule does not re-fire forever on the requeued trial.
+    ``prior_kills`` counts the pool workers that died running this trial:
+    the replacement worker pre-fires its worker-lethal fault specs by that
+    amount so a bounded kill rule does not re-fire forever on the requeued
+    trial.
     """
 
     kind: str
@@ -408,7 +406,6 @@ class _TaskPayload:
     fault_specs: tuple[faults.FaultSpec, ...]
     site_ordinal: int
     validate: str = "strict"
-    degrade: int = 0
     prior_kills: int = 0
     # Preemption plumbing (see repro.utils.cancellation / .snapshots).
     # ``prior_kills`` doubles as the heartbeat incarnation: the parent only
@@ -482,15 +479,14 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
         if payload.snapshot_path is not None
         else None
     )
-    token = cancellation.CancelToken(name=f"worker-{key.label()}")
     try:
-        with cancellation.trial_scope(token=token, beacon=beacon, sink=sink):
+        with cancellation.trial_scope(beacon=beacon, sink=sink):
             if beacon is not None:
                 beacon.beat("dispatch")
-            with degraded_footprint(payload.degrade), faults.active(injector):
+            with faults.active(injector):
                 outcome = supervisor.run(key, trial)
     except cancellation.CancelledError as error:
-        if error.cause in (cancellation.CAUSE_SHUTDOWN, cancellation.CAUSE_KILL):
+        if error.cause == cancellation.CAUSE_SHUTDOWN:
             # Parent-initiated termination (SIGTERM handler above): the
             # final snapshot is on disk, exit with the conventional
             # 128+SIGTERM code.  The broken pool surfaces in the parent,
@@ -536,14 +532,12 @@ class ParallelTrialExecutor:
     ``BaseException`` from a trial (injected kill, operator interrupt)
     drains the pool, if any, and propagates.
 
-    Worker *death* (kernel OOM kill, segfault, injected ``oomkill``) is
-    not fatal: the scheduler salvages every future that finished before
-    the pool broke, rebuilds the pool, and requeues the dead trials one
-    rung down the degradation ladder (fewer BLAS threads, smaller
-    candidate block, autodiff engine — see
-    :data:`repro.utils.resources.DEGRADATION_LADDER`).  A trial whose
-    workers die past the bottom of the ladder becomes a structured
-    :class:`TrialFailure` instead of an endless kill loop.
+    Worker *death* (kernel OOM kill, segfault, injected ``oomkill``, a
+    heartbeat-stall termination) is not fatal: the scheduler salvages
+    every future that finished before the pool broke, rebuilds the pool,
+    and requeues the dead trials unchanged.  A trial whose workers die
+    more than three times becomes a structured :class:`TrialFailure`
+    instead of an endless kill loop.
     """
 
     def __init__(
@@ -572,9 +566,9 @@ class ParallelTrialExecutor:
         # Liveness monitoring (None = disabled): workers beat a per-task
         # beacon file at every poll site; a worker whose beacon stalls for
         # 2x the interval is terminated (SIGTERM, grace, SIGKILL) and its
-        # trial requeued through the degradation path.  The contract is
-        # that trial code visits a poll site at least once per interval
-        # during normal operation — choose the interval accordingly.
+        # trial requeued.  The contract is that trial code visits a poll
+        # site at least once per interval during normal operation — choose
+        # the interval accordingly.
         self.heartbeat_interval = (
             float(heartbeat_interval) if heartbeat_interval is not None else None
         )
@@ -643,10 +637,11 @@ class ParallelTrialExecutor:
         inflight: dict[Future, TrialTask] = {}
         # Tasks waiting (or re-waiting, after a pool rebuild) for dispatch.
         pending: list[TrialTask] = []
-        # Degradation state per task index: how many pool workers died while
-        # running the trial, and which ladder rung its next dispatch uses.
+        # How many pool workers died running each trial (by task index), and
+        # how long the beacon of each worker the heartbeat monitor killed
+        # had stalled.
         kill_counts: dict[int, int] = {}
-        degrade_levels: dict[int, int] = {}
+        stalls: dict[int, float] = {}
         # Heartbeat state: per-task beacon progress as observed by *this*
         # process's clock — (beat count, monotonic time it was first seen).
         # No cross-process clock comparison is ever made.
@@ -736,7 +731,6 @@ class ParallelTrialExecutor:
                 fault_specs=fault_specs,
                 site_ordinal=task.site_ordinal,
                 validate=runner.validate,
-                degrade=degrade_levels.get(task.index, 0),
                 prior_kills=kill_counts.get(task.index, 0),
                 task_index=task.index,
                 snapshot_path=snapshot_path(task.key),
@@ -793,15 +787,17 @@ class ParallelTrialExecutor:
                 cells.offer(task, outcome)
 
         def recover(broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
-            """Rebuild the pool after a worker death (kernel OOM kill,
-            segfault, injected ``oomkill``) and requeue the in-flight trials
-            one rung down the degradation ladder.
+            """Rebuild the pool after a worker death and requeue the
+            in-flight trials as they were.
 
             Futures that finished before the pool broke are salvaged and
             merged normally — only trials with no result are re-dispatched.
-            A trial whose workers keep dying past the bottom of the ladder
-            becomes a structured infrastructure failure instead of an
-            endless kill loop.
+            Each requeue names its cause: a heartbeat stall for the workers
+            :func:`scan_beacons` terminated, a death (kernel OOM kill,
+            segfault, injected ``oomkill``, or a sibling's death breaking
+            the pool) for the rest.  A trial whose workers die more than
+            ``_MAX_WORKER_DEATHS`` times becomes a structured
+            infrastructure failure instead of an endless kill loop.
             """
             salvaged: list[tuple[TrialTask, _WorkerResult]] = []
             victims: list[TrialTask] = []
@@ -825,28 +821,20 @@ class ParallelTrialExecutor:
                 process(pool, task, result)
             for task in victims:
                 progress.pop(task.index, None)
-                kill_counts[task.index] = kill_counts.get(task.index, 0) + 1
-                degrade_levels[task.index] = min(
-                    degrade_levels.get(task.index, 0) + 1, MAX_DEGRADE_LEVEL
-                )
-                if kill_counts[task.index] > MAX_DEGRADE_LEVEL:
-                    process(
-                        pool,
-                        task,
-                        _infrastructure_failure(
-                            task,
-                            RuntimeError(
-                                f"pool worker died {kill_counts[task.index]} "
-                                f"times running {task.key.label()}; "
-                                "degradation ladder exhausted"
-                            ),
-                        ),
+                stalled = stalls.pop(task.index, None)
+                deaths = kill_counts[task.index] = kill_counts.get(task.index, 0) + 1
+                if deaths > _MAX_WORKER_DEATHS:
+                    error = RuntimeError(
+                        f"pool worker died {deaths} times running {task.key.label()}"
                     )
+                    process(pool, task, _infrastructure_failure(task, error))
                     continue
+                if stalled is None:
+                    cause = "pool worker died"
+                else:
+                    cause = f"worker terminated after a heartbeat stall ({stalled:.1f}s)"
                 warnings.warn(
-                    f"{task.key.label()}: pool worker died (OOM kill or "
-                    f"crash); requeued at degradation level "
-                    f"{degrade_levels[task.index]}",
+                    f"{task.key.label()}: {cause}; requeued",
                     DegradedWarning,
                     stacklevel=3,
                 )
@@ -878,18 +866,12 @@ class ParallelTrialExecutor:
                     progress[task.index] = (count, now)
                     continue
                 if now - seen[1] > 2.0 * self.heartbeat_interval:
-                    warnings.warn(
-                        f"{task.key.label()}: worker heartbeat stalled for "
-                        f"{now - seen[1]:.2f}s (> 2x {self.heartbeat_interval:g}s "
-                        "interval); terminating the worker and requeuing",
-                        DegradedWarning,
-                        stacklevel=3,
-                    )
+                    stalls[task.index] = now - seen[1]
                     progress.pop(task.index, None)
                     _terminate_pid(int(record.get("pid", 0)), self.kill_grace_seconds)
                     # The dead worker breaks the pool; the scheduler loop's
                     # BrokenProcessPool handler requeues this trial through
-                    # recover()'s degradation path.
+                    # recover(), which names the stall.
 
         def terminate_workers(pool: ProcessPoolExecutor) -> None:
             """SIGTERM every live pool worker (cooperative: they snapshot

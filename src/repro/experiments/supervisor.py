@@ -43,11 +43,9 @@ from ..attacks.base import AttackResult
 from ..errors import (
     ConfigError,
     DeadlineError,
-    DegradedWarning,
     GraphError,
     IntegrityWarning,
     ResourceError,
-    TrialError,
 )
 from ..io import (
     SerializationError,
@@ -57,12 +55,7 @@ from ..io import (
 )
 from ..utils import cancellation, faults
 from ..utils.keystore import estimate_nbytes
-from ..utils.resources import (
-    MAX_DEGRADE_LEVEL,
-    degraded_footprint,
-    require_free_disk,
-    with_disk_retry,
-)
+from ..utils.resources import require_free_disk, with_disk_retry
 
 __all__ = [
     "RESEED_STRIDE",
@@ -82,7 +75,13 @@ RESEED_STRIDE = 1_000_003
 
 
 def _memory_exhaustion(error: BaseException) -> bool:
-    """Does ``error`` mean the attempt ran out of memory (ladder-retriable)?"""
+    """Does ``error`` mean the attempt ran out of memory?
+
+    Such an attempt, like a deadline-cut one, was interrupted rather than
+    wrong: it keeps its snapshot for the retry to resume from.  Unlike a
+    deadline trip, it also keeps its seeds — the retry repeats the same
+    attempt number — so a trial that survives memory pressure reports the
+    value an unpressured run computes."""
     if isinstance(error, MemoryError):
         return True
     return isinstance(error, ResourceError) and error.resource == "memory"
@@ -218,7 +217,8 @@ class TrialSupervisor:
 
     The callable receives the (0-based) attempt number so callers can
     reseed per attempt — a diverging initialization should not be retried
-    verbatim.  ``sleep`` is injectable so tests can run backoff instantly.
+    verbatim, while a memory-exhausted attempt is repeated under its own
+    number.  ``sleep`` is injectable so tests can run backoff instantly.
     """
 
     def __init__(
@@ -242,22 +242,15 @@ class TrialSupervisor:
         started = time.perf_counter()
         last_error: Optional[BaseException] = None
         last_tb = ""
-        degrade = 0
         sink = cancellation.current_sink()
+        ordinal = 0
         for attempt in range(self.policy.max_attempts):
             # When a mid-trial snapshot exists, run under the attempt it
             # was written for so the resumed trial re-derives the same
             # seeds and splices onto its own trajectory.
-            run_attempt = (
-                sink.start_attempt(attempt) if sink is not None else attempt
-            )
+            run_attempt = sink.start_attempt(ordinal) if sink is not None else ordinal
             try:
-                # Level 0 is a no-op; after a memory-exhausted attempt the
-                # retry runs one rung down the degradation ladder (fewer
-                # BLAS threads, smaller candidate block, autodiff engine)
-                # instead of repeating the same allocation verbatim.
-                with degraded_footprint(degrade):
-                    value = self._attempt(key, fn, run_attempt)
+                value = self._attempt(key, fn, run_attempt)
                 if sink is not None:
                     sink.discard()
                 return TrialOutcome(
@@ -269,24 +262,15 @@ class TrialSupervisor:
             except Exception as error:  # noqa: BLE001 — supervision boundary
                 last_error = error
                 last_tb = traceback.format_exc()
-                if _memory_exhaustion(error) and degrade < MAX_DEGRADE_LEVEL:
-                    degrade += 1
-                    warnings.warn(
-                        f"{key.label()}: attempt {attempt + 1} exhausted "
-                        f"memory ({error}); retrying at degradation level "
-                        f"{degrade}",
-                        DegradedWarning,
-                        stacklevel=2,
-                    )
                 # Deadline trips and memory exhaustion are *interruptions*:
                 # the snapshot lets the retry resume mid-trial instead of
                 # restarting.  Any other failure reseeds, so stale state
                 # from the failed trajectory must not leak into it.
-                resumable = isinstance(error, DeadlineError) or _memory_exhaustion(
-                    error
-                )
-                if sink is not None and not resumable:
+                memory = _memory_exhaustion(error)
+                interrupted = memory or isinstance(error, DeadlineError)
+                if sink is not None and not interrupted:
                     sink.discard()
+                ordinal = run_attempt if memory else attempt + 1
                 if attempt + 1 < self.policy.max_attempts:
                     self._sleep(self.policy.backoff_for(attempt + 1))
 
@@ -306,18 +290,6 @@ class TrialSupervisor:
             elapsed_seconds=failure.elapsed_seconds,
         )
 
-    def run_or_raise(self, key: TrialKey, fn: Callable[[int], Any]) -> Any:
-        """Like :meth:`run` but raises :class:`TrialError` on failure."""
-        outcome = self.run(key, fn)
-        if outcome.failure is not None:
-            raise TrialError(
-                outcome.failure.summary(),
-                key=key,
-                attempts=outcome.failure.attempts,
-                elapsed_seconds=outcome.failure.elapsed_seconds,
-            )
-        return outcome.value
-
     # ------------------------------------------------------------------
     def _attempt(self, key: TrialKey, fn: Callable[[int], Any], attempt: int) -> Any:
         deadline = self.policy.deadline_seconds
@@ -325,9 +297,9 @@ class TrialSupervisor:
             return fn(attempt)
 
         # Cooperative deadline, in this thread: the attempt runs under a
-        # child of the ambient token (any outer shutdown or worker token)
-        # that carries the deadline.  Poll sites inside the trial observe
-        # expiry, write a final snapshot, and raise.  A value computed past
+        # child of the ambient token (if any) that carries the deadline.
+        # Poll sites inside the trial observe expiry, write a final
+        # snapshot, and raise.  A value computed past
         # the deadline is discarded: the deadline beats a lucky late finish.
         token = cancellation.CancelToken(
             deadline_seconds=deadline,

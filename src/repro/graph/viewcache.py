@@ -9,10 +9,10 @@ memoizes ``A_n^k X``: keyed purely by *content fingerprint* (blake2b of the
 underlying arrays), so a mutated feature matrix or adjacency can never hit
 a stale entry — mutation changes the key, which IS the invalidation.
 
-The cache is deliberately ambient (module-level, thread-safe):
+The cache is deliberately ambient (module-level, no lock — trials run one
+at a time, in the thread that calls them):
 
-* the serial executor and the trial supervisor's worker threads share one
-  cache inside the parent process;
+* every in-process trial of a ``--jobs 1`` sweep shares one cache;
 * each ``--jobs N`` pool worker owns a private copy in its own process and
   warms it with its first trial — no cross-process plumbing needed, and
   because every entry is content-addressed and every build deterministic,
@@ -27,13 +27,11 @@ propagation memo and the runner's poison cache.
 
 Entries are returned as *copies* so callers can mutate their operator (GNAT
 normalizes views in place of fresh objects) without poisoning the cache.
-Set ``REPRO_VIEW_CACHE=0`` to disable caching entirely.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 from typing import Callable
 
 import numpy as np
@@ -47,16 +45,11 @@ __all__ = [
     "csr_fingerprint",
     "view_cache_stats",
     "clear_view_cache",
-    "set_view_cache_capacity",
 ]
 
 _DEFAULT_CAPACITY = 32
 
 _store = KeyedArtifactStore("view-operators", max_entries=_DEFAULT_CAPACITY)
-
-
-def _enabled() -> bool:
-    return os.environ.get("REPRO_VIEW_CACHE", "1") != "0"
 
 
 def array_fingerprint(array: np.ndarray) -> tuple:
@@ -85,8 +78,6 @@ def cached_operator(
     ``build`` must be deterministic in the fingerprinted inputs; the result
     is stored once and copied out on every hit, so callers own their matrix.
     """
-    if not _enabled():
-        return build().tocsr()
     key = (kind, fingerprint)
     cached = _store.get(key)
     if cached is not None:
@@ -113,9 +104,3 @@ def clear_view_cache() -> None:
     """Drop every entry and reset the counters (used by tests/benchmarks)."""
     _store.clear()
 
-
-def set_view_cache_capacity(capacity: int) -> None:
-    """Bound the number of cached operators (LRU eviction beyond it)."""
-    if capacity < 1:
-        raise ValueError(f"capacity must be >= 1, got {capacity}")
-    _store.resize(max_entries=int(capacity))

@@ -8,7 +8,6 @@ from .keystore import KeyedArtifactStore, estimate_nbytes, set_cache_bytes
 from .resources import (
     MemoryBudget,
     budget_check,
-    degraded_footprint,
     free_disk_bytes,
     parse_bytes,
     require_free_disk,
@@ -38,7 +37,6 @@ __all__ = [
     "resources",
     "MemoryBudget",
     "budget_check",
-    "degraded_footprint",
     "free_disk_bytes",
     "parse_bytes",
     "require_free_disk",

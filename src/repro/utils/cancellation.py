@@ -29,8 +29,8 @@ uninstalled path is a couple of attribute reads.
 ``KeyboardInterrupt`` and the fault injector's ``InjectedKill``) so a
 trial's ordinary ``except Exception`` recovery blocks can never absorb a
 cancellation.  The supervisor converts ``cause="deadline"`` into its
-retriable :class:`~repro.errors.DeadlineError` flow; ``"shutdown"`` and
-``"kill"`` propagate and abort.
+retriable :class:`~repro.errors.DeadlineError` flow; ``"shutdown"``
+propagates and aborts.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Callable, Iterator, Optional
 __all__ = [
     "CAUSE_DEADLINE",
     "CAUSE_SHUTDOWN",
-    "CAUSE_KILL",
     "CancelledError",
     "CancelToken",
     "Beacon",
@@ -61,18 +60,16 @@ __all__ = [
 #: Structured cancellation causes carried by :class:`CancelledError`.
 CAUSE_DEADLINE = "deadline"
 CAUSE_SHUTDOWN = "shutdown"
-CAUSE_KILL = "kill"
 
-_CAUSES = (CAUSE_DEADLINE, CAUSE_SHUTDOWN, CAUSE_KILL)
+_CAUSES = (CAUSE_DEADLINE, CAUSE_SHUTDOWN)
 
 
 class CancelledError(BaseException):
     """A trial observed a cancelled token at a poll site.
 
-    ``cause`` is one of :data:`CAUSE_DEADLINE` (the token's deadline
-    expired), :data:`CAUSE_SHUTDOWN` (SIGINT/SIGTERM-driven process
-    shutdown), or :data:`CAUSE_KILL` (a supervisor explicitly killed the
-    trial).  ``site`` names the poll site that observed it.
+    ``cause`` is :data:`CAUSE_DEADLINE` (the token's deadline expired) or
+    :data:`CAUSE_SHUTDOWN` (SIGINT/SIGTERM-driven process shutdown).
+    ``site`` names the poll site that observed it.
     """
 
     def __init__(self, cause: str, message: str = "", site: Optional[str] = None):
@@ -89,8 +86,9 @@ class CancelToken:
     is *observed* cancelled when it was cancelled directly, when its
     deadline (measured on the monotonic clock) has expired, or when any
     token on its parent chain is cancelled — parent-linking lets a
-    supervisor hand a trial a deadline-scoped child of the process-wide
-    shutdown token, so one SIGTERM fans out to every running trial.
+    supervisor hand a trial a deadline-scoped child of the ambient token.
+    (The process-wide shutdown token needs no link: every poll site
+    observes it directly.)
 
     Tokens take no lock: the library starts no threads, and a signal
     handler that cancels a token mid-poll must never wait on the poll it
@@ -114,7 +112,7 @@ class CancelToken:
         if deadline_seconds is not None:
             self._deadline = clock() + float(deadline_seconds)
 
-    def cancel(self, cause: str = CAUSE_KILL, message: str = "") -> bool:
+    def cancel(self, cause: str, message: str = "") -> bool:
         """Cancel the token; returns True only for the winning (first) call."""
         if cause not in _CAUSES:
             raise ValueError(f"unknown cancel cause {cause!r}; choose from {_CAUSES}")
@@ -187,11 +185,6 @@ def reset_shutdown() -> None:
     """Replace the process shutdown token (tests and pool-worker re-use)."""
     global _SHUTDOWN
     _SHUTDOWN = CancelToken(name="process-shutdown")
-
-
-def shutdown_token() -> CancelToken:
-    """The current process-wide shutdown token (parent for trial tokens)."""
-    return _SHUTDOWN
 
 
 # ---------------------------------------------------------------------------

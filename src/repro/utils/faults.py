@@ -3,11 +3,11 @@
 The supervisor/retry/checkpoint machinery in :mod:`repro.experiments` only
 earns trust if its failure paths are exercised deterministically.  This
 module provides that: a :class:`FaultInjector` holds a list of
-:class:`FaultSpec` rules and is installed process-wide (via
-:func:`install` / :func:`active`).  Instrumented sites — the experiment
-runner around each attacker/defender trial and the training loop around each
-epoch's loss — call the module-level :func:`perturb` / :func:`corrupt`
-hooks, which are no-ops unless an injector is installed.
+:class:`FaultSpec` rules and is installed process-wide (via :func:`active`).
+Instrumented sites — the experiment runner around each attacker/defender
+trial and the training loop around each epoch's loss — call the
+module-level :func:`perturb` / :func:`corrupt` hooks, which are no-ops
+unless an injector is installed.
 
 Fault actions:
 
@@ -32,14 +32,14 @@ Fault actions:
     byte of the artifact it just wrote, exercising digest verification and
     quarantine-and-regenerate recovery end to end.
 ``oom``
-    Raise ``MemoryError`` — drives the degradation ladders (supervisor
-    retries at a reduced footprint, block attackers shrink their candidate
-    block) without needing to actually exhaust RAM.
+    Raise ``MemoryError`` — drives the memory-exhaustion paths (the
+    supervisor retries the attempt as configured, block attackers halve
+    their candidate block) without needing to actually exhaust RAM.
 ``oomkill``
     Call ``os._exit(137)``, the exit status the kernel OOM killer leaves
     behind.  Inside a ``--jobs`` pool worker this breaks the process pool,
-    exercising the parent's dead-worker detection and requeue ladder; in
-    the parent it models a real OOM kill of the sweep (resume covers it).
+    exercising the parent's dead-worker detection and requeue; in the
+    parent it models a real OOM kill of the sweep (resume covers it).
     ``times`` defaults to 1 so a requeued trial does not re-fire forever
     (the scheduler ships the prior kill count to the replacement worker).
 ``sigterm``
@@ -93,8 +93,6 @@ __all__ = [
     "FaultInjector",
     "InjectedFault",
     "InjectedKill",
-    "install",
-    "uninstall",
     "active",
     "current",
     "perturb",
@@ -353,18 +351,6 @@ def _hang(seconds: float) -> None:
 # (one per training epoch), so the uninstalled path is a single global read.
 
 _ACTIVE: Optional[FaultInjector] = None
-
-
-def install(injector: FaultInjector) -> None:
-    """Make ``injector`` the process-wide active injector."""
-    global _ACTIVE
-    _ACTIVE = injector
-
-
-def uninstall() -> None:
-    """Deactivate fault injection."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 def current() -> Optional[FaultInjector]:

@@ -46,8 +46,6 @@ __all__ = [
     "KeyedArtifactStore",
     "estimate_nbytes",
     "set_cache_bytes",
-    "cache_bytes_budget",
-    "total_cache_bytes",
     "evict_fraction",
     "cache_report",
     "clear_all_stores",
@@ -190,25 +188,6 @@ class KeyedArtifactStore:
         _enforce_global()
         return value
 
-    def resize(
-        self,
-        capacity_bytes: Any = ...,
-        max_entries: Any = ...,
-    ) -> None:
-        """Change a ceiling (``None`` lifts it) and enforce it immediately."""
-        if capacity_bytes is not ...:
-            if capacity_bytes is not None and capacity_bytes < 0:
-                raise ConfigError(
-                    f"capacity_bytes must be >= 0, got {capacity_bytes}"
-                )
-            self.capacity_bytes = capacity_bytes
-        if max_entries is not ...:
-            if max_entries is not None and max_entries < 1:
-                raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
-            self.max_entries = max_entries
-        self._enforce_local()
-        _enforce_global()
-
     def unpin(self, key: Hashable) -> None:
         """Make a previously pinned entry evictable (e.g. once a disk copy
         of the payload exists)."""
@@ -253,7 +232,7 @@ class KeyedArtifactStore:
         return None
 
     def _evict_one(self, key: Hashable) -> None:
-        """Remove ``key``; caller holds the lock."""
+        """Remove ``key`` and count the eviction."""
         entry = self._entries.pop(key)
         self.total_bytes -= entry.nbytes
         self._stats.evictions += 1
@@ -308,9 +287,9 @@ def _resolved_budget() -> Optional[int]:
 
 
 def _evict_down_to(stores: list[KeyedArtifactStore], target: int) -> None:
-    """Caller holds the lock: evict the globally least-recently-used
-    evictable entry (across ``stores``) until they hold ``target`` bytes
-    or less, or everything left is pinned."""
+    """Evict the globally least-recently-used evictable entry (across
+    ``stores``) until they hold ``target`` bytes or less, or everything
+    left is pinned."""
     while sum(s.total_bytes for s in stores) > target:
         oldest_store: Optional[KeyedArtifactStore] = None
         oldest_key: Optional[Hashable] = None
@@ -328,8 +307,7 @@ def _evict_down_to(stores: list[KeyedArtifactStore], target: int) -> None:
 
 
 def _enforce_global() -> None:
-    """Caller holds the lock: evict globally-LRU-first until the shared
-    budget holds."""
+    """Evict globally-LRU-first until the shared budget holds."""
     budget = _resolved_budget()
     if budget is not None:
         _evict_down_to(_live_stores(), budget)
@@ -346,16 +324,6 @@ def set_cache_bytes(total: Optional[int]) -> None:
     _budget_bytes = int(total) if total is not None else None
     _budget_from_env = True  # explicit call overrides the env default
     _enforce_global()
-
-
-def cache_bytes_budget() -> Optional[int]:
-    """The shared byte budget (``None`` = unlimited)."""
-    return _resolved_budget()
-
-
-def total_cache_bytes() -> int:
-    """Bytes currently held across every registered store."""
-    return sum(store.total_bytes for store in _live_stores())
 
 
 def evict_fraction(fraction: float = 0.5) -> int:

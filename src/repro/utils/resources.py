@@ -1,12 +1,11 @@
-"""Resource governance: memory budgets, disk preflights, degradation ladders.
+"""Resource governance: memory budgets and disk preflights.
 
-PR 6 pushed attacks to the 100k–1M-node tiers, where the binding constraint
-stops being wall-time and becomes *capacity*: a PRBCD candidate block that
-does not fit in RAM, a pool worker the kernel OOM-kills with exitcode −9,
-unbounded cache growth across a sweep, and torn writes when the disk fills
-mid-archive.  This module is the shared vocabulary the rest of the harness
-uses to detect those conditions early and degrade gracefully instead of
-dying:
+On the 100k–1M-node tiers the binding constraint stops being wall-time and
+becomes *capacity*: a PRBCD candidate block that does not fit in RAM, a
+pool worker the kernel OOM-kills with exitcode −9, unbounded cache growth
+across a sweep, and torn writes when the disk fills mid-archive.  This
+module is the shared vocabulary the rest of the harness uses to detect
+those conditions early and fail with a structured error instead of dying:
 
 :class:`MemoryBudget`
     Tracks the process RSS (read from ``/proc/self/status`` — no new
@@ -22,14 +21,6 @@ dying:
     needed instead of letting the filesystem tear the write halfway.
     Consult-able fault injection (``disk_full`` rules, see
     :mod:`repro.utils.faults`) makes the ENOSPC path chaos-testable.
-
-:func:`degraded_footprint`
-    The degradation ladder: a context manager applying rung ``level`` of
-    :data:`DEGRADATION_LADDER` (fewer BLAS threads, halved
-    ``REPRO_BLOCK_SIZE``, fused→autodiff engine fallback) around a retried
-    trial.  The supervisor climbs one rung per ``MemoryError`` attempt and
-    the parallel scheduler climbs one rung per pool-worker death, so a
-    trial that OOMs is re-run smaller, not verbatim.
 
 Budgets install ambiently (like :mod:`repro.utils.faults`): the CLI's
 ``--memory-budget`` exports ``REPRO_MEMORY_BUDGET`` so ``--jobs`` pool
@@ -51,8 +42,6 @@ from .keystore import evict_fraction
 
 __all__ = [
     "MEMORY_BUDGET_ENV_VAR",
-    "DEGRADATION_LADDER",
-    "MAX_DEGRADE_LEVEL",
     "MemoryBudget",
     "Watermark",
     "parse_bytes",
@@ -61,9 +50,7 @@ __all__ = [
     "free_disk_bytes",
     "require_free_disk",
     "with_disk_retry",
-    "degraded_footprint",
     "install_budget",
-    "current_budget",
     "active_budget",
     "budget_from_env",
     "budget_check",
@@ -155,8 +142,7 @@ class MemoryBudget:
     since the last check (each re-arms when RSS drops back below it), and
     — only when ``enforce`` is set — raises :class:`ResourceError` above
     the ceiling.  A hand-built budget only measures unless ``enforce`` is
-    set; the ``--memory-budget`` one (:func:`budget_from_env`) enforces,
-    and the sweep's retry ladder turns its error into a degraded re-run.
+    set; the ``--memory-budget`` one (:func:`budget_from_env`) enforces.
 
     ``reader`` is injectable so tests can script RSS trajectories.
     """
@@ -216,10 +202,6 @@ class MemoryBudget:
                 mark.fired = False
         return rss
 
-    def headroom_bytes(self) -> int:
-        """Bytes left under the ceiling at the current RSS (floored at 0)."""
-        return max(0, self.limit_bytes - self.reader())
-
 
 _BUDGET: Optional[MemoryBudget] = None
 
@@ -228,11 +210,6 @@ def install_budget(budget: Optional[MemoryBudget]) -> None:
     """Install (or, with ``None``, remove) the process-wide memory budget."""
     global _BUDGET
     _BUDGET = budget
-
-
-def current_budget() -> Optional[MemoryBudget]:
-    """The ambient :class:`MemoryBudget`, or ``None`` when ungoverned."""
-    return _BUDGET
 
 
 @contextmanager
@@ -343,77 +320,3 @@ def with_disk_retry(
                 raise
             sleep(backoff_seconds * 2**attempt)
     raise AssertionError("unreachable")  # pragma: no cover
-
-
-# ---------------------------------------------------------------------------
-# Degradation ladder
-
-#: Rung ``level`` of the ladder is the *cumulative* footprint reduction a
-#: retry runs under after ``level`` resource failures.  Each entry names the
-#: environment adjustments applied (and restored) by
-#: :func:`degraded_footprint`; ``block_divisor`` halves again per rung so
-#: the sampled-block attackers shrink geometrically.
-DEGRADATION_LADDER: tuple[dict, ...] = (
-    {},  # level 0: full footprint
-    {"blas_threads": 1, "block_divisor": 2},
-    {"blas_threads": 1, "block_divisor": 4, "engine": "autodiff"},
-    {"blas_threads": 1, "block_divisor": 8, "engine": "autodiff"},
-)
-
-MAX_DEGRADE_LEVEL = len(DEGRADATION_LADDER) - 1
-
-
-@contextmanager
-def degraded_footprint(level: int) -> Iterator[int]:
-    """Apply rung ``level`` of :data:`DEGRADATION_LADDER` via environment.
-
-    Level 0 (or anything falsy) is a no-op.  Higher levels pin BLAS to one
-    thread, divide ``REPRO_BLOCK_SIZE``, and force the autodiff training
-    engine — all through the same environment knobs the components already
-    read, so no callee needs to know it is running degraded.  Previous
-    values are restored on exit.
-
-    Determinism caveat (documented in ``docs/resource_governance.md``):
-    results are bit-identical under degradation whenever the block covers
-    the candidate space (all non-``sbm`` datasets) and the engine fallback
-    is the already-bit-identical autodiff path; a *sampled* block that
-    shrinks necessarily scores fewer candidates, trading fidelity for
-    survival.
-    """
-    level = max(0, min(int(level), MAX_DEGRADE_LEVEL))
-    if level == 0:
-        yield 0
-        return
-    rung = DEGRADATION_LADDER[level]
-    from .blas import limit_blas_threads
-
-    saved: dict[str, Optional[str]] = {}
-
-    def set_env(var: str, value: str) -> None:
-        saved[var] = os.environ.get(var)
-        os.environ[var] = value
-
-    previous_blas: Optional[dict] = None
-    try:
-        if "blas_threads" in rung:
-            previous_blas = limit_blas_threads(rung["blas_threads"])
-        if "block_divisor" in rung:
-            base = int(os.environ.get("REPRO_BLOCK_SIZE", 200_000))
-            set_env(
-                "REPRO_BLOCK_SIZE", str(max(1, base // int(rung["block_divisor"])))
-            )
-        if "engine" in rung:
-            set_env("REPRO_ENGINE", rung["engine"])
-        yield level
-    finally:
-        for var, value in saved.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
-        if previous_blas is not None:
-            for var, value in previous_blas.items():
-                if value is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = value

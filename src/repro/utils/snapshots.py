@@ -221,9 +221,9 @@ class TrialSnapshotter:
             self._resume_meta = None
             if ordinal == target and kind == target_kind:
                 return SnapshotUnit(self, ordinal, kind, resume=resume)
-            # Ordinal or kind drifted from the snapshot (e.g. a degraded
-            # retry changed the trial's structure): restart this unit
-            # fresh rather than restoring mismatched state.
+            # Ordinal or kind drifted from the snapshot (the retry's
+            # trial took a different structure): restart this unit fresh
+            # rather than restoring mismatched state.
         return SnapshotUnit(self, ordinal, kind)
 
     # -- persistence ----------------------------------------------------

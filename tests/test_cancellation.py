@@ -23,7 +23,6 @@ from repro.errors import IntegrityWarning
 from repro.utils import cancellation, faults, snapshots
 from repro.utils.cancellation import (
     CAUSE_DEADLINE,
-    CAUSE_KILL,
     CAUSE_SHUTDOWN,
     Beacon,
     CancelledError,
@@ -74,7 +73,7 @@ class TestCancelToken:
     def test_first_cause_wins(self):
         token = CancelToken()
         assert token.cancel(CAUSE_SHUTDOWN, "first")
-        assert not token.cancel(CAUSE_KILL, "second")
+        assert not token.cancel(CAUSE_DEADLINE, "second")
         assert token.cause == CAUSE_SHUTDOWN
         with pytest.raises(CancelledError) as info:
             token.raise_if_cancelled("loop")
@@ -101,12 +100,12 @@ class TestCancelToken:
         parent = CancelToken()
         child = CancelToken(parent=parent)
         assert not child.cancelled
-        parent.cancel(CAUSE_KILL, "supervisor kill")
+        parent.cancel(CAUSE_SHUTDOWN, "operator shutdown")
         assert child.cancelled
-        assert child.cause == CAUSE_KILL
+        assert child.cause == CAUSE_SHUTDOWN
         with pytest.raises(CancelledError) as info:
             child.raise_if_cancelled("x")
-        assert info.value.cause == CAUSE_KILL
+        assert info.value.cause == CAUSE_SHUTDOWN
 
     def test_cancelled_error_is_not_an_exception(self):
         # ``except Exception`` boundaries (the trial supervisor, defensive
@@ -172,11 +171,11 @@ class TestShutdownFlag:
 class TestScopes:
     def test_checkpoint_polls_scope_token(self):
         token = CancelToken()
-        token.cancel(CAUSE_KILL, "kill it")
+        token.cancel(CAUSE_SHUTDOWN, "stop it")
         with trial_scope(token=token):
             with pytest.raises(CancelledError) as info:
                 checkpoint("loop")
-        assert info.value.cause == CAUSE_KILL
+        assert info.value.cause == CAUSE_SHUTDOWN
 
     def test_scope_restored_after_exit(self):
         token = CancelToken()
@@ -210,7 +209,7 @@ class TestHangFault:
 
     def test_cancelled_ambient_token_cuts_the_hang(self, tmp_path):
         parent = CancelToken()
-        parent.cancel(CAUSE_KILL, "stop")
+        parent.cancel(CAUSE_SHUTDOWN, "stop")
         beacon = Beacon(tmp_path / "beacon.json", task_index=0)
         with trial_scope(token=CancelToken(parent=parent), beacon=beacon):
             FaultInjector(self.HANG).perturb("slow")

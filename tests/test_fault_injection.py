@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, DeadlineError, TrialError
+from repro.errors import ConfigError, DeadlineError
 from repro.experiments import (
     AccuracyTable,
     CellResult,
@@ -204,16 +204,6 @@ class TestTrialSupervisor:
             lambda a: (_ for _ in ()).throw(ValueError("inside thread")),
         )
         assert not bad.ok and bad.failure.error_type == "ValueError"
-
-    def test_run_or_raise(self):
-        supervisor = TrialSupervisor(
-            TrialPolicy(max_attempts=1), sleep=lambda _: None
-        )
-        key = TrialKey("cora", "PEEGA", 0.1)
-        with pytest.raises(TrialError) as excinfo:
-            supervisor.run_or_raise(key, lambda a: 1 / 0)
-        assert excinfo.value.key == key
-        assert excinfo.value.attempts == 1
 
     def test_kill_propagates_uncaught(self):
         supervisor = TrialSupervisor(TrialPolicy(max_attempts=3), sleep=lambda _: None)

@@ -931,18 +931,6 @@ class TestViewCache:
         second = cached_operator("test", key, lambda: sp.eye(3, format="csr"))
         assert second.data[0] == 1.0  # the cache entry was not poisoned
 
-    def test_disabled_via_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_VIEW_CACHE", "0")
-        calls = []
-
-        def build():
-            calls.append(1)
-            return sp.eye(2, format="csr")
-
-        cached_operator("test", ("off",), build)
-        cached_operator("test", ("off",), build)
-        assert len(calls) == 2
-
 
 # ---------------------------------------------------------------------------
 # CLI: --engine is parsed, exported, and engine-independent in output

@@ -18,7 +18,13 @@ from repro.core import PEEGA
 from repro.datasets import load_dataset
 from repro.errors import DegradedWarning
 from repro.utils import faults
-from repro.utils.cancellation import Beacon, CancelledError, CancelToken, trial_scope
+from repro.utils.cancellation import (
+    CAUSE_SHUTDOWN,
+    Beacon,
+    CancelledError,
+    CancelToken,
+    trial_scope,
+)
 from repro.utils.faults import FaultInjector
 from repro.utils.snapshots import TrialSnapshotter
 
@@ -114,7 +120,7 @@ class TestEveryGreedyAttackerPolls:
 
     def test_cancelled_token_stops_at_its_site(self, small_cora, site, attack):
         token = CancelToken()
-        token.cancel()
+        token.cancel(CAUSE_SHUTDOWN)
         with trial_scope(token=token), pytest.raises(CancelledError) as caught:
             attack(small_cora)
         assert caught.value.site == site

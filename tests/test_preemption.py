@@ -453,7 +453,7 @@ class TestParallelPreemption:
 
         parallel_dir = tmp_path / "parallel"
         started = time.monotonic()
-        with pytest.warns(DegradedWarning, match="heartbeat"):
+        with pytest.warns(DegradedWarning, match="heartbeat") as caught:
             table = run_sweep(
                 jobs=2,
                 checkpoint=SweepCheckpoint(parallel_dir),
@@ -462,6 +462,8 @@ class TestParallelPreemption:
                 kill_grace=0.2,
             )
         elapsed = time.monotonic() - started
+        # A hang says nothing about memory: the requeue names the stall.
+        assert not [w for w in caught if "OOM" in str(w.message)]
         assert elapsed < 25.0  # detection, not the 30s hang, set the pace
         assert table.failures == []
         assert cells_of(table) == cells_of(reference)

@@ -1,4 +1,4 @@
-"""Resource governance: budgets, the unified cache store, and ladders.
+"""Resource governance: budgets, the unified cache store, and recovery.
 
 Covers the contracts in docs/resource_governance.md:
 
@@ -8,10 +8,12 @@ Covers the contracts in docs/resource_governance.md:
   LRU-first and never evicts pinned entries.
 * ``require_free_disk`` / ``with_disk_retry`` turn ENOSPC into structured,
   retryable :class:`ResourceError` s — chaos-driven by ``disk_full`` rules.
-* The degradation ladders actually recover: an OOM-killed ``--jobs N``
-  worker is detected, its trial requeued one rung down, and the finished
-  journal is bit-identical to a fault-free serial run; PRBCD/GRBCD shrink
-  their candidate block deterministically on an in-attack ``MemoryError``.
+* Memory exhaustion is recovered without shrinking anything: an
+  OOM-killed ``--jobs N`` worker is detected, its trial requeued as it
+  was, and the finished journal is bit-identical to a fault-free serial
+  run; a trial that raises ``MemoryError`` is retried with the same
+  environment and seeds; PRBCD/GRBCD halve their candidate block
+  deterministically on an in-attack ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from repro.utils.resources import (
     active_budget,
     budget_check,
     budget_from_env,
-    degraded_footprint,
     format_bytes,
     free_disk_bytes,
     install_budget,
@@ -361,36 +362,6 @@ class TestDiskGovernance:
 
 
 # ---------------------------------------------------------------------------
-# Degradation ladder environment semantics
-
-
-class TestDegradedFootprint:
-    def test_level_zero_is_a_noop(self, monkeypatch):
-        monkeypatch.setenv("OMP_NUM_THREADS", "9")
-        with degraded_footprint(0):
-            assert os.environ["OMP_NUM_THREADS"] == "9"
-
-    def test_rungs_shrink_geometrically_and_restore(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BLOCK_SIZE", raising=False)
-        monkeypatch.setenv("REPRO_ENGINE", "fused")
-        with degraded_footprint(1):
-            assert os.environ["OMP_NUM_THREADS"] == "1"
-            assert os.environ["REPRO_BLOCK_SIZE"] == "100000"
-            assert os.environ["REPRO_ENGINE"] == "fused"  # rung 1: engine kept
-        with degraded_footprint(2):
-            assert os.environ["REPRO_BLOCK_SIZE"] == "50000"
-            assert os.environ["REPRO_ENGINE"] == "autodiff"
-        assert "REPRO_BLOCK_SIZE" not in os.environ
-        assert os.environ["REPRO_ENGINE"] == "fused"
-
-    def test_divides_an_operator_set_base(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BLOCK_SIZE", "1000")
-        with degraded_footprint(3):
-            assert os.environ["REPRO_BLOCK_SIZE"] == "125"
-        assert os.environ["REPRO_BLOCK_SIZE"] == "1000"
-
-
-# ---------------------------------------------------------------------------
 # Jobs clamp
 
 
@@ -471,7 +442,7 @@ class TestBlockAttackDegradation:
 
 
 # ---------------------------------------------------------------------------
-# Sweep-level ladders: disk_full and OOM-killed workers
+# Sweep-level recovery: disk_full, OOM-killed workers, in-trial MemoryError
 
 
 class TestSweepDiskFaults:
@@ -512,13 +483,13 @@ class TestSweepDiskFaults:
 
 class TestWorkerDeathRecovery:
     def test_oomkilled_worker_requeued_bit_identical(self, tmp_path):
-        """Satellite 4: kill a pool worker, recover on the ladder, and the
+        """Kill a pool worker: its trial is requeued as it was, and the
         finished journal is bit-identical to a fault-free serial run."""
         serial_dir = tmp_path / "serial"
         reference, _, _ = run_sweep(jobs=1, checkpoint=SweepCheckpoint(serial_dir))
 
         parallel_dir = tmp_path / "parallel"
-        with pytest.warns(DegradedWarning):
+        with pytest.warns(DegradedWarning, match="pool worker died; requeued"):
             table, _, _ = run_sweep(
                 jobs=JOBS,
                 checkpoint=SweepCheckpoint(parallel_dir),
@@ -531,8 +502,8 @@ class TestWorkerDeathRecovery:
     def test_repeatedly_killed_trial_becomes_structured_failure(self):
         # A pool break cannot attribute guilt, so every co-resident trial
         # is charged a kill; the guarantee is that the sweep *terminates*
-        # with structured ladder-exhausted failures instead of hanging or
-        # crashing the parent.
+        # with structured "died" failures instead of hanging or crashing the
+        # parent.
         spec = "defender:oomkill:times=99:attacker=Clean:defender=GCN:seed=0"
         with pytest.warns(DegradedWarning):
             table, _, _ = run_sweep(jobs=JOBS, fault_spec=spec)
@@ -543,11 +514,37 @@ class TestWorkerDeathRecovery:
         )
         assert all("died" in f.message for f in table.failures)
 
-    def test_in_trial_memory_error_climbs_supervisor_ladder(self):
-        # A MemoryError *inside* a trial (not a kill) retries one rung down
-        # via the supervisor, and the retried value is kept.
+
+class TestMemoryExhaustedRetry:
+    @pytest.mark.parametrize(
+        "error",
+        [MemoryError("injected OOM"), ResourceError("over budget", resource="memory")],
+        ids=["MemoryError", "ResourceError"],
+    )
+    def test_runs_as_configured(self, error):
+        """The retry after a memory error sees the environment and the
+        attempt number of the first try: nothing is shrunk or reseeded."""
+        before = dict(os.environ)
+        attempts = []
+
+        def trial(attempt):
+            attempts.append(attempt)
+            if len(attempts) == 1:
+                raise error
+            return dict(os.environ)
+
+        supervisor = TrialSupervisor(TrialPolicy(max_attempts=2), sleep=lambda _: None)
+        outcome = supervisor.run(TrialKey("cora", "Clean", 0.1, "GCN", 0), trial)
+        assert outcome.ok and outcome.attempts == 2
+        assert outcome.value == before
+        assert attempts == [0, 0]
+
+    def test_sweep_keeps_the_fault_free_cells(self):
+        # A MemoryError *inside* a trial (not a kill) is retried by the
+        # supervisor under the same seeds, so the sweep reports exactly the
+        # cells of a sweep that never ran out of memory.
+        reference, _, _ = run_sweep(jobs=1)
         spec = "defender:oom:times=1:attacker=Clean:defender=GCN:seed=0"
-        with pytest.warns(DegradedWarning):
-            table, _, _ = run_sweep(jobs=1, fault_spec=spec, max_attempts=3)
+        table, _, _ = run_sweep(jobs=1, fault_spec=spec, max_attempts=3)
         assert table.failures == []
-        assert table.rows["Clean"]["GCN"] is not None
+        assert cells_of(table) == cells_of(reference)
