@@ -34,8 +34,8 @@ from repro.experiments import (
     make_executor,
 )
 from repro.utils import faults
-from repro.utils.blas import cpu_count
 from repro.utils.faults import FaultInjector
+from repro.utils.resources import cpu_count
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 JOBS = 4

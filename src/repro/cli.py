@@ -35,21 +35,14 @@ from .experiments import (
     DEFENDER_NAMES,
     ExperimentRunner,
     ExperimentScale,
-    defender_names_for,
     format_accuracy_table,
     make_attacker,
     make_defender,
 )
 from .graph import VALIDATION_POLICIES
 from .io import load_attack_result, load_graph, save_attack_result, save_graph
-from .nn.fastpath import ENGINE_ENV_VAR, ENGINES
-from .utils.keystore import CACHE_BYTES_ENV_VAR, set_cache_bytes
-from .utils.resources import (
-    MEMORY_BUDGET_ENV_VAR,
-    budget_from_env,
-    install_budget,
-    parse_bytes,
-)
+from .utils.keystore import cache_bytes, set_cache_bytes
+from .utils.resources import active_budget, enforced_budget, parse_bytes
 
 __all__ = ["main", "build_parser", "EXIT_INTERRUPTED"]
 
@@ -105,25 +98,6 @@ def _add_validate_flag(parser: argparse.ArgumentParser, default: str = "strict")
     )
 
 
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default=None,
-        help="training engine: auto (default) fuses eligible fits "
-        "(GCN/SGC/GNAT/GAT/RGCN/SimPGCN) into closed-form kernels with "
-        "bit-identical results, fused requires fusion (the error names the "
-        "ineligible component), autodiff forces the traced path; also "
-        f"settable via ${ENGINE_ENV_VAR}",
-    )
-
-
-def _apply_engine_flag(args: argparse.Namespace) -> None:
-    """Export --engine so every trainer (incl. --jobs pool workers) sees it."""
-    if getattr(args, "engine", None):
-        os.environ[ENGINE_ENV_VAR] = args.engine
-
-
 def _add_resource_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--memory-budget",
@@ -131,8 +105,7 @@ def _add_resource_flags(parser: argparse.ArgumentParser) -> None:
         metavar="BYTES",
         help="soft RSS ceiling per process, e.g. 8G or 500M (default: "
         "unlimited); crossing it raises a structured ResourceError: a sweep "
-        "retries the trial as configured, attack and defend exit 2; also "
-        f"settable via ${MEMORY_BUDGET_ENV_VAR}",
+        "retries the trial as configured, attack and defend exit 2",
     )
     parser.add_argument(
         "--cache-bytes",
@@ -140,22 +113,25 @@ def _add_resource_flags(parser: argparse.ArgumentParser) -> None:
         metavar="BYTES",
         help="global byte budget shared by all in-memory artifact caches "
         "(view operators, SGC propagations, poison store), e.g. 2G "
-        "(default: unlimited); oldest entries evict first; also settable "
-        f"via ${CACHE_BYTES_ENV_VAR}",
+        "(default: unlimited); oldest entries evict first",
     )
 
 
-def _apply_resource_flags(args: argparse.Namespace) -> None:
-    """Export resource flags via env so --jobs pool workers inherit them,
-    and arm the budget/caches in this process."""
-    if getattr(args, "memory_budget", None):
-        parse_bytes(args.memory_budget)  # validate before exporting
-        os.environ[MEMORY_BUDGET_ENV_VAR] = args.memory_budget
-        install_budget(budget_from_env())
-    if getattr(args, "cache_bytes", None):
-        total = parse_bytes(args.cache_bytes)
-        os.environ[CACHE_BYTES_ENV_VAR] = args.cache_bytes
-        set_cache_bytes(total)
+@contextlib.contextmanager
+def _resource_limits(args: argparse.Namespace):
+    """Install --memory-budget and --cache-bytes in this process for the
+    command's run; a --jobs pool hands both to each worker it starts."""
+    memory = getattr(args, "memory_budget", None)
+    cache = getattr(args, "cache_bytes", None)
+    budget = enforced_budget(parse_bytes(memory)) if memory else None
+    previous_cache = cache_bytes()
+    if cache:
+        set_cache_bytes(parse_bytes(cache))
+    try:
+        with active_budget(budget) if budget else contextlib.nullcontext():
+            yield
+    finally:
+        set_cache_bytes(previous_cache)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -192,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="dataset name for the preset hyper-parameters")
     p_defend.add_argument("--seeds", type=int, default=3)
     _add_validate_flag(p_defend, default="repair")
-    _add_engine_flag(p_defend)
     _add_resource_flags(p_defend)
 
     p_table = sub.add_parser("table", help="regenerate a Table IV/V/VI-style grid")
@@ -226,13 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         "parallel output is bit-identical to serial",
     )
     p_table.add_argument(
-        "--blas-threads",
-        type=int,
-        default=None,
-        help="BLAS/OpenMP threads per worker (default: cores // jobs, so "
-        "jobs x threads never oversubscribes)",
-    )
-    p_table.add_argument(
         "--max-attempts",
         type=int,
         default=2,
@@ -254,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
         "its trial requeued (default: no liveness monitoring)",
     )
     _add_validate_flag(p_table)
-    _add_engine_flag(p_table)
     _add_resource_flags(p_table)
 
     p_analyze = sub.add_parser("analyze", help="attack-pattern analysis (Fig 1/2)")
@@ -291,7 +258,6 @@ def _cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _cmd_attack(args: argparse.Namespace) -> int:
-    _apply_resource_flags(args)
     graph = _load_input_graph(args)
     attacker = make_attacker(args.attacker, graph.name, seed=args.seed)
     result = attacker.attack(
@@ -310,8 +276,6 @@ def _cmd_attack(args: argparse.Namespace) -> int:
 def _cmd_defend(args: argparse.Namespace) -> int:
     if bool(args.graph) == bool(args.attack):
         raise SystemExit("give exactly one of --graph / --attack")
-    _apply_engine_flag(args)
-    _apply_resource_flags(args)
     if args.graph:
         graph = load_graph(args.graph, validate=args.validate)
     else:
@@ -342,8 +306,6 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
     if args.resume and not args.checkpoint_dir:
         raise SystemExit("--resume requires --checkpoint-dir")
-    _apply_engine_flag(args)
-    _apply_resource_flags(args)
     config = ExperimentScale(scale=args.scale, seeds=args.seeds, rate=args.rate)
     supervisor = TrialSupervisor(
         TrialPolicy(max_attempts=args.max_attempts, deadline_seconds=args.deadline)
@@ -353,11 +315,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.checkpoint_dir
         else None
     )
-    executor = make_executor(
-        args.jobs,
-        blas_threads=args.blas_threads,
-        heartbeat_interval=args.heartbeat_interval,
-    )
+    executor = make_executor(args.jobs, heartbeat_interval=args.heartbeat_interval)
     runner = ExperimentRunner(
         config,
         supervisor=supervisor,
@@ -449,7 +407,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with _resource_limits(args):
+            return _COMMANDS[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2

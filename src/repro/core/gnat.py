@@ -128,8 +128,8 @@ class GNAT(Defender):
         features.
     engine:
         Training engine passed through to
-        :func:`~repro.nn.train_node_classifier` (``None`` defers to
-        ``$REPRO_ENGINE``; see ``docs/fast_training.md``).
+        :func:`~repro.nn.train_node_classifier` (``"auto"`` by default;
+        see ``docs/fast_training.md``).
     """
 
     name = "GNAT"
@@ -145,7 +145,7 @@ class GNAT(Defender):
         hidden_dim: int = 16,
         dropout: float = 0.5,
         train_config: Optional[TrainConfig] = None,
-        engine: Optional[str] = None,
+        engine: str = "auto",
         seed: SeedLike = None,
     ) -> None:
         super().__init__(seed)
@@ -165,7 +165,7 @@ class GNAT(Defender):
         self.hidden_dim = int(hidden_dim)
         self.dropout = float(dropout)
         self.train_config = train_config or TrainConfig()
-        self.engine = engine  # None → $REPRO_ENGINE → "auto"
+        self.engine = engine
 
     # ------------------------------------------------------------------
     def prune_graph(self, graph: Graph) -> Graph:

@@ -26,7 +26,7 @@ class RawGCN(Defender):
         hidden_dim: int = 16,
         dropout: float = 0.5,
         train_config: Optional[TrainConfig] = None,
-        engine: Optional[str] = None,
+        engine: str = "auto",
         seed: SeedLike = None,
     ) -> None:
         super().__init__(seed)
@@ -60,7 +60,7 @@ class RawGAT(Defender):
         num_heads: int = 4,
         dropout: float = 0.5,
         train_config: Optional[TrainConfig] = None,
-        engine: Optional[str] = None,
+        engine: str = "auto",
         seed: SeedLike = None,
     ) -> None:
         super().__init__(seed)

@@ -135,7 +135,7 @@ class RGCN(Defender):
         gamma: float = 1.0,
         beta_kl: float = 5e-4,
         train_config: Optional[TrainConfig] = None,
-        engine: Optional[str] = None,
+        engine: str = "auto",
         seed: SeedLike = None,
     ) -> None:
         super().__init__(seed)

@@ -222,7 +222,7 @@ class SimPGCN(Defender):
         ssl_pairs: int = 400,
         hidden_dim: int = 16,
         train_config: Optional[TrainConfig] = None,
-        engine: Optional[str] = None,
+        engine: str = "auto",
         seed: SeedLike = None,
     ) -> None:
         super().__init__(seed)

@@ -67,9 +67,9 @@ from ..attacks.base import AttackResult
 from ..errors import CapacityWarning, ConfigError, DegradedWarning
 from ..graph import Graph
 from ..utils import cancellation, faults
+from ..utils.keystore import cache_bytes, set_cache_bytes
+from ..utils.resources import cpu_count, enforced_budget, enforced_limit, install_budget
 from ..utils.snapshots import TrialSnapshotter
-from ..utils.blas import cpu_count, limit_blas_threads, plan_worker_threads
-from ..utils.resources import budget_from_env, install_budget
 from .config import make_attacker, make_defender
 from .supervisor import (
     RESEED_STRIDE,
@@ -305,24 +305,19 @@ def _worker_sigterm(signum, frame) -> None:
         os._exit(143)
 
 
-def _worker_init(blas_threads: Optional[int]) -> None:
-    """Pool initializer: pin the worker's BLAS thread budget and adopt the
-    parent's memory budget.
+def _worker_init(memory_limit: Optional[int], cache_limit: Optional[int]) -> None:
+    """Pool initializer: adopt the parent's memory budget and cache ceiling.
 
-    Environment variables are authoritative for ``spawn`` workers and for
-    lazily-initialized runtimes under ``fork`` (see :mod:`repro.utils.blas`
-    for the honest caveats).  The memory budget arrives the same way — the
-    CLI exports ``REPRO_MEMORY_BUDGET`` — so each worker governs its own
-    RSS with the same ceiling the parent uses.
+    Both arrive as arguments, under ``fork`` and ``spawn`` alike, so each
+    worker governs its own RSS and caches with the parent's limits.
 
     Also clears any shutdown flag inherited through ``fork`` (the parent
     may be mid-shutdown while draining) and installs the cooperative
     SIGTERM handler so a parent-initiated termination snapshots before it
     kills.
     """
-    if blas_threads is not None:
-        limit_blas_threads(blas_threads)
-    install_budget(budget_from_env())
+    install_budget(enforced_budget(memory_limit))
+    set_cache_bytes(cache_limit)
     cancellation.reset_shutdown()
     try:
         signal.signal(signal.SIGTERM, _worker_sigterm)
@@ -535,16 +530,15 @@ class ParallelTrialExecutor:
     Worker *death* (kernel OOM kill, segfault, injected ``oomkill``, a
     heartbeat-stall termination) is not fatal: the scheduler salvages
     every future that finished before the pool broke, rebuilds the pool,
-    and requeues the dead trials unchanged.  A trial whose workers die
-    more than three times becomes a structured :class:`TrialFailure`
-    instead of an endless kill loop.
+    and requeues the dead trials unchanged.  When several trials died
+    together, each is re-run alone, so a death is only ever charged to the
+    one trial in flight.  A trial charged more than three deaths becomes a
+    structured :class:`TrialFailure` instead of an endless kill loop.
     """
 
     def __init__(
         self,
         jobs: int,
-        blas_threads: Optional[int] = None,
-        start_method: Optional[str] = None,
         heartbeat_interval: Optional[float] = None,
         kill_grace_seconds: float = 2.0,
     ) -> None:
@@ -559,10 +553,6 @@ class ParallelTrialExecutor:
                 f"kill_grace_seconds must be non-negative, got {kill_grace_seconds}"
             )
         self.jobs = int(jobs)
-        self.blas_threads = (
-            int(blas_threads) if blas_threads is not None else plan_worker_threads(jobs)
-        )
-        self.start_method = start_method
         # Liveness monitoring (None = disabled): workers beat a per-task
         # beacon file at every poll site; a worker whose beacon stalls for
         # 2x the interval is terminated (SIGTERM, grace, SIGKILL) and its
@@ -576,8 +566,6 @@ class ParallelTrialExecutor:
         self.timings: Optional[SweepTimings] = None
 
     def _context(self):
-        if self.start_method is not None:
-            return multiprocessing.get_context(self.start_method)
         try:
             return multiprocessing.get_context("fork")
         except ValueError:  # platform without fork (Windows, some macOS setups)
@@ -588,7 +576,7 @@ class ParallelTrialExecutor:
             max_workers=self.jobs,
             mp_context=self._context(),
             initializer=_worker_init,
-            initargs=(self.blas_threads,),
+            initargs=(enforced_limit(), cache_bytes()),
         )
 
     def run(
@@ -637,9 +625,14 @@ class ParallelTrialExecutor:
         inflight: dict[Future, TrialTask] = {}
         # Tasks waiting (or re-waiting, after a pool rebuild) for dispatch.
         pending: list[TrialTask] = []
-        # How many pool workers died running each trial (by task index), and
-        # how long the beacon of each worker the heartbeat monitor killed
-        # had stalled.
+        # The trials of a pool break with several victims, re-run one at a
+        # time with nothing else in flight until each has a result.
+        suspects: list[TrialTask] = []
+        # Per task index: pool workers that died running the trial, the
+        # deaths charged to it (it was the only trial in flight), and how
+        # long the beacon of a worker the heartbeat monitor killed had
+        # stalled.
+        deaths: dict[int, int] = {}
         kill_counts: dict[int, int] = {}
         stalls: dict[int, float] = {}
         # Heartbeat state: per-task beacon progress as observed by *this*
@@ -723,6 +716,13 @@ class ParallelTrialExecutor:
             if pool is None:
                 run_here(task, graph_ref)
                 return
+            # While suspects remain, only the first unresolved one may run,
+            # and only into an empty pool; everything else waits.
+            while suspects and suspects[0].index in outcomes:
+                suspects.pop(0)
+            if suspects and (inflight or task.index != suspects[0].index):
+                pending.append(task)
+                return
             payload = _TaskPayload(
                 kind=task.kind,
                 key=task.key,
@@ -731,7 +731,7 @@ class ParallelTrialExecutor:
                 fault_specs=fault_specs,
                 site_ordinal=task.site_ordinal,
                 validate=runner.validate,
-                prior_kills=kill_counts.get(task.index, 0),
+                prior_kills=deaths.get(task.index, 0),
                 task_index=task.index,
                 snapshot_path=snapshot_path(task.key),
                 beacon_path=(
@@ -792,11 +792,14 @@ class ParallelTrialExecutor:
 
             Futures that finished before the pool broke are salvaged and
             merged normally — only trials with no result are re-dispatched.
-            Each requeue names its cause: a heartbeat stall for the workers
+            A break cannot tell which of several victims killed its worker,
+            so several victims become ``suspects`` and re-run alone; a
+            death is charged only to a trial that was alone.  Each requeue
+            names its cause: a heartbeat stall for the workers
             :func:`scan_beacons` terminated, a death (kernel OOM kill,
             segfault, injected ``oomkill``, or a sibling's death breaking
-            the pool) for the rest.  A trial whose workers die more than
-            ``_MAX_WORKER_DEATHS`` times becomes a structured
+            the pool) for the rest.  A trial charged more than
+            ``_MAX_WORKER_DEATHS`` deaths becomes a structured
             infrastructure failure instead of an endless kill loop.
             """
             salvaged: list[tuple[TrialTask, _WorkerResult]] = []
@@ -817,15 +820,20 @@ class ParallelTrialExecutor:
             inflight.clear()
             broken.shutdown(wait=False, cancel_futures=True)
             pool = self._make_pool()
+            if len(victims) > 1:
+                suspects[:] = victims
             for task, result in salvaged:
                 process(pool, task, result)
             for task in victims:
                 progress.pop(task.index, None)
                 stalled = stalls.pop(task.index, None)
-                deaths = kill_counts[task.index] = kill_counts.get(task.index, 0) + 1
-                if deaths > _MAX_WORKER_DEATHS:
+                deaths[task.index] = deaths.get(task.index, 0) + 1
+                if len(victims) == 1:
+                    kill_counts[task.index] = kill_counts.get(task.index, 0) + 1
+                charged = kill_counts.get(task.index, 0)
+                if charged > _MAX_WORKER_DEATHS:
                     error = RuntimeError(
-                        f"pool worker died {deaths} times running {task.key.label()}"
+                        f"pool worker died {charged} times running {task.key.label()}"
                     )
                     process(pool, task, _infrastructure_failure(task, error))
                     continue
@@ -857,7 +865,7 @@ class ParallelTrialExecutor:
                     os.path.join(beacon_dir, f"beacon_{task.index}.json")
                 )
                 if record is None or int(record.get("incarnation", -1)) != (
-                    kill_counts.get(task.index, 0)
+                    deaths.get(task.index, 0)
                 ):
                     continue
                 count = int(record.get("count", 0))
@@ -895,8 +903,10 @@ class ParallelTrialExecutor:
                 try:
                     check_shutdown()
                     # Snapshot: submit() re-parks tasks on `pending` when the
-                    # pool is broken, and those must not respin this pass.
-                    batch, pending[:] = list(pending), []
+                    # pool is broken or suspects hold it, and those must not
+                    # respin this pass.  Canonical order offers each suspect
+                    # after every suspect before it has been resolved.
+                    batch, pending[:] = sorted(pending, key=lambda t: t.index), []
                     held = {t.index for t in inflight.values()}
                     for task in batch:
                         if task.index not in outcomes and task.index not in held:
@@ -973,8 +983,6 @@ def _infrastructure_failure(task: TrialTask, error: Exception) -> _WorkerResult:
 
 def make_executor(
     jobs: int = 1,
-    blas_threads: Optional[int] = None,
-    start_method: Optional[str] = None,
     total_cores: Optional[int] = None,
     heartbeat_interval: Optional[float] = None,
     kill_grace_seconds: float = 2.0,
@@ -983,13 +991,12 @@ def make_executor(
     process pool otherwise.
 
     ``jobs`` above the machine's usable core count (``total_cores``
-    overrides detection, like :func:`~repro.utils.blas.plan_worker_threads`)
-    is clamped with a :class:`~repro.errors.CapacityWarning` — extra
-    workers would only multiply peak RSS while time-slicing the same
-    cores.  The clamp never drops below 2 once a pool was requested:
-    process isolation (and the dead-worker recovery it enables) is a
-    semantic choice, not just a speedup, so a 1-core machine still gets a
-    pool, only a smaller one.
+    overrides detection) is clamped with a
+    :class:`~repro.errors.CapacityWarning` — extra workers would only
+    multiply peak RSS while time-slicing the same cores.  The clamp never
+    drops below 2 once a pool was requested: process isolation (and the
+    dead-worker recovery it enables) is a semantic choice, not just a
+    speedup, so a 1-core machine still gets a pool, only a smaller one.
     """
     cores = cpu_count() if total_cores is None else int(total_cores)
     if cores < 1:
@@ -1005,8 +1012,6 @@ def make_executor(
         jobs = limit
     return ParallelTrialExecutor(
         jobs,
-        blas_threads=blas_threads,
-        start_method=start_method,
         heartbeat_interval=heartbeat_interval,
         kill_grace_seconds=kill_grace_seconds,
     )

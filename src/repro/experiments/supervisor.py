@@ -35,7 +35,7 @@ import os
 import time
 import traceback
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Optional, Union
 
@@ -297,15 +297,11 @@ class TrialSupervisor:
             return fn(attempt)
 
         # Cooperative deadline, in this thread: the attempt runs under a
-        # child of the ambient token (if any) that carries the deadline.
-        # Poll sites inside the trial observe expiry, write a final
-        # snapshot, and raise.  A value computed past
-        # the deadline is discarded: the deadline beats a lucky late finish.
-        token = cancellation.CancelToken(
-            deadline_seconds=deadline,
-            parent=cancellation.current_token(),
-            name=f"trial-{key.label()}",
-        )
+        # token that carries the deadline.  Poll sites inside the trial
+        # observe expiry, write a final snapshot, and raise.  A value
+        # computed past the deadline is discarded: the deadline beats a
+        # lucky late finish.
+        token = cancellation.CancelToken(deadline_seconds=deadline)
         started = time.perf_counter()
         try:
             with cancellation.trial_scope(token=token):

@@ -48,14 +48,10 @@ Engine selection (``train_node_classifier(..., engine=...)``):
 * ``"auto"`` (default) — fuse when eligible, else autodiff;
 * ``"fused"`` — fuse or raise :class:`~repro.errors.ConfigError`;
 * ``"autodiff"`` — always trace (the oracle path).
-
-``engine=None`` defers to the ``REPRO_ENGINE`` environment variable
-(inherited by ``--jobs N`` pool workers), defaulting to ``"auto"``.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -70,7 +66,6 @@ from .sgc import SGC
 
 __all__ = [
     "ENGINES",
-    "ENGINE_ENV_VAR",
     "MultiViewForward",
     "resolve_engine",
     "make_fused_kernel",
@@ -79,12 +74,10 @@ __all__ = [
 ]
 
 ENGINES = ("auto", "fused", "autodiff")
-ENGINE_ENV_VAR = "REPRO_ENGINE"
 
-def resolve_engine(engine: Optional[str] = None) -> str:
-    """Normalize an engine request (``None`` → ``$REPRO_ENGINE`` → auto)."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR) or "auto"
+
+def resolve_engine(engine: str = "auto") -> str:
+    """Normalize an engine request (case-insensitive, one of :data:`ENGINES`)."""
     engine = str(engine).lower()
     if engine not in ENGINES:
         raise ConfigError(f"engine must be one of {ENGINES}, got {engine!r}")

@@ -188,7 +188,7 @@ def train_node_classifier(
     adjacency: Optional[AdjacencyLike] = None,
     forward: Optional[ForwardFn] = None,
     loss_fn: Optional[Callable[[Tensor], Tensor]] = None,
-    engine: Optional[str] = None,
+    engine: str = "auto",
 ) -> TrainResult:
     """Train ``model`` transductively on ``graph``.
 
@@ -216,7 +216,6 @@ def train_node_classifier(
         closed-form kernels with bit-identical trajectories; ``"fused"``
         requires fusion (raises :class:`~repro.errors.ConfigError` naming
         the ineligible component); ``"autodiff"`` forces the traced path.
-        ``None`` defers to ``$REPRO_ENGINE``, defaulting to ``"auto"``.
 
     Returns
     -------

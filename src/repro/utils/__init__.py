@@ -1,13 +1,13 @@
-"""Shared utilities: seeding, timing, fault injection, thread and
-resource governance, capacity-bounded artifact caching."""
+"""Shared utilities: seeding, timing, fault injection, resource
+governance, capacity-bounded artifact caching."""
 
-from . import blas, faults, keystore, resources
-from .blas import blas_thread_budget, cpu_count, limit_blas_threads, plan_worker_threads
+from . import faults, keystore, resources
 from .faults import FaultInjector, FaultSpec, InjectedFault, InjectedKill
 from .keystore import KeyedArtifactStore, estimate_nbytes, set_cache_bytes
 from .resources import (
     MemoryBudget,
     budget_check,
+    cpu_count,
     free_disk_bytes,
     parse_bytes,
     require_free_disk,
@@ -20,11 +20,6 @@ __all__ = [
     "ensure_rng",
     "spawn_rngs",
     "Timer",
-    "blas",
-    "blas_thread_budget",
-    "cpu_count",
-    "limit_blas_threads",
-    "plan_worker_threads",
     "faults",
     "FaultInjector",
     "FaultSpec",
@@ -37,6 +32,7 @@ __all__ = [
     "resources",
     "MemoryBudget",
     "budget_check",
+    "cpu_count",
     "free_disk_bytes",
     "parse_bytes",
     "require_free_disk",

@@ -80,15 +80,12 @@ class CancelledError(BaseException):
 
 
 class CancelToken:
-    """A cancellation flag with an optional deadline and parent link.
+    """A cancellation flag with an optional deadline.
 
     Cancelling is one-way and idempotent: the first cause wins.  A token
-    is *observed* cancelled when it was cancelled directly, when its
-    deadline (measured on the monotonic clock) has expired, or when any
-    token on its parent chain is cancelled — parent-linking lets a
-    supervisor hand a trial a deadline-scoped child of the ambient token.
-    (The process-wide shutdown token needs no link: every poll site
-    observes it directly.)
+    is *observed* cancelled when it was cancelled directly or when its
+    deadline (measured on the monotonic clock) has expired.  Every poll
+    site also observes the process-wide shutdown token directly.
 
     Tokens take no lock: the library starts no threads, and a signal
     handler that cancels a token mid-poll must never wait on the poll it
@@ -99,12 +96,8 @@ class CancelToken:
         self,
         *,
         deadline_seconds: Optional[float] = None,
-        parent: Optional["CancelToken"] = None,
-        name: str = "",
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        self.name = name
-        self.parent = parent
         self._clock = clock
         self._cause: Optional[str] = None
         self._message = ""
@@ -122,7 +115,9 @@ class CancelToken:
         self._message = message
         return True
 
-    def _own_cause(self) -> Optional[str]:
+    @property
+    def cause(self) -> Optional[str]:
+        """The cause the token was cancelled with, or ``None``."""
         if self._cause is None and self._deadline is not None:
             # cancel() re-checks the cause: a signal handler that cancelled
             # the token during the clock read keeps its (first) cause.
@@ -131,25 +126,8 @@ class CancelToken:
         return self._cause
 
     @property
-    def cause(self) -> Optional[str]:
-        """The effective cause (walking the parent chain), or ``None``."""
-        token: Optional[CancelToken] = self
-        while token is not None:
-            cause = token._own_cause()
-            if cause is not None:
-                return cause
-            token = token.parent
-        return None
-
-    @property
     def cancelled(self) -> bool:
         return self.cause is not None
-
-    def remaining(self) -> Optional[float]:
-        """Seconds until the deadline (``None`` if no deadline is set)."""
-        if self._deadline is None:
-            return None
-        return max(0.0, self._deadline - self._clock())
 
     def raise_if_cancelled(self, site: Optional[str] = None) -> None:
         cause = self.cause
@@ -161,7 +139,7 @@ class CancelToken:
 # Process-wide shutdown token.  Signal handlers cancel this one token; every
 # trial token is (directly or via checkpoint()) observed against it.
 
-_SHUTDOWN = CancelToken(name="process-shutdown")
+_SHUTDOWN = CancelToken()
 
 
 def request_shutdown(message: str = "", cause: str = CAUSE_SHUTDOWN) -> bool:
@@ -184,7 +162,7 @@ def shutdown_requested() -> Optional[str]:
 def reset_shutdown() -> None:
     """Replace the process shutdown token (tests and pool-worker re-use)."""
     global _SHUTDOWN
-    _SHUTDOWN = CancelToken(name="process-shutdown")
+    _SHUTDOWN = CancelToken()
 
 
 # ---------------------------------------------------------------------------

@@ -330,7 +330,7 @@ class FaultInjector:
 def _hang(seconds: float) -> None:
     """Sleep up to ``seconds``; return early once the trial is cancelled.
 
-    Polls the ambient token (with its parent chain) and the shutdown token
+    Polls the ambient token and the shutdown token
     directly, not through :func:`~repro.utils.cancellation.checkpoint`, so
     a hang never beats the heartbeat beacon.  It returns rather than
     raises: the trial's next poll site writes the final snapshot.

@@ -14,7 +14,7 @@ module closes ROADMAP item 5's refactor rider: a single
   least-recently-used *evictable* entry, across stores, until the
   configured budget is met;
 * **one shared byte budget** — :func:`set_cache_bytes` (CLI
-  ``--cache-bytes``, env ``REPRO_CACHE_BYTES``) caps the *sum* of all
+  ``--cache-bytes``) caps the *sum* of all
   registered stores, which is exactly the single eviction/capacity policy
   the always-on service layer (ROADMAP item 3) needs;
 * **pinning** — entries whose only copy lives in memory (a poison graph
@@ -32,31 +32,27 @@ trial runs in the thread that calls it.
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Hashable, Optional
 
 from ..errors import ConfigError
 
 __all__ = [
-    "CACHE_BYTES_ENV_VAR",
     "KeyedArtifactStore",
     "estimate_nbytes",
     "set_cache_bytes",
+    "cache_bytes",
     "evict_fraction",
     "cache_report",
     "clear_all_stores",
 ]
 
-CACHE_BYTES_ENV_VAR = "REPRO_CACHE_BYTES"
-
 _tick = itertools.count(1)
 _stores: "list[weakref.ref[KeyedArtifactStore]]" = []
 _budget_bytes: Optional[int] = None
-_budget_from_env = False
 
 
 def estimate_nbytes(value: Any) -> int:
@@ -274,18 +270,6 @@ def _live_stores() -> list[KeyedArtifactStore]:
     return alive
 
 
-def _resolved_budget() -> Optional[int]:
-    global _budget_bytes, _budget_from_env
-    if _budget_bytes is None and not _budget_from_env:
-        raw = os.environ.get(CACHE_BYTES_ENV_VAR, "").strip()
-        _budget_from_env = True
-        if raw and raw != "0":
-            from .resources import parse_bytes
-
-            _budget_bytes = parse_bytes(raw)
-    return _budget_bytes
-
-
 def _evict_down_to(stores: list[KeyedArtifactStore], target: int) -> None:
     """Evict the globally least-recently-used evictable entry (across
     ``stores``) until they hold ``target`` bytes or less, or everything
@@ -308,9 +292,8 @@ def _evict_down_to(stores: list[KeyedArtifactStore], target: int) -> None:
 
 def _enforce_global() -> None:
     """Evict globally-LRU-first until the shared budget holds."""
-    budget = _resolved_budget()
-    if budget is not None:
-        _evict_down_to(_live_stores(), budget)
+    if _budget_bytes is not None:
+        _evict_down_to(_live_stores(), _budget_bytes)
 
 
 def set_cache_bytes(total: Optional[int]) -> None:
@@ -318,12 +301,16 @@ def set_cache_bytes(total: Optional[int]) -> None:
 
     Takes effect immediately: excess entries are evicted globally-LRU-first.
     """
-    global _budget_bytes, _budget_from_env
+    global _budget_bytes
     if total is not None and total < 0:
         raise ConfigError(f"cache byte budget must be >= 0, got {total}")
     _budget_bytes = int(total) if total is not None else None
-    _budget_from_env = True  # explicit call overrides the env default
     _enforce_global()
+
+
+def cache_bytes() -> Optional[int]:
+    """The shared byte budget (``None`` = unlimited)."""
+    return _budget_bytes
 
 
 def evict_fraction(fraction: float = 0.5) -> int:
@@ -343,7 +330,7 @@ def cache_report() -> dict:
     """Per-store stats plus the shared totals (for tests and diagnostics)."""
     stores = {store.name: store.stats() for store in _live_stores()}
     return {
-        "budget_bytes": _resolved_budget(),
+        "budget_bytes": _budget_bytes,
         "total_bytes": sum(s["bytes"] for s in stores.values()),
         "stores": stores,
     }

@@ -22,9 +22,9 @@ those conditions early and fail with a structured error instead of dying:
     Consult-able fault injection (``disk_full`` rules, see
     :mod:`repro.utils.faults`) makes the ENOSPC path chaos-testable.
 
-Budgets install ambiently (like :mod:`repro.utils.faults`): the CLI's
-``--memory-budget`` exports ``REPRO_MEMORY_BUDGET`` so ``--jobs`` pool
-workers govern themselves with the same ceiling.
+Budgets install ambiently (like :mod:`repro.utils.faults`): the CLI
+installs ``--memory-budget`` in its own process, and a ``--jobs`` pool
+hands the installed ceiling to each worker as it starts.
 """
 
 from __future__ import annotations
@@ -41,22 +41,21 @@ from . import faults
 from .keystore import evict_fraction
 
 __all__ = [
-    "MEMORY_BUDGET_ENV_VAR",
     "MemoryBudget",
     "Watermark",
     "parse_bytes",
     "format_bytes",
     "rss_bytes",
+    "cpu_count",
     "free_disk_bytes",
     "require_free_disk",
     "with_disk_retry",
     "install_budget",
     "active_budget",
-    "budget_from_env",
+    "enforced_budget",
+    "enforced_limit",
     "budget_check",
 ]
-
-MEMORY_BUDGET_ENV_VAR = "REPRO_MEMORY_BUDGET"
 
 _UNITS = {"": 1, "k": 1024, "m": 1024**2, "g": 1024**3, "t": 1024**4}
 
@@ -124,6 +123,15 @@ def rss_bytes() -> int:
         return 0
 
 
+def cpu_count() -> int:
+    """Usable core count (scheduler-affinity aware where supported)."""
+    try:
+        affinity = os.sched_getaffinity(0)  # type: ignore[attr-defined]
+    except AttributeError:  # macOS / Windows
+        return os.cpu_count() or 1
+    return max(1, len(affinity))
+
+
 @dataclass
 class Watermark:
     """One registered watermark: fires crossing up, re-arms crossing down."""
@@ -142,7 +150,7 @@ class MemoryBudget:
     since the last check (each re-arms when RSS drops back below it), and
     — only when ``enforce`` is set — raises :class:`ResourceError` above
     the ceiling.  A hand-built budget only measures unless ``enforce`` is
-    set; the ``--memory-budget`` one (:func:`budget_from_env`) enforces.
+    set; the ``--memory-budget`` one (:func:`enforced_budget`) enforces.
 
     ``reader`` is injectable so tests can script RSS trajectories.
     """
@@ -214,7 +222,8 @@ def install_budget(budget: Optional[MemoryBudget]) -> None:
 
 @contextmanager
 def active_budget(budget: Optional[MemoryBudget]) -> Iterator[Optional[MemoryBudget]]:
-    """Context manager installing ``budget`` (no-op for ``None``)."""
+    """Context manager installing ``budget`` (``None`` lifts any budget)
+    for the block, then restoring the previous one."""
     global _BUDGET
     previous = _BUDGET
     _BUDGET = budget
@@ -224,24 +233,24 @@ def active_budget(budget: Optional[MemoryBudget]) -> Iterator[Optional[MemoryBud
         _BUDGET = previous
 
 
-def budget_from_env(env: Optional[dict] = None) -> Optional[MemoryBudget]:
-    """Build the ``--memory-budget`` budget from ``REPRO_MEMORY_BUDGET``
-    (unset/empty/0 → None).
+def enforced_budget(limit_bytes: Optional[int]) -> Optional[MemoryBudget]:
+    """The ``--memory-budget`` budget for ``limit_bytes`` (None/0 → None).
 
     The budget enforces its ceiling, and an 80% watermark evicts half of
     the cached bytes (:func:`repro.utils.keystore.evict_fraction`) before
-    the ceiling is judged.  This is how ``--jobs`` pool workers inherit the
-    parent's ceiling: the CLI exports the variable, the worker initializer
-    calls this.
+    the ceiling is judged.  The CLI installs it in its own process; a
+    ``--jobs`` pool rebuilds it in each worker from :func:`enforced_limit`.
     """
-    raw = (env if env is not None else os.environ).get(
-        MEMORY_BUDGET_ENV_VAR, ""
-    ).strip()
-    if not raw or raw == "0":
+    if not limit_bytes:
         return None
-    budget = MemoryBudget(parse_bytes(raw), enforce=True)
+    budget = MemoryBudget(limit_bytes, enforce=True)
     budget.add_watermark(0.8, lambda rss, limit: evict_fraction())
     return budget
+
+
+def enforced_limit() -> Optional[int]:
+    """The ceiling of the installed budget if it enforces one, else None."""
+    return _BUDGET.limit_bytes if _BUDGET is not None and _BUDGET.enforce else None
 
 
 def budget_check(context: str = "") -> Optional[int]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -74,3 +76,23 @@ def small_polblogs() -> Graph:
     )
     graph = generate_graph(spec, seed=3, name="small-polblogs")
     return stratified_split(graph, seed=3)
+
+
+@pytest.fixture
+def autodiff():
+    """``with autodiff():`` runs every fit inside on the autodiff path.
+
+    ``make_fused_kernel`` declines each fit, the fallback ``engine="auto"``
+    already takes for an ineligible one; a ``--jobs`` pool forked inside
+    inherits the patch.
+    """
+
+    @contextlib.contextmanager
+    def forced():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                "repro.nn.trainer.make_fused_kernel", lambda *args, **kwargs: None
+            )
+            yield
+
+    return forced

@@ -89,24 +89,6 @@ class TestCancelToken:
         assert info.value.cause == CAUSE_DEADLINE
         assert token.cancelled
 
-    def test_remaining_counts_down(self):
-        token = CancelToken(deadline_seconds=10, clock=counting_clock())
-        first = token.remaining()
-        second = token.remaining()
-        assert first is not None and second is not None
-        assert second < first
-
-    def test_parent_cancellation_reaches_child(self):
-        parent = CancelToken()
-        child = CancelToken(parent=parent)
-        assert not child.cancelled
-        parent.cancel(CAUSE_SHUTDOWN, "operator shutdown")
-        assert child.cancelled
-        assert child.cause == CAUSE_SHUTDOWN
-        with pytest.raises(CancelledError) as info:
-            child.raise_if_cancelled("x")
-        assert info.value.cause == CAUSE_SHUTDOWN
-
     def test_cancelled_error_is_not_an_exception(self):
         # ``except Exception`` boundaries (the trial supervisor, defensive
         # library code) must never absorb a cancellation.
@@ -185,8 +167,8 @@ class TestScopes:
 
     def test_inner_scope_inherits_unspecified_fields(self, tmp_path):
         sink = TrialSnapshotter(tmp_path / "snap.npz")
-        outer = CancelToken(name="outer")
-        inner = CancelToken(name="inner")
+        outer = CancelToken()
+        inner = CancelToken()
         with trial_scope(token=outer, sink=sink):
             with trial_scope(token=inner):
                 assert cancellation.current_token() is inner
@@ -208,10 +190,10 @@ class TestHangFault:
         monkeypatch.setattr(faults.time, "sleep", sleep)
 
     def test_cancelled_ambient_token_cuts_the_hang(self, tmp_path):
-        parent = CancelToken()
-        parent.cancel(CAUSE_SHUTDOWN, "stop")
+        token = CancelToken()
+        token.cancel(CAUSE_SHUTDOWN, "stop")
         beacon = Beacon(tmp_path / "beacon.json", task_index=0)
-        with trial_scope(token=CancelToken(parent=parent), beacon=beacon):
+        with trial_scope(token=token, beacon=beacon):
             FaultInjector(self.HANG).perturb("slow")
         assert not (tmp_path / "beacon.json").exists()
 

@@ -17,6 +17,7 @@ content-addressed invalidation.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -164,13 +165,14 @@ class TestDenseOperatorBitIdentity:
         autodiff_logits = model.forward(dense, CSRConstant(small_cora.features)).data
         assert np.array_equal(kernel.eval_forward(), autodiff_logits)
 
-    def test_defender_fit_identical(self, small_cora, monkeypatch):
-        fits = {}
-        for engine in ("autodiff", "fused"):
-            monkeypatch.setenv("REPRO_ENGINE", engine)
+    def test_defender_fit_identical(self, small_cora, autodiff):
+        def fit():
             result = GCNSVD(rank=10, train_config=CONFIG, seed=4).fit(small_cora)
-            fits[engine] = (result.test_accuracy, result.val_accuracy)
-        assert fits["autodiff"] == fits["fused"]
+            return result.test_accuracy, result.val_accuracy
+
+        with autodiff():
+            oracle = fit()
+        assert oracle == fit()
 
 
 class TestSGCBitIdentity:
@@ -869,15 +871,9 @@ class TestDispatch:
 
 
 class TestResolveEngine:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert resolve_engine(None) == "auto"
-
-    def test_env_var_controls_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "autodiff")
-        assert resolve_engine(None) == "autodiff"
-        # An explicit argument wins over the environment.
-        assert resolve_engine("fused") == "fused"
+    def test_default_is_auto(self):
+        assert resolve_engine() == "auto"
+        assert resolve_engine("Fused") == "fused"
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError, match="engine"):
@@ -933,19 +929,11 @@ class TestViewCache:
 
 
 # ---------------------------------------------------------------------------
-# CLI: --engine is parsed, exported, and engine-independent in output
+# CLI: output is engine-independent
 
 
 class TestCliEngineFlag:
-    def test_parser_accepts_engine(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(["defend", "GCN", "--engine", "fused"])
-        assert args.engine == "fused"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["defend", "GCN", "--engine", "turbo"])
-
-    def test_defend_output_engine_independent(self, tmp_path, monkeypatch, capsys):
+    def test_defend_output_engine_independent(self, tmp_path, capsys, autodiff):
         from repro.cli import main
 
         graph_path = tmp_path / "g.npz"
@@ -956,25 +944,12 @@ class TestCliEngineFlag:
             == 0
         )
         capsys.readouterr()  # drain the dataset command's output
-        outputs = {}
-        for engine in ("autodiff", "fused"):
-            monkeypatch.delenv("REPRO_ENGINE", raising=False)
-            assert (
-                main(
-                    [
-                        "defend", "GCN", "--graph", str(graph_path),
-                        "--seeds", "1", "--engine", engine,
-                    ]
-                )
-                == 0
-            )
-            # The flag is exported so pool workers inherit it.
-            import os
-
-            assert os.environ["REPRO_ENGINE"] == engine
-            outputs[engine] = capsys.readouterr().out
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert outputs["autodiff"] == outputs["fused"]
+        argv = ["defend", "GCN", "--graph", str(graph_path), "--seeds", "1"]
+        with autodiff():
+            assert main(argv) == 0
+        oracle = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == oracle
 
 
 # ---------------------------------------------------------------------------
@@ -982,7 +957,7 @@ class TestCliEngineFlag:
 
 
 class TestSweepEquivalence:
-    def test_journals_identical_across_engines_and_jobs(self, tmp_path, monkeypatch):
+    def test_journals_identical_across_engines_and_jobs(self, tmp_path, autodiff):
         from tests.test_parallel_sweep import cells_of, journal_records, run_sweep
         from repro.experiments import SweepCheckpoint
 
@@ -991,21 +966,21 @@ class TestSweepEquivalence:
         # included — to the same path with identical journals.
         runs = {}
         for label, engine, jobs in (
-            ("autodiff-serial", "autodiff", 1),
-            ("auto-serial", "auto", 1),
-            ("auto-parallel", "auto", 2),
+            ("autodiff-serial", autodiff(), 1),
+            ("auto-serial", contextlib.nullcontext(), 1),
+            ("auto-parallel", contextlib.nullcontext(), 2),
         ):
-            monkeypatch.setenv("REPRO_ENGINE", engine)
             clear_view_cache()
             workdir = tmp_path / label
-            table, _, _ = run_sweep(jobs=jobs, checkpoint=SweepCheckpoint(workdir))
+            with engine:
+                table, _, _ = run_sweep(jobs=jobs, checkpoint=SweepCheckpoint(workdir))
             runs[label] = (cells_of(table), journal_records(workdir))
 
         assert runs["autodiff-serial"] == runs["auto-serial"]
         assert runs["auto-serial"] == runs["auto-parallel"]
 
     def test_expensive_defenders_fuse_identically_in_sweeps(
-        self, tmp_path, monkeypatch
+        self, tmp_path, autodiff
     ):
         """GAT/RGCN/SimPGCN cells: fused sweeps match the autodiff oracle
         cell-for-cell and journal-for-journal, serial and parallel."""
@@ -1015,19 +990,19 @@ class TestSweepEquivalence:
         scale = ExperimentScale(scale=0.04, seeds=1, rate=0.1)
         runs = {}
         for label, engine, jobs in (
-            ("autodiff-serial", "autodiff", 1),
-            ("auto-serial", "auto", 1),
-            ("auto-parallel", "auto", 2),
+            ("autodiff-serial", autodiff(), 1),
+            ("auto-serial", contextlib.nullcontext(), 1),
+            ("auto-parallel", contextlib.nullcontext(), 2),
         ):
-            monkeypatch.setenv("REPRO_ENGINE", engine)
             clear_view_cache()
             workdir = tmp_path / label
-            table, _, _ = run_sweep(
-                jobs=jobs,
-                checkpoint=SweepCheckpoint(workdir),
-                defenders=["GAT", "RGCN", "SimPGCN"],
-                scale=scale,
-            )
+            with engine:
+                table, _, _ = run_sweep(
+                    jobs=jobs,
+                    checkpoint=SweepCheckpoint(workdir),
+                    defenders=["GAT", "RGCN", "SimPGCN"],
+                    scale=scale,
+                )
             runs[label] = (cells_of(table), journal_records(workdir))
 
         assert runs["autodiff-serial"] == runs["auto-serial"]

@@ -28,12 +28,6 @@ from repro.experiments import (
     make_executor,
 )
 from repro.utils import faults
-from repro.utils.blas import (
-    BLAS_ENV_VARS,
-    blas_thread_budget,
-    limit_blas_threads,
-    plan_worker_threads,
-)
 from repro.utils.faults import FaultInjector, InjectedKill
 
 CONFIG = ExperimentScale(scale=0.04, seeds=2, rate=0.1)
@@ -334,45 +328,15 @@ class TestExecutorFactory:
 
     def test_jobs_many_is_parallel(self):
         # total_cores pins capacity so the assertion holds on any machine.
-        executor = make_executor(3, blas_threads=1, total_cores=4)
+        executor = make_executor(3, total_cores=4)
         assert isinstance(executor, ParallelTrialExecutor)
         assert executor.jobs == 3
-        assert executor.blas_threads == 1
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ConfigError):
             make_executor(0)
         with pytest.raises(ConfigError):
             ParallelTrialExecutor(0)
-
-
-class TestBlasGovernance:
-    def test_plan_divides_cores(self):
-        assert plan_worker_threads(4, total_cores=16) == 4
-        assert plan_worker_threads(3, total_cores=8) == 2
-        # More jobs than cores floors at single-threaded BLAS.
-        assert plan_worker_threads(8, total_cores=4) == 1
-
-    def test_plan_validates(self):
-        with pytest.raises(ConfigError):
-            plan_worker_threads(0)
-        with pytest.raises(ConfigError):
-            plan_worker_threads(2, total_cores=0)
-
-    def test_limit_sets_and_budget_restores(self, monkeypatch):
-        import os
-
-        monkeypatch.setenv("OMP_NUM_THREADS", "7")
-        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
-        with blas_thread_budget(2):
-            for var in BLAS_ENV_VARS:
-                assert os.environ[var] == "2"
-        assert os.environ["OMP_NUM_THREADS"] == "7"
-        assert "MKL_NUM_THREADS" not in os.environ
-
-    def test_limit_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            limit_blas_threads(0)
 
 
 class TestSweepTimings:

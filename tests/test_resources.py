@@ -53,10 +53,10 @@ from repro.utils.resources import (
     MemoryBudget,
     active_budget,
     budget_check,
-    budget_from_env,
+    enforced_budget,
+    enforced_limit,
     format_bytes,
     free_disk_bytes,
-    install_budget,
     parse_bytes,
     require_free_disk,
     with_disk_retry,
@@ -171,11 +171,15 @@ class TestMemoryBudget:
         with active_budget(budget):
             assert budget_check("anywhere") == 7
 
-    def test_budget_from_env(self):
-        assert budget_from_env({}) is None
-        assert budget_from_env({"REPRO_MEMORY_BUDGET": "0"}) is None
-        budget = budget_from_env({"REPRO_MEMORY_BUDGET": "2G"})
-        assert budget.limit_bytes == 2 * 1024**3
+    def test_enforced_budget(self):
+        assert enforced_budget(None) is None
+        assert enforced_budget(0) is None
+        budget = enforced_budget(2 * 1024**3)
+        assert budget.limit_bytes == 2 * 1024**3 and budget.enforce
+        with active_budget(budget):
+            assert enforced_limit() == 2 * 1024**3
+        with active_budget(MemoryBudget(limit_bytes=100)):
+            assert enforced_limit() is None  # a measuring budget sets no ceiling
 
     def test_env_budget_evicts_then_enforces(self):
         # The --memory-budget budget: crossing 80% evicts cached bytes,
@@ -184,7 +188,7 @@ class TestMemoryBudget:
         store = KeyedArtifactStore("t-env-budget")
         for i in range(4):
             store.put(i, _array(1))
-        budget = budget_from_env({"REPRO_MEMORY_BUDGET": "100"})
+        budget = enforced_budget(100)
         readings = iter([50, 85, 150, 150])
         budget.reader = lambda: next(readings)
         assert budget.check() == 50 and len(store) == 4
@@ -203,19 +207,12 @@ class TestBudgetSampledWhereWorkStarts:
     the ``attack``/``defend`` CLI commands and a sweep's defense trials."""
 
     @pytest.fixture
-    def governed_cli(self, monkeypatch):
-        # The CLI exports the budget and installs it process-wide; undo both.
-        monkeypatch.setenv("REPRO_MEMORY_BUDGET", "")
-        yield
-        install_budget(None)
-
-    @pytest.fixture
     def graph_file(self, tmp_path):
         path = tmp_path / "cora.npz"
         assert main(["dataset", "cora", "--scale", "0.05", "--out", str(path)]) == 0
         return path
 
-    def test_cli_attack_over_budget_exits_2(self, governed_cli, graph_file, tmp_path, capsys):
+    def test_cli_attack_over_budget_exits_2(self, graph_file, tmp_path, capsys):
         out = tmp_path / "poison.npz"
         argv = ["attack", "PEEGA", "--graph", str(graph_file), "--rate", "0.05",
                 "--out", str(out), "--memory-budget", "1M"]
@@ -223,7 +220,7 @@ class TestBudgetSampledWhereWorkStarts:
         assert "1.0 MiB memory budget during PEEGA attack on cora" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cli_defend_over_budget_exits_2(self, governed_cli, graph_file, capsys):
+    def test_cli_defend_over_budget_exits_2(self, graph_file, capsys):
         argv = ["defend", "GCN", "--graph", str(graph_file), "--seeds", "1",
                 "--memory-budget", "1M"]
         assert main(argv) == 2
@@ -231,6 +228,27 @@ class TestBudgetSampledWhereWorkStarts:
         argv[-1] = "8G"  # a budget the fit stays under changes nothing
         assert main(argv) == 0
         assert "GCN on cora" in capsys.readouterr().out
+
+    def test_cli_sweep_budget_governs_the_workers(self, capsys):
+        """``table --jobs 2 --memory-budget 1M``: every trial runs in a pool
+        worker and fails on the memory budget the parent handed it, and
+        the CLI leaves neither an environment variable nor a budget behind."""
+        environ = dict(os.environ)
+        argv = ["table", "cora", "--scale", "0.04", "--seeds", "1",
+                "--attackers", "PEEGA", "--defenders", "GCN", "--jobs", "2",
+                "--memory-budget", "1M"]
+        assert main(argv) == 3
+        appendix = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("- cora/")
+        ]
+        assert appendix
+        assert all(
+            "ResourceError" in line and "1.0 MiB memory budget during" in line
+            for line in appendix
+        )
+        assert dict(os.environ) == environ
+        assert enforced_limit() is None
 
     @pytest.mark.parametrize("kind", ["attack", "defense"])
     def test_sweep_trials_sampled(self, small_cora, kind):
@@ -500,19 +518,25 @@ class TestWorkerDeathRecovery:
         assert journal_records(serial_dir) == journal_records(parallel_dir)
 
     def test_repeatedly_killed_trial_becomes_structured_failure(self):
-        # A pool break cannot attribute guilt, so every co-resident trial
-        # is charged a kill; the guarantee is that the sweep *terminates*
-        # with structured "died" failures instead of hanging or crashing the
-        # parent.
+        # The trials a pool break takes down together re-run one at a time,
+        # so only the trial that keeps killing its worker is charged: it
+        # fails (quarantining GCN), and every other cell — the PEEGA row
+        # included — is filled as in a fault-free sweep.
+        reference, _, _ = run_sweep(jobs=1)
         spec = "defender:oomkill:times=99:attacker=Clean:defender=GCN:seed=0"
         with pytest.warns(DegradedWarning):
             table, _, _ = run_sweep(jobs=JOBS, fault_spec=spec)
-        assert table.failures  # the poisoned trial is always among them
-        assert any(
-            (f.key.attacker, f.key.defender, f.key.seed) == ("Clean", "GCN", 0)
-            for f in table.failures
+        [failure] = table.failures
+        assert (failure.key.attacker, failure.key.defender, failure.key.seed) == (
+            "Clean", "GCN", 0
         )
-        assert all("died" in f.message for f in table.failures)
+        assert failure.message == (
+            "pool worker died 4 times running cora/Clean/r=0.1/GCN/seed=0"
+        )
+        expected = cells_of(reference)
+        for row in ("Clean", "PEEGA"):
+            expected[(row, "GCN")] = None
+        assert cells_of(table) == expected
 
 
 class TestMemoryExhaustedRetry:
