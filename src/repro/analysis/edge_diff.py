@@ -10,9 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-import scipy.sparse as sp
-
 from ..errors import GraphError
 from ..graph import Graph
 

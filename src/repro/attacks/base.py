@@ -14,8 +14,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from ..errors import BudgetError, BudgetWarning
 from ..graph import (
     EdgeFlip,

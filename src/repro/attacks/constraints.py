@@ -12,7 +12,6 @@ greedy attackers intersect with their score matrices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

@@ -9,8 +9,6 @@ makes it a useful reference point in the Fig 2 edge-difference analysis.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..errors import ConfigError
 from ..graph import EdgeFlip, Graph, apply_perturbations
 from ..utils.rng import SeedLike

@@ -17,7 +17,6 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..graph import Graph, apply_perturbations, gcn_normalize_dense
-from ..nn import GCN
 from ..tensor import Adam, Tensor, functional as F
 from ..utils.rng import SeedLike
 from .base import AttackBudget, AttackResult

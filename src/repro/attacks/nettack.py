@@ -26,7 +26,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import ConfigError
 from ..graph import (

@@ -7,8 +7,6 @@ feature bits).  Any attacker worth reporting must beat it.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..graph import EdgeFlip, FeatureFlip, Graph, apply_perturbations
 from ..utils.rng import SeedLike
 from .base import AttackBudget, Attacker, AttackResult

@@ -23,7 +23,7 @@ and no victim parameters.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,10 +31,9 @@ import scipy.sparse as sp
 from ..defenses.base import Defender, validate_pruned_graph
 from ..defenses.simpgcn import knn_graph
 from ..errors import ConfigError
-from ..graph import Graph, add_self_loops, gcn_normalize
+from ..graph import Graph, add_self_loops
 from ..graph.viewcache import cached_operator, csr_fingerprint
 from ..nn import GCN, MultiViewForward, TrainConfig, train_node_classifier
-from ..tensor import Tensor
 from ..utils.rng import SeedLike
 
 __all__ = ["GNAT", "topology_graph", "feature_graph", "ego_graph"]

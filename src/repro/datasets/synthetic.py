@@ -22,7 +22,6 @@ All generators are deterministic given a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp

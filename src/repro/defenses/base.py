@@ -10,9 +10,6 @@ from __future__ import annotations
 import abc
 import time
 from dataclasses import dataclass, field
-from typing import Optional
-
-import numpy as np
 
 from ..errors import ConfigError
 from ..graph import Graph, validate_graph

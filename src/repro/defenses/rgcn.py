@@ -10,14 +10,14 @@ in the original Gaussian graph convolution layer.  Training samples
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from ..graph import Graph, add_self_loops
-from ..nn import Module, TrainConfig, accuracy
-from ..tensor import Adam, Tensor, functional as F, glorot_uniform
+from ..nn import Module, TrainConfig
+from ..tensor import Tensor, functional as F, glorot_uniform
 from ..utils.rng import SeedLike, ensure_rng
 from .base import Defender
 

@@ -12,8 +12,9 @@ reported number:
     the row's defense trials; everything else is independent and fans out.
 
 :class:`ParallelTrialExecutor`
-    The scheduler: it releases ready tasks, resolves cached poisons and
-    quarantined methods without running them, and journals each cell the
+    The scheduler: one ready queue, popped in canonical order while fewer
+    than ``jobs`` trials run.  It resolves cached poisons and quarantined
+    methods at pop time without running them, and journals each cell the
     moment it completes.  With ``jobs == 1`` (``--jobs 1``, the default)
     every trial runs in the calling process, in canonical order; with
     ``jobs >= 2`` trials run on a ``ProcessPoolExecutor`` and workers
@@ -50,6 +51,7 @@ back through the pool and abort the sweep, exactly like an operator
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import os
 import shutil
 import signal
@@ -99,6 +101,10 @@ CLEAN_ROW = "Clean"
 # A trial whose pool worker dies more often than this becomes a structured
 # failure instead of an endless kill loop.
 _MAX_WORKER_DEATHS = 3
+
+# How long a hung worker the heartbeat monitor SIGTERMs gets to snapshot
+# and exit before it is SIGKILLed.
+_KILL_GRACE_SECONDS = 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +230,13 @@ class _CellTracker:
         self._values: dict[tuple[str, str], dict[int, float]] = {}
         self._checkpoint = checkpoint
 
-    def offer(self, task: TrialTask, outcome: TrialOutcome) -> None:
-        if not outcome.ok or self._checkpoint is None:
+    def offer(self, task: TrialTask, value: float) -> None:
+        """Record one succeeded seed trial of ``task``'s cell."""
+        if self._checkpoint is None:
             return
         key = task.key
         values = self._values.setdefault((key.attacker, key.defender), {})
-        values[key.seed] = float(outcome.value)
+        values[key.seed] = value
         if len(values) == self._expected[(key.attacker, key.defender)]:
             self._checkpoint.record_cell(
                 key.dataset,
@@ -410,7 +417,7 @@ class _TaskPayload:
     task_index: int = 0
     snapshot_path: Optional[str] = None
     beacon_path: Optional[str] = None
-    heartbeat_interval: float = 1.0
+    heartbeat_interval: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -501,28 +508,32 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
 
 
 class ParallelTrialExecutor:
-    """The sweep scheduler: releases ready trials, merges deterministically.
+    """The sweep scheduler: one ready queue, at most ``jobs`` trials running.
 
-    Scheduling: every task with no unmet dependency is ready up front; a
-    row's defense tasks are released when its attack lands (or resolved
-    from the shared poison cache without running anything).  Quarantine
-    lives here: the first failure for a quarantine key synthesizes failures
-    for every not-yet-dispatched task sharing it, so a broken method fails
-    once and is skipped thereafter.
+    Scheduling: ready tasks wait on one heap keyed by canonical task index.
+    Every task with no unmet dependency is ready up front; a row's defense
+    tasks become ready when its attack lands (or is resolved from the
+    shared poison cache without running anything).  The dispatch loop pops
+    the smallest ready index while fewer than ``jobs`` trials are in
+    flight, resolving quarantined methods and cached poisons at pop time.
+    Quarantine lives here: the first failure for a quarantine key
+    synthesizes failures for every not-yet-dispatched task sharing it, so a
+    broken method fails once and is skipped thereafter.
 
     Where a trial runs depends on ``jobs``:
 
     * ``jobs == 1`` — in the calling process, through the runner's shared
       :class:`TrialSupervisor`, under the ambient fault injector and the
       task's snapshot sink, on the runner's in-memory graphs.  Each result
-      is processed before the next task is dispatched, so trials run in
-      exactly ``plan.tasks`` order — the order ``at=N`` counters,
-      sweep-global ``times=N`` budgets and the journal depend on.  No pool,
-      beacon or worker graph cache is created.
-    * ``jobs >= 2`` — on a process pool.  In-flight trials of a
-      just-quarantined method are left to finish; the canonical merge
-      (:func:`assemble_table`) normalizes any extra failures away, which is
-      why completion order cannot leak into the output.
+      is processed before the next pop, so the heap alone yields exactly
+      ``plan.tasks`` order — the order ``at=N`` counters, sweep-global
+      ``times=N`` budgets and the journal depend on.  No pool, beacon or
+      worker graph cache is created.
+    * ``jobs >= 2`` — on a process pool, with at most ``jobs`` futures in
+      flight.  In-flight trials of a just-quarantined method are left to
+      finish; the canonical merge (:func:`assemble_table`) normalizes any
+      extra failures away, which is why completion order cannot leak into
+      the output.
 
     ``BaseException`` from a trial (injected kill, operator interrupt)
     drains the pool, if any, and propagates.
@@ -530,27 +541,19 @@ class ParallelTrialExecutor:
     Worker *death* (kernel OOM kill, segfault, injected ``oomkill``, a
     heartbeat-stall termination) is not fatal: the scheduler salvages
     every future that finished before the pool broke, rebuilds the pool,
-    and requeues the dead trials unchanged.  When several trials died
-    together, each is re-run alone, so a death is only ever charged to the
-    one trial in flight.  A trial charged more than three deaths becomes a
-    structured :class:`TrialFailure` instead of an endless kill loop.
+    and requeues the trials that were running, unchanged.  When several
+    trials died together, each is re-run alone, so a death is only ever
+    charged to the one trial in flight.  A trial charged more than three
+    deaths becomes a structured :class:`TrialFailure` instead of an
+    endless kill loop.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        heartbeat_interval: Optional[float] = None,
-        kill_grace_seconds: float = 2.0,
-    ) -> None:
+    def __init__(self, jobs: int, heartbeat_interval: Optional[float] = None) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
         if heartbeat_interval is not None and heartbeat_interval <= 0:
             raise ConfigError(
                 f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
-        if kill_grace_seconds < 0:
-            raise ConfigError(
-                f"kill_grace_seconds must be non-negative, got {kill_grace_seconds}"
             )
         self.jobs = int(jobs)
         # Liveness monitoring (None = disabled): workers beat a per-task
@@ -562,7 +565,6 @@ class ParallelTrialExecutor:
         self.heartbeat_interval = (
             float(heartbeat_interval) if heartbeat_interval is not None else None
         )
-        self.kill_grace_seconds = float(kill_grace_seconds)
         self.timings: Optional[SweepTimings] = None
 
     def _context(self):
@@ -616,15 +618,18 @@ class ParallelTrialExecutor:
             else ()
         )
 
-        waiting: dict[int, list[TrialTask]] = {}
+        # The ready heap holds task indexes; plan order is index order, so
+        # the dependency-free prefix below is already a valid heap.
+        ready: list[int] = []
+        waiting: dict[int, list[int]] = {}
         for task in plan.tasks:
-            if task.depends_on is not None:
-                waiting.setdefault(task.depends_on, []).append(task)
+            if task.depends_on is None:
+                ready.append(task.index)
+            else:
+                waiting.setdefault(task.depends_on, []).append(task.index)
 
-        submit_times: dict[int, float] = {}
+        dispatch_times: dict[int, float] = {}
         inflight: dict[Future, TrialTask] = {}
-        # Tasks waiting (or re-waiting, after a pool rebuild) for dispatch.
-        pending: list[TrialTask] = []
         # The trials of a pool break with several victims, re-run one at a
         # time with nothing else in flight until each has a result.
         suspects: list[TrialTask] = []
@@ -650,20 +655,51 @@ class ParallelTrialExecutor:
                     "sweep interrupted by shutdown request",
                 )
 
-        def set_poison(attacker: str, result: AttackResult, path) -> None:
-            # Workers load the persisted archive; in-process trials (and
-            # sweeps without a checkpoint) train on the in-memory poison.
-            graph_refs[attacker] = (
+        def poison_ready(task: TrialTask, result: AttackResult, path) -> None:
+            """Point the row's defense trials at its poison and make them
+            ready.  Workers load the persisted archive; in-process trials
+            (and sweeps without a checkpoint) train on the in-memory
+            poison."""
+            graph_refs[task.key.attacker] = (
                 ("npz", str(path))
                 if not in_process and path is not None and path.exists()
                 else ("inline", result.poisoned)
             )
+            for dependent in waiting.pop(task.index, ()):
+                heapq.heappush(ready, dependent)
 
         def snapshot_path(key: TrialKey) -> Optional[str]:
             # One snapshot archive per trial key, next to the journal: an
             # interrupted trial resumes mid-flight on its next attempt (or
             # the next --resume) instead of restarting.
             return None if checkpoint is None else str(checkpoint.snapshot_path(key))
+
+        def resolve(task: TrialTask) -> Optional[tuple]:
+            """The graph reference ``task`` runs on, or ``None`` once
+            quarantine or the poison cache has resolved it without running."""
+            failure = quarantine.get(task.key.quarantine_key())
+            if failure is not None:
+                outcomes[task.index] = TrialOutcome(key=task.key, failure=failure)
+                return None
+            if task.kind == "defense":
+                return graph_refs[task.key.attacker]
+            attacker = task.key.attacker
+            cached = runner._poison_lookup(plan.dataset, attacker, plan.rate)
+            if cached is None:
+                return graph_refs[CLEAN_ROW]
+            # Shared poison cache hit: resolve without touching the pool and
+            # without re-persisting (the archive's mtime is part of the
+            # resume contract).
+            path = (
+                checkpoint.poison_path(
+                    *runner._poison_key(plan.dataset, attacker, plan.rate)
+                )
+                if checkpoint is not None
+                else None
+            )
+            outcomes[task.index] = TrialOutcome(key=task.key, value=cached, attempts=0)
+            poison_ready(task, cached, path)
+            return None
 
         def run_here(task: TrialTask, graph_ref: tuple) -> None:
             """Run one trial in this process, then process its result."""
@@ -678,51 +714,11 @@ class ParallelTrialExecutor:
                 outcome = supervisor.run(
                     task.key, trial_body(task.kind, task.key, graph, runner.validate)
                 )
-            process(None, task, _WorkerResult(outcome, (), started, time.monotonic()))
+            process(task, _WorkerResult(outcome, (), started, time.monotonic()))
 
-        def submit(pool: Optional[ProcessPoolExecutor], task: TrialTask) -> None:
-            """Resolve a ready task from caches/quarantine, or run it: here
-            when there is no pool, else on the pool."""
-            failure = quarantine.get(task.key.quarantine_key())
-            if failure is not None:
-                outcome = TrialOutcome(key=task.key, failure=failure)
-                outcomes[task.index] = outcome
-                if task.kind == "defense":
-                    cells.offer(task, outcome)
-                return
-            if task.kind == "attack":
-                attacker = task.key.attacker
-                cached = runner._poison_lookup(plan.dataset, attacker, plan.rate)
-                if cached is not None:
-                    # Shared poison cache hit: resolve without touching the
-                    # pool and without re-persisting (the archive's mtime is
-                    # part of the resume contract).
-                    path = (
-                        checkpoint.poison_path(
-                            *runner._poison_key(plan.dataset, attacker, plan.rate)
-                        )
-                        if checkpoint is not None
-                        else None
-                    )
-                    set_poison(attacker, cached, path)
-                    outcome = TrialOutcome(key=task.key, value=cached, attempts=0)
-                    outcomes[task.index] = outcome
-                    for dependent in waiting.pop(task.index, ()):
-                        submit(pool, dependent)
-                    return
-                graph_ref = graph_refs[CLEAN_ROW]
-            else:
-                graph_ref = graph_refs[task.key.attacker]
-            if pool is None:
-                run_here(task, graph_ref)
-                return
-            # While suspects remain, only the first unresolved one may run,
-            # and only into an empty pool; everything else waits.
-            while suspects and suspects[0].index in outcomes:
-                suspects.pop(0)
-            if suspects and (inflight or task.index != suspects[0].index):
-                pending.append(task)
-                return
+        def submit(
+            pool: ProcessPoolExecutor, task: TrialTask, graph_ref: tuple
+        ) -> None:
             payload = _TaskPayload(
                 kind=task.kind,
                 key=task.key,
@@ -739,33 +735,47 @@ class ParallelTrialExecutor:
                     if beacon_dir is not None
                     else None
                 ),
-                heartbeat_interval=self.heartbeat_interval or 1.0,
+                heartbeat_interval=self.heartbeat_interval,
             )
-            submit_times[task.index] = time.monotonic()
+            dispatch_times[task.index] = time.monotonic()
             try:
                 inflight[pool.submit(_execute_trial, payload)] = task
             except BrokenProcessPool:
-                # The pool died under us mid-dispatch; park the task and let
-                # the scheduler loop rebuild the pool and re-dispatch.
-                pending.append(task)
+                # The pool broke before this trial started: it is no
+                # victim, so it waits for the rebuilt pool as it was.
+                requeue(task)
+                raise
 
-        def attack_done(
-            pool: Optional[ProcessPoolExecutor], task: TrialTask, outcome: TrialOutcome
-        ) -> None:
-            """Store the row's poison and release its waiting defense tasks."""
-            if outcome.ok:
-                path = runner._store_poison(
-                    plan.dataset, task.key.attacker, plan.rate, outcome.value
-                )
-                set_poison(task.key.attacker, outcome.value, path)
-            for dependent in waiting.pop(task.index, ()):
-                if outcome.ok:
-                    submit(pool, dependent)
-                # else: dependents stay without outcomes → n/a cells
+        def requeue(task: TrialTask) -> None:
+            # A suspect waits on ``suspects``, never on the heap.
+            if task not in suspects:
+                heapq.heappush(ready, task.index)
 
-        def process(
-            pool: Optional[ProcessPoolExecutor], task: TrialTask, result: _WorkerResult
-        ) -> None:
+        def dispatch(pool: Optional[ProcessPoolExecutor]) -> None:
+            """Pop ready tasks while fewer than the capacity are in flight:
+            ``jobs`` on the pool, one (the first suspect) while break
+            suspects remain.  In-process each trial is processed before the
+            next pop, so nothing is ever in flight."""
+            while True:
+                while suspects and suspects[0].index in outcomes:
+                    suspects.pop(0)
+                if suspects:
+                    if inflight:
+                        return
+                    task = suspects[0]
+                elif ready and len(inflight) < self.jobs:
+                    task = plan.tasks[heapq.heappop(ready)]
+                else:
+                    return
+                graph_ref = resolve(task)
+                if graph_ref is None:
+                    continue
+                if pool is None:
+                    run_here(task, graph_ref)
+                else:
+                    submit(pool, task, graph_ref)
+
+        def process(task: TrialTask, result: _WorkerResult) -> None:
             """Merge one trial result into the scheduler's bookkeeping."""
             outcome = result.outcome
             outcomes[task.index] = outcome
@@ -773,26 +783,30 @@ class ParallelTrialExecutor:
                 task.key.label(),
                 task.kind,
                 result.finished - result.started,
-                result.started - submit_times.get(task.index, result.started),
+                result.started - dispatch_times.get(task.index, result.started),
             )
             if ambient is not None:
                 ambient.events.extend(result.events)
             if not outcome.ok:
+                # A failed attack releases nothing: its cells stay n/a.
                 quarantine.setdefault(
                     outcome.failure.key.quarantine_key(), outcome.failure
                 )
-            if task.kind == "attack":
-                attack_done(pool, task, outcome)
+            elif task.kind == "attack":
+                path = runner._store_poison(
+                    plan.dataset, task.key.attacker, plan.rate, outcome.value
+                )
+                poison_ready(task, outcome.value, path)
             else:
-                cells.offer(task, outcome)
+                cells.offer(task, float(outcome.value))
 
         def recover(broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
-            """Rebuild the pool after a worker death and requeue the
-            in-flight trials as they were.
+            """Rebuild the pool after a worker death and requeue the trials
+            that were running, as they were.
 
             Futures that finished before the pool broke are salvaged and
-            merged normally — only trials with no result are re-dispatched.
-            A break cannot tell which of several victims killed its worker,
+            merged normally — only trials with no result are requeued.  A
+            break cannot tell which of several victims killed its worker,
             so several victims become ``suspects`` and re-run alone; a
             death is charged only to a trial that was alone.  Each requeue
             names its cause: a heartbeat stall for the workers
@@ -807,23 +821,16 @@ class ParallelTrialExecutor:
             for future, task in sorted(
                 inflight.items(), key=lambda item: item[1].index
             ):
-                result = None
-                if future.done():
-                    try:
-                        result = future.result()
-                    except BaseException:  # noqa: BLE001 — died with the pool
-                        result = None
-                if result is not None:
-                    salvaged.append((task, result))
-                else:
+                if future.done() and future.exception() is None:
+                    salvaged.append((task, future.result()))
+                else:  # still running, or died with the pool
                     victims.append(task)
             inflight.clear()
             broken.shutdown(wait=False, cancel_futures=True)
-            pool = self._make_pool()
             if len(victims) > 1:
                 suspects[:] = victims
             for task, result in salvaged:
-                process(pool, task, result)
+                process(task, result)
             for task in victims:
                 progress.pop(task.index, None)
                 stalled = stalls.pop(task.index, None)
@@ -835,7 +842,7 @@ class ParallelTrialExecutor:
                     error = RuntimeError(
                         f"pool worker died {charged} times running {task.key.label()}"
                     )
-                    process(pool, task, _infrastructure_failure(task, error))
+                    process(task, _infrastructure_failure(task, error))
                     continue
                 if stalled is None:
                     cause = "pool worker died"
@@ -846,8 +853,8 @@ class ParallelTrialExecutor:
                     DegradedWarning,
                     stacklevel=3,
                 )
-                submit(pool, task)
-            return pool
+                requeue(task)
+            return self._make_pool()
 
         def scan_beacons() -> None:
             """Terminate workers whose beacons stalled past 2x the interval.
@@ -860,7 +867,7 @@ class ParallelTrialExecutor:
             """
             assert self.heartbeat_interval is not None and beacon_dir is not None
             now = time.monotonic()
-            for future, task in list(inflight.items()):
+            for task in list(inflight.values()):
                 record = cancellation.read_beacon(
                     os.path.join(beacon_dir, f"beacon_{task.index}.json")
                 )
@@ -876,20 +883,12 @@ class ParallelTrialExecutor:
                 if now - seen[1] > 2.0 * self.heartbeat_interval:
                     stalls[task.index] = now - seen[1]
                     progress.pop(task.index, None)
-                    _terminate_pid(int(record.get("pid", 0)), self.kill_grace_seconds)
+                    _terminate_pid(int(record.get("pid", 0)), _KILL_GRACE_SECONDS)
                     # The dead worker breaks the pool; the scheduler loop's
                     # BrokenProcessPool handler requeues this trial through
                     # recover(), which names the stall.
 
-        def terminate_workers(pool: ProcessPoolExecutor) -> None:
-            """SIGTERM every live pool worker (cooperative: they snapshot
-            at their next poll site and exit 143)."""
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                if proc.is_alive():
-                    proc.terminate()
-
         pool = None if in_process else self._make_pool()
-        pending.extend(task for task in plan.tasks if task.depends_on is None)
         # A timed wait keeps the scheduler responsive to shutdown requests
         # (the SIGINT handler only flips a flag) and paces beacon scans at
         # half the heartbeat interval so a stall is caught within 2x.
@@ -902,21 +901,8 @@ class ParallelTrialExecutor:
             while True:
                 try:
                     check_shutdown()
-                    # Snapshot: submit() re-parks tasks on `pending` when the
-                    # pool is broken or suspects hold it, and those must not
-                    # respin this pass.  Canonical order offers each suspect
-                    # after every suspect before it has been resolved.
-                    batch, pending[:] = sorted(pending, key=lambda t: t.index), []
-                    held = {t.index for t in inflight.values()}
-                    for task in batch:
-                        if task.index not in outcomes and task.index not in held:
-                            submit(pool, task)
+                    dispatch(pool)
                     if not inflight:
-                        if pending:
-                            # Every dispatch bounced: the pool is broken
-                            # with nothing in flight.  Rebuild and retry.
-                            pool = recover(pool)
-                            continue
                         break
                     done, _ = wait(
                         inflight, timeout=wait_timeout, return_when=FIRST_COMPLETED
@@ -936,20 +922,21 @@ class ParallelTrialExecutor:
                         except Exception as error:  # infrastructure failure
                             result = _infrastructure_failure(task, error)
                         del inflight[future]
-                        process(pool, task, result)
+                        process(task, result)
                 except BrokenProcessPool:
                     pool = recover(pool)
         except BaseException as error:
-            # Graceful shutdown first SIGTERMs the workers so in-flight
-            # trials snapshot at their next poll site and exit (an
-            # in-process trial already did).  Any interrupt then drops
-            # queued work and drains the pool before propagating.  The
-            # journal holds every completed cell and the snapshots every
-            # interrupted trial, so --resume finishes the sweep
-            # bit-identically.
+            # Graceful shutdown first SIGTERMs every live worker so
+            # in-flight trials snapshot at their next poll site and exit 143
+            # (an in-process trial already did).  Any interrupt then drains
+            # the pool before propagating.  The journal holds every
+            # completed cell and the snapshots every interrupted trial, so
+            # --resume finishes the sweep bit-identically.
             if pool is not None:
                 if isinstance(error, cancellation.CancelledError):
-                    terminate_workers(pool)
+                    for proc in list(getattr(pool, "_processes", {}).values()):
+                        if proc.is_alive():
+                            proc.terminate()
                 pool.shutdown(wait=True, cancel_futures=True)
             raise
         else:
@@ -985,7 +972,6 @@ def make_executor(
     jobs: int = 1,
     total_cores: Optional[int] = None,
     heartbeat_interval: Optional[float] = None,
-    kill_grace_seconds: float = 2.0,
 ):
     """The executor for ``--jobs N``: trials run in this process for 1, on a
     process pool otherwise.
@@ -1010,11 +996,7 @@ def make_executor(
             stacklevel=2,
         )
         jobs = limit
-    return ParallelTrialExecutor(
-        jobs,
-        heartbeat_interval=heartbeat_interval,
-        kill_grace_seconds=kill_grace_seconds,
-    )
+    return ParallelTrialExecutor(jobs, heartbeat_interval=heartbeat_interval)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ Used by ``python -m repro table --compare`` and available directly::
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .paper import paper_accuracy_table
 from .runner import AccuracyTable

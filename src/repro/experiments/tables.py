@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .runner import AccuracyTable, CellResult
 

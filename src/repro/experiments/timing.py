@@ -29,8 +29,10 @@ __all__ = ["attacker_timings", "defender_timings", "TrialTiming", "SweepTimings"
 class TrialTiming:
     """Instrumentation for one executed trial.
 
-    ``queue_seconds`` is the latency between the scheduler submitting the
-    trial and a worker starting it (0 for in-process execution);
+    ``queue_seconds`` is the latency between the scheduler dispatching the
+    trial and a worker starting it (0 for in-process execution).  A trial
+    is dispatched only once a worker is free, so it holds no wait in the
+    pool's own queue;
     ``wall_seconds`` is the trial's own execution time inside the worker.
     """
 

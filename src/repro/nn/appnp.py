@@ -13,10 +13,7 @@ Included as an additional victim architecture.
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
-import scipy.sparse as sp
 
 from ..tensor import Tensor, functional as F, glorot_uniform, zeros
 from ..utils.rng import SeedLike, ensure_rng

@@ -10,7 +10,7 @@ symmetric-normalized adjacency with self-loops.  The adjacency may be
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 import scipy.sparse as sp

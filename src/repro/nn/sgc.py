@@ -9,12 +9,12 @@ that makes the surrogate's fidelity testable.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..tensor import Tensor, functional as F, glorot_uniform, zeros
+from ..tensor import Tensor, glorot_uniform, zeros
 from ..tensor.tensor import _needs_grad
 from ..utils.keystore import KeyedArtifactStore
 from ..utils.rng import SeedLike, ensure_rng

@@ -31,7 +31,6 @@ from ..errors import ConfigError, DivergenceError
 from ..graph import Graph, gcn_normalize
 from ..tensor import Adam, CSRConstant, Tensor, functional as F, no_grad
 from ..utils import cancellation, faults, snapshots
-from ..utils.rng import SeedLike
 from .fastpath import (
     make_fused_kernel,
     resolve_engine,

@@ -8,7 +8,7 @@ are reproducible end to end.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.datasets import load_dataset, stratified_split
+from repro.datasets import stratified_split
 from repro.datasets.synthetic import SyntheticSpec, generate_graph
 from repro.graph import Graph
 

@@ -1,6 +1,5 @@
 """Attack framework plumbing: budgets, results, verification."""
 
-import numpy as np
 import pytest
 
 from repro.attacks import AttackBudget, RandomAttack, resolve_budget

@@ -1,6 +1,5 @@
 """CLI: every subcommand end-to-end through main()."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main

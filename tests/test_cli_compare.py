@@ -1,7 +1,5 @@
 """End-to-end `repro table --compare`: runner → report → CLI."""
 
-import pytest
-
 from repro.cli import main
 
 

@@ -1,6 +1,5 @@
 """Configuration plumbing of the defender wrappers."""
 
-import numpy as np
 import pytest
 
 from repro.core import GNAT

@@ -3,7 +3,6 @@ pieces, Metattack's self-training, SimPGCN's SSL head."""
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.attacks.metattack import Metattack, _train_linear_classifier
 from repro.defenses.rgcn import GaussianGCNModel, _power_normalize

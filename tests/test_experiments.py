@@ -1,8 +1,5 @@
 """Experiment harness: presets, runner caching, tables, timing."""
 
-import os
-
-import numpy as np
 import pytest
 
 from repro.attacks.base import Attacker

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.errors import ConfigError, DeadlineError
+from repro.errors import ConfigError
 from repro.experiments import (
     AccuracyTable,
     CellResult,

@@ -4,7 +4,6 @@ Generation only (no training): verifies the paper-facing statistics are hit
 exactly at the scale users would run real experiments at.
 """
 
-import numpy as np
 import pytest
 
 from repro.datasets import load_dataset

@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.core import GNAT
-from repro.graph import Graph
 from repro.nn import TrainConfig
 
 

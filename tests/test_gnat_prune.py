@@ -1,6 +1,5 @@
 """GNAT's edge-pruning extension (the paper's Sec. VI future work)."""
 
-import numpy as np
 import pytest
 
 from repro.core import GNAT, PEEGA

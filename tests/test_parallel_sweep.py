@@ -12,6 +12,7 @@ workers with the same trial-index accounting as a serial run.
 from __future__ import annotations
 
 import json
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.experiments import (
     TrialPolicy,
     TrialSupervisor,
     make_executor,
+    parallel,
 )
 from repro.utils import faults
 from repro.utils.faults import FaultInjector, InjectedKill
@@ -150,6 +152,54 @@ class TestParallelSerialEquivalence:
         # The whole PEEGA row is n/a; Clean is unaffected.
         assert all(cell is None for cell in parallel.rows["PEEGA"].values())
         assert all(cell is not None for cell in parallel.rows["Clean"].values())
+
+
+# ---------------------------------------------------------------------------
+# Dispatch: one ready queue, bounded by jobs
+
+
+class TestDispatch:
+    def test_in_process_trials_run_in_plan_order(self, tmp_path):
+        """At --jobs 1 the ready queue yields exactly ``plan.tasks`` order:
+        a row's released defense trials run before the next row's attack.
+        PEEGA/GCN-SVD is checkpointed, and GCN-SVD is quarantined after its
+        first trial fails, so neither shows up among the executed trials."""
+        checkpoint = SweepCheckpoint(tmp_path)
+        checkpoint.record_cell("cora", "PEEGA", CONFIG.rate, "GCN-SVD", [0.5, 0.5])
+        _, executor, _ = run_sweep(
+            jobs=1,
+            checkpoint=checkpoint,
+            fault_spec="defender:throw:defender=GCN-SVD",
+            attackers=["PEEGA", "Metattack"],
+        )
+        assert [t.label for t in executor.timings.trials] == [
+            "cora/Clean/r=0.1/GCN/seed=0",
+            "cora/Clean/r=0.1/GCN/seed=1",
+            "cora/Clean/r=0.1/GCN-SVD/seed=0",
+            "cora/PEEGA/r=0.1",
+            "cora/PEEGA/r=0.1/GCN/seed=0",
+            "cora/PEEGA/r=0.1/GCN/seed=1",
+            "cora/Metattack/r=0.1",
+            "cora/Metattack/r=0.1/GCN/seed=0",
+            "cora/Metattack/r=0.1/GCN/seed=1",
+        ]
+
+    def test_at_most_jobs_trials_in_flight(self, monkeypatch):
+        """A trial is submitted to the pool only once fewer than ``jobs``
+        submitted trials are unfinished."""
+        submitted, in_flight = [], []
+
+        class CountingPool(ProcessPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                in_flight.append(1 + sum(not f.done() for f in submitted))
+                future = super().submit(fn, *args, **kwargs)
+                submitted.append(future)
+                return future
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        _, executor, _ = run_sweep(jobs=JOBS)
+        assert len(submitted) == len(executor.timings.trials)
+        assert max(in_flight) <= JOBS
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.attacks import MinMaxAttack, PGDAttack
-from repro.attacks.base import AttackBudget, resolve_budget
+from repro.attacks.base import resolve_budget
 
 
 class TestAttackLabels:

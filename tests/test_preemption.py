@@ -37,7 +37,7 @@ from repro import io
 from repro.attacks import AttackBudget, GFAttack, GRBCD, Metattack, Nettack, PRBCD
 from repro.cli import EXIT_INTERRUPTED
 from repro.core import PEEGA
-from repro.errors import DeadlineError, DegradedWarning
+from repro.errors import DegradedWarning
 from repro.experiments import (
     ExperimentRunner,
     ExperimentScale,
@@ -47,6 +47,7 @@ from repro.experiments import (
     TrialSupervisor,
     make_executor,
 )
+from repro.experiments import parallel
 from repro.nn import GCN, TrainConfig, train_node_classifier
 from repro.surrogate import PropagationCache
 from repro.utils import cancellation, faults, snapshots
@@ -73,12 +74,9 @@ def run_sweep(
     checkpoint=None,
     fault_spec=None,
     heartbeat=None,
-    kill_grace=2.0,
     defenders=("GCN",),
 ):
-    executor = make_executor(
-        jobs, heartbeat_interval=heartbeat, kill_grace_seconds=kill_grace
-    )
+    executor = make_executor(jobs, heartbeat_interval=heartbeat)
     runner = ExperimentRunner(
         CONFIG,
         supervisor=TrialSupervisor(TrialPolicy(max_attempts=2)),
@@ -444,7 +442,7 @@ class TestParallelPreemption:
         assert cells_of(table) == cells_of(reference)
         assert journal_records(serial_dir) == journal_records(parallel_dir)
 
-    def test_hung_worker_detected_and_requeued(self, tmp_path):
+    def test_hung_worker_detected_and_requeued(self, tmp_path, monkeypatch):
         """A worker that stops polling (30s hang at an attack epoch) must be
         detected by heartbeat within ~2x the interval, terminated, and its
         trial requeued — the sweep finishes long before the hang would."""
@@ -452,6 +450,7 @@ class TestParallelPreemption:
         reference = run_sweep(jobs=1, checkpoint=SweepCheckpoint(serial_dir))
 
         parallel_dir = tmp_path / "parallel"
+        monkeypatch.setattr(parallel, "_KILL_GRACE_SECONDS", 0.2)
         started = time.monotonic()
         with pytest.warns(DegradedWarning, match="heartbeat") as caught:
             table = run_sweep(
@@ -459,7 +458,6 @@ class TestParallelPreemption:
                 checkpoint=SweepCheckpoint(parallel_dir),
                 fault_spec="peega:hang:seconds=30:times=1",
                 heartbeat=0.2,
-                kill_grace=0.2,
             )
         elapsed = time.monotonic() - started
         # A hang says nothing about memory: the requeue names the stall.

@@ -1,7 +1,5 @@
 """Measured-vs-paper report rendering."""
 
-import pytest
-
 from repro.experiments import (
     AccuracyTable,
     CellResult,

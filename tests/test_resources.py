@@ -68,7 +68,9 @@ DEFENDERS = ["GCN"]
 JOBS = 2
 
 
-def run_sweep(jobs=1, checkpoint=None, fault_spec=None, max_attempts=2):
+def run_sweep(
+    jobs=1, checkpoint=None, fault_spec=None, max_attempts=2, defenders=DEFENDERS
+):
     executor = make_executor(jobs)
     runner = ExperimentRunner(
         CONFIG,
@@ -78,7 +80,7 @@ def run_sweep(jobs=1, checkpoint=None, fault_spec=None, max_attempts=2):
     )
     injector = FaultInjector(FaultInjector.parse(fault_spec)) if fault_spec else None
     with faults.active(injector):
-        table = runner.accuracy_table("cora", attackers=ATTACKERS, defenders=DEFENDERS)
+        table = runner.accuracy_table("cora", attackers=ATTACKERS, defenders=defenders)
     return table, executor, injector
 
 
@@ -516,6 +518,23 @@ class TestWorkerDeathRecovery:
         assert table.failures == []
         assert cells_of(table) == cells_of(reference)
         assert journal_records(serial_dir) == journal_records(parallel_dir)
+
+    def test_only_running_trials_are_requeued(self):
+        """At most ``jobs`` trials run on the pool, so a worker death
+        requeues at most ``jobs`` of them: queued trials never started and
+        are no victims."""
+        defenders = ["GCN", "GCN-SVD"]
+        reference, _, _ = run_sweep(jobs=1, defenders=defenders)
+        with pytest.warns(DegradedWarning) as caught:
+            table, _, _ = run_sweep(
+                jobs=JOBS,
+                fault_spec="defender:oomkill:attacker=Clean:defender=GCN:seed=0",
+                defenders=defenders,
+            )
+        requeued = [w for w in caught if "pool worker died; requeued" in str(w.message)]
+        assert 1 <= len(requeued) <= JOBS
+        assert table.failures == []
+        assert cells_of(table) == cells_of(reference)
 
     def test_repeatedly_killed_trial_becomes_structured_failure(self):
         # The trials a pool break takes down together re-run one at a time,

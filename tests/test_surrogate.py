@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from repro.errors import ConfigError
 from repro.graph import gcn_normalize

@@ -1,9 +1,7 @@
 """Autodiff engine edge cases beyond the primary op tests."""
 
 import numpy as np
-import pytest
 
-from repro.errors import ShapeError
 from repro.tensor import Tensor, check_gradients
 from repro.tensor import functional as F
 

@@ -14,7 +14,6 @@ on: same-label edges sharpen a node's label evidence.
 """
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st

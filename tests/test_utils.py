@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import errors
-from repro.tensor import Tensor, check_gradients, numeric_gradient
+from repro.tensor import check_gradients, numeric_gradient
 from repro.utils import Timer, ensure_rng, spawn_rngs
 
 
