@@ -145,42 +145,32 @@ class DifferenceObjective:
                 self.graph.adjacency, self.graph.features, self.layers
             )
         self._m_orig: np.ndarray = np.asarray(m)
+        n = self.graph.num_nodes
         coo = self.graph.adjacency.tocoo()
         edge_index = np.vstack([coo.row, coo.col]).astype(np.int64)
         if self.node_mask is not None:
             mask = np.asarray(self.node_mask, dtype=bool)
-            if mask.shape != (self.graph.num_nodes,):
-                raise ConfigError(
-                    f"node_mask must be ({self.graph.num_nodes},), got {mask.shape}"
-                )
+            if mask.shape != (n,):
+                raise ConfigError(f"node_mask must be ({n},), got {mask.shape}")
             if not mask.any():
                 raise ConfigError("node_mask selects no nodes")
-            self._rows: Union[np.ndarray, None] = np.flatnonzero(mask)
+            self._mask: Optional[np.ndarray] = mask
+            self._rows: Optional[np.ndarray] = np.flatnonzero(mask)
             edge_index = edge_index[:, mask[edge_index[0]]]
         else:
-            self._rows = None
+            self._mask = self._rows = None
         self._edge_index: np.ndarray = edge_index
-        # Scatter operator for the closed-form global-view gradient: maps
-        # per-edge gradient rows back onto their source nodes (the adjoint of
-        # the ``m_hat[src]`` gather).  Built once — the edge list is static.
-        num_edges = edge_index.shape[1]
-        if self.lam > 0 and num_edges > 0:
-            self._scatter: Optional[sp.csr_matrix] = sp.csr_matrix(
-                (
-                    np.ones(num_edges),
-                    (edge_index[0], np.arange(num_edges)),
-                ),
-                shape=(self.graph.num_nodes, num_edges),
+        # The COO of a CSR lists edges row-major, so the edges sourced at
+        # node v are the contiguous range ``edge_ptr[v]:edge_ptr[v+1]`` — the
+        # row pointer of the scatter that maps per-edge gradient rows back
+        # onto their source nodes.  ``M[dst]`` is gathered per node range,
+        # for the edges in use only; no (E, d) operand is kept.
+        self._edge_ptr: Optional[np.ndarray] = None
+        if self.lam > 0 and edge_index.shape[1] > 0:
+            self._edge_ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(edge_index[0], minlength=n), out=self._edge_ptr[1:]
             )
-            # The neighbor-side operand of the global view is static —
-            # gather it once instead of on every score evaluation.
-            self._m_orig_dst: Optional[np.ndarray] = self._m_orig[edge_index[1]]
-        else:
-            self._scatter = None
-            self._m_orig_dst = None
-        self._m_orig_rows: Optional[np.ndarray] = (
-            None if self._rows is None else self._m_orig[self._rows]
-        )
 
     @property
     def original_representations(self) -> np.ndarray:
@@ -228,29 +218,137 @@ class DifferenceObjective:
         floating-point roundoff while skipping its per-op array copies —
         the dominant cost of the incremental score path.
         """
-        m_hat = np.asarray(m_hat, dtype=np.float64)
-        if self._rows is None:
-            values, grad = _pnorm_rows_and_grad(m_hat - self._m_orig, self.p)
-        else:
-            values, g_self = _pnorm_rows_and_grad(
-                m_hat[self._rows] - self._m_orig_rows, self.p
-            )
-            grad = np.zeros_like(m_hat)
-            grad[self._rows] = g_self
-        value = float(values.sum())
-        if self._scatter is not None:
-            src = self._edge_index[0]
-            # λ is folded into the per-edge gradient *before* the scatter-sum
-            # — the tape seeds the global-view branch with g = λ, so λ
-            # multiplies each edge row first.  ``λ·Σ g`` instead of ``Σ λ·g``
-            # differs in the last bit and breaks exact score ties against the
-            # dense oracle (p = 1 scores are tie-dense).
-            v_glob, g_glob = _pnorm_rows_and_grad(
-                m_hat[src] - self._m_orig_dst, self.p, prefactor=self.lam
-            )
-            value = value + self.lam * float(v_glob.sum())
-            grad += self._scatter @ g_glob
-        return float(value), grad
+        row_values, edge_values, grad = self._loss_state(
+            np.asarray(m_hat, dtype=np.float64)
+        )
+        return self._value(row_values, edge_values), grad
+
+    def _value(self, row_values: np.ndarray, edge_values: Optional[np.ndarray]) -> float:
+        """``Dif1 + λ·Dif2`` from the per-row and per-edge norms."""
+        value = float(row_values.sum())
+        if edge_values is not None:
+            value = value + self.lam * float(edge_values.sum())
+        return value
+
+    def _loss_state(
+        self, m_hat: np.ndarray
+    ) -> tuple[np.ndarray, Optional[np.ndarray], np.ndarray]:
+        """``(row_values, edge_values, ∂L/∂M̂)`` over every node."""
+        n = len(m_hat)
+        row_values = np.empty(n if self._rows is None else len(self._rows))
+        edge_values = (
+            None if self._edge_ptr is None else np.empty(self._edge_index.shape[1])
+        )
+        grad = np.empty_like(m_hat)
+        self._loss_rows(m_hat, np.arange(n), row_values, edge_values, grad)
+        return row_values, edge_values, grad
+
+    def _loss_rows(
+        self,
+        m_hat: np.ndarray,
+        nodes: np.ndarray,
+        row_values: np.ndarray,
+        edge_values: Optional[np.ndarray],
+        grad_m: np.ndarray,
+        compare: bool = False,
+    ) -> np.ndarray:
+        """Rewrite the loss state of the sorted ``nodes``; return changed rows.
+
+        Per node ``v``: its self-view norm (when ``v`` is in the node set),
+        the global-view norms of the edges sourced at ``v``, and its row of
+        ``∂L/∂M̂`` — the self-view gradient plus the sum of its edges'
+        gradients (λ folded), added in edge order as the scatter operator
+        ``scatter @ g_glob`` adds them.  Nodes go in ranges of about
+        :data:`_SLAB_BYTES` of residual rows, so no temporary grows with
+        ``E·d``.  With ``compare``, only the rows of ``grad_m`` that differ
+        from the stored ones are written, and their nodes are returned;
+        otherwise every row is written and ``nodes`` is returned.
+        """
+        d = m_hat.shape[1]
+        ptr = self._edge_ptr
+        src, dst = self._edge_index
+        weights = np.ones(len(nodes), dtype=np.int64)
+        if ptr is not None:
+            weights += ptr[nodes + 1] - ptr[nodes]
+        changed = []
+        for lo, hi in _ranges(weights, _slab_rows(d)):
+            chunk = nodes[lo:hi]
+            if self._rows is None:
+                keep, selected, positions = slice(None), chunk, chunk
+                grad = None
+            else:
+                keep = self._mask[chunk]
+                selected = chunk[keep]
+                positions = np.searchsorted(self._rows, selected)
+                grad = np.zeros((len(chunk), d))
+            if len(selected):
+                values, g_self = _pnorm_rows_and_grad(
+                    m_hat[selected] - self._m_orig[selected], self.p
+                )
+                row_values[positions] = values
+                if grad is None:
+                    grad = g_self
+                else:
+                    grad[keep] = g_self
+            if ptr is not None:
+                # λ is folded into the per-edge gradient *before* the sum —
+                # the tape seeds the global-view branch with g = λ, so λ
+                # multiplies each edge row first.  ``λ·Σ g`` instead of
+                # ``Σ λ·g`` differs in the last bit and breaks exact score
+                # ties against the dense oracle (p = 1 scores are tie-dense).
+                indptr, edges = _csr_rows(ptr, chunk)
+                v_glob, g_edges = _pnorm_rows_and_grad(
+                    m_hat[src[edges]] - self._m_orig[dst[edges]],
+                    self.p,
+                    prefactor=self.lam,
+                )
+                edge_values[edges] = v_glob
+                grad += _csr_product(
+                    indptr,
+                    np.arange(len(edges), dtype=indptr.dtype),
+                    np.ones(len(edges)),
+                    len(edges),
+                    g_edges,
+                )
+            if compare:
+                moved = (grad != grad_m[chunk]).any(axis=1)
+                chunk, grad = chunk[moved], grad[moved]
+                changed.append(chunk)
+            grad_m[chunk] = grad
+        if not compare:
+            return nodes
+        return np.concatenate(changed) if changed else nodes[:0]
+
+
+#: Target size of one row-chunk temporary (residuals, gathered operand rows,
+#: score rows).  Chunked work is row-independent, so every chunk size gives
+#: bitwise the same result; this only caps the transient memory of a step.
+_SLAB_BYTES = 2 << 20
+
+
+def _slab_rows(width: int) -> int:
+    """Rows of ``width`` float64 columns that fit one :data:`_SLAB_BYTES` slab."""
+    return max(1, _SLAB_BYTES // (8 * max(1, width)))
+
+
+def _row_chunks(rows: np.ndarray, width: int):
+    """``rows`` in consecutive pieces of at most one slab of ``width`` columns."""
+    step = _slab_rows(width)
+    return (rows[lo : lo + step] for lo in range(0, len(rows), step))
+
+
+def _ranges(weights: np.ndarray, cap: int):
+    """Consecutive ``(lo, hi)`` ranges whose weights sum to at most ``cap``.
+
+    An item heavier than ``cap`` gets a range of its own.
+    """
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < len(weights):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield lo, hi
+        lo = hi
 
 
 def _pnorm_rows_and_grad(
@@ -481,16 +579,14 @@ def _node_union(n: int, *parts: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _csr_rows(
-    matrix: sp.csr_matrix, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _csr_rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(indptr, positions)`` of the sub-matrix ``matrix[rows]``.
 
-    ``positions`` indexes the stored entries of ``rows`` in row order, so
-    ``matrix.indices[positions]`` / ``matrix.data[positions]`` are exactly
-    the arrays scipy's fancy row indexing builds — without its dispatch.
+    ``indptr`` is the row pointer of ``matrix``.  ``positions`` indexes the
+    stored entries of ``rows`` in row order, so ``matrix.indices[positions]``
+    / ``matrix.data[positions]`` are exactly the arrays scipy's fancy row
+    indexing builds — without its dispatch.
     """
-    indptr = matrix.indptr
     starts = indptr[rows]
     lengths = indptr[rows + 1] - starts
     sub_indptr = np.zeros(len(rows) + 1, dtype=indptr.dtype)
@@ -540,13 +636,16 @@ class IncrementalScorer:
        ``A_n`` rows plus neighbors of dirty feature rows, ``D_{k+1}`` adds
        neighbors of ``D_k`` (self-loops make ``D_k ⊆ N(D_k)``) — and
        recomputes just those rows with row-sliced sparse matvecs;
-    3. patches the per-row self-view norms/gradients and the per-edge
-       global-view norms for the touched rows and edges only.
+    3. patches the per-row self-view norms, the per-edge global-view norms
+       and the rows of ``∂L/∂M̂`` for the touched rows and edges only.
 
     CSR matvec rows are computed independently, so a row-sliced recompute is
     bitwise identical to the same row of a full rebuild — the scorer's flip
     choices match the one-shot path (and hence the dense oracle) exactly,
     which ``tests/test_peega_incremental.py`` locks down.
+
+    The ``features`` passed to each call is used as ``Z_0`` itself, not
+    copied: it must already hold every feature flip logged in the cache.
     """
 
     def __init__(self, objective: DifferenceObjective, cache: PropagationCache) -> None:
@@ -556,19 +655,19 @@ class IncrementalScorer:
             )
         self.objective = objective
         self.cache = cache
+        # Forward stack ``Z_k = A_n^k X̂``; ``_zs[0]`` is the caller's own
+        # ``X̂`` buffer, never copied.
         self._zs: Optional[list[np.ndarray]] = None
-        # Self-view state: per-row norms and the (n, d) gradient image.
+        # Loss state: per-row self-view norms, per-edge global-view norms
+        # (``None`` without a global view) and the one (n, d) gradient image
+        # ``∂L/∂M̂``.  Neither view's gradient is kept on its own: a dirty
+        # node's row is recomputed from both and compared against
+        # ``_grad_m``.
         self._row_values: Optional[np.ndarray] = None
-        self._self_grad: Optional[np.ndarray] = None
-        # Global-view state: per-edge norms and the scatter-sum of the
-        # per-edge gradients (λ folded) onto source nodes.  The (E, d)
-        # per-edge gradients themselves are never kept: a dirty node's row
-        # is re-summed from the freshly computed slab of its edges.
         self._edge_values: Optional[np.ndarray] = None
-        self._node_glob: Optional[np.ndarray] = None
-        # Adjoint stack: ``_grad_m`` is ``∂L/∂M̂`` and ``_us[k]`` the adjoint
-        # of ``Z_k`` (``_us[layers]`` aliases ``_grad_m``).
         self._grad_m: Optional[np.ndarray] = None
+        # Adjoint stack: ``_us[k]`` is the adjoint of ``Z_k`` (``_us[layers]``
+        # aliases ``_grad_m``).
         self._us: Optional[list[np.ndarray]] = None
         # Topology state: the stacked GEMM factors and their product
         # ``C = (s ⊙ U) (s ⊙ Z)ᵀ`` — the quadratic piece of the score — kept
@@ -599,19 +698,19 @@ class IncrementalScorer:
         """
         cache = self.cache
         an = cache.normalized  # also verifies the cache binding
-        layers = self.objective.layers
+        objective = self.objective
+        layers = objective.layers
         n = an.shape[0]
         an_dirty, feat_dirty = cache.drain_dirty_rows()
+        features = np.asarray(features, dtype=np.float64)
 
         if self._zs is None:
-            self._zs = [np.array(features, dtype=np.float64, copy=True)]
+            self._zs = [features]
             for _ in range(layers):
                 self._zs.append(an @ self._zs[-1])
-            self._init_loss_state()
-            if self._node_glob is not None:
-                self._grad_m = self._self_grad + self._node_glob
-            else:
-                self._grad_m = self._self_grad.copy()
+            self._row_values, self._edge_values, self._grad_m = (
+                objective._loss_state(self._zs[-1])
+            )
             self._us = [None] * (layers + 1)
             self._us[layers] = self._grad_m
             for k in range(layers - 1, -1, -1):
@@ -623,44 +722,45 @@ class IncrementalScorer:
             # Rows of stack[k] = A_n stack[src] that change: dirty A_n rows
             # plus the neighbors of the changed rows of stack[src].
             if len(seed):
-                _, positions = _csr_rows(an, seed)
+                _, positions = _csr_rows(an.indptr, seed)
                 rows = _node_union(n, an_dirty, an.indices[positions])
             else:
                 rows = an_dirty
-            if len(rows):
-                indptr, positions = _csr_rows(an, rows)
-                stack[k][rows] = _csr_product(
+            for part in _row_chunks(rows, stack[src].shape[1]):
+                indptr, positions = _csr_rows(an.indptr, part)
+                stack[k][part] = _csr_product(
                     indptr, an.indices[positions], an.data[positions], n, stack[src]
                 )
             return rows
 
         zs, us = self._zs, self._us
-        if len(feat_dirty):
-            zs[0][feat_dirty] = features[feat_dirty]
+        # The caller's buffer already holds the logged feature flips.
+        zs[0] = features
         d_levels = [feat_dirty]
         for k in range(1, layers + 1):
             d_levels.append(fan_out(zs, d_levels[-1], k, k - 1))
-        grad_dirty = self._update_loss_state(d_levels[layers])
-        if len(grad_dirty):
-            if self._node_glob is not None:
-                self._grad_m[grad_dirty] = (
-                    self._self_grad[grad_dirty] + self._node_glob[grad_dirty]
-                )
-            else:
-                self._grad_m[grad_dirty] = self._self_grad[grad_dirty]
         # Adjoint fan-out: E_l = rows where ∂L/∂M̂ actually changed (for
         # p = 1 the gradient is a sign pattern, so most dirty residual rows
         # keep a bitwise-identical gradient and prune the frontier), then
         # E_{k-1} = dirty(A_n) ∪ N(E_k).
-        e_levels = [grad_dirty]
+        e_levels = [
+            objective._loss_rows(
+                zs[-1],
+                d_levels[layers],
+                self._row_values,
+                self._edge_values,
+                self._grad_m,
+                compare=True,
+            )
+        ]
         for k in range(layers - 1, -1, -1):
             e_levels.insert(0, fan_out(us, e_levels[0], k, k + 1))
         if self._dots is not None:
             for k in range(layers + 1):
                 rows = _node_union(n, d_levels[k], e_levels[k])
-                if len(rows):
-                    self._dots[k][rows] = np.einsum(
-                        "ij,ij->i", us[k][rows], zs[k][rows]
+                for part in _row_chunks(rows, zs[k].shape[1]):
+                    self._dots[k][part] = np.einsum(
+                        "ij,ij->i", us[k][part], zs[k][part]
                     )
         return False, an_dirty, d_levels, e_levels
 
@@ -672,10 +772,7 @@ class IncrementalScorer:
 
     def _objective_value(self) -> float:
         """The objective at the current state, off the persistent loss state."""
-        value = float(self._row_values.sum())
-        if self._node_glob is not None:
-            value = value + self.objective.lam * float(self._edge_values.sum())
-        return value
+        return self.objective._value(self._row_values, self._edge_values)
 
     def gradients(
         self,
@@ -753,16 +850,18 @@ class IncrementalScorer:
         su_dirty = _node_union(n, e_levels[1], an_dirty)
         sz_dirty = _node_union(n, d_levels[layers - 1], an_dirty)
         if len(su_dirty):
-            scale = s[su_dirty][:, None]
-            for k in range(1, layers + 1):
-                self._su[su_dirty, (k - 1) * d : k * d] = us[k][su_dirty] * scale
+            for part in _row_chunks(su_dirty, d):
+                scale = s[part][:, None]
+                for k in range(1, layers + 1):
+                    self._su[part, (k - 1) * d : k * d] = us[k][part] * scale
             self._c[su_dirty, :] = sparse_matmul_grad_matrix(
                 self._su, self._sz, su_dirty
             )
         if len(sz_dirty):
-            scale = s[sz_dirty][:, None]
-            for k in range(1, layers + 1):
-                self._sz[sz_dirty, (k - 1) * d : k * d] = zs[k - 1][sz_dirty] * scale
+            for part in _row_chunks(sz_dirty, d):
+                scale = s[part][:, None]
+                for k in range(1, layers + 1):
+                    self._sz[part, (k - 1) * d : k * d] = zs[k - 1][part] * scale
             self._c[:, sz_dirty] = sparse_matmul_grad_matrix(
                 self._sz, self._su, sz_dirty
             ).T
@@ -846,86 +945,3 @@ class IncrementalScorer:
 
         grad_features = self._us[0] if need_features else None
         return PairAttackGradients(value, grad_pairs, grad_features)
-
-    # ------------------------------------------------------------------
-    def _init_loss_state(self) -> None:
-        objective = self.objective
-        m_hat = self._zs[-1]
-        if objective._rows is None:
-            values, g_self = _pnorm_rows_and_grad(
-                m_hat - objective._m_orig, objective.p
-            )
-            self._self_grad = g_self
-        else:
-            values, g_self = _pnorm_rows_and_grad(
-                m_hat[objective._rows] - objective._m_orig_rows, objective.p
-            )
-            self._self_grad = np.zeros_like(m_hat)
-            self._self_grad[objective._rows] = g_self
-        self._row_values = values
-        if objective._scatter is not None:
-            src = objective._edge_index[0]
-            self._edge_values, g_glob = _pnorm_rows_and_grad(
-                m_hat[src] - objective._m_orig_dst,
-                objective.p,
-                prefactor=objective.lam,
-            )
-            self._node_glob = objective._scatter @ g_glob
-
-    def _update_loss_state(self, dirty_m: np.ndarray) -> np.ndarray:
-        """Patch the loss state; return the rows where ``∂L/∂M̂`` changed.
-
-        A dirty residual row does not imply a dirty gradient row — for
-        ``p = 1`` the gradient is ``sign(residual)``, which survives most
-        value changes bit-for-bit.  Comparing before overwriting lets the
-        adjoint/GEMM patches downstream fan out from the (much smaller)
-        truly-changed set.
-        """
-        empty = np.empty(0, dtype=np.int64)
-        if not len(dirty_m):
-            return empty
-        objective = self.objective
-        m_hat = self._zs[-1]
-        changed_self = changed_glob = empty
-        if objective._rows is None:
-            selected, positions, m_orig = dirty_m, dirty_m, objective._m_orig
-        else:
-            positions = np.flatnonzero(np.isin(objective._rows, dirty_m))
-            selected = objective._rows[positions]
-            m_orig = objective._m_orig_rows
-        if len(selected):
-            values, g_self = _pnorm_rows_and_grad(
-                m_hat[selected] - m_orig[positions], objective.p
-            )
-            changed_self = selected[(g_self != self._self_grad[selected]).any(axis=1)]
-            self._row_values[positions] = values
-            self._self_grad[selected] = g_self
-        scatter = objective._scatter
-        if scatter is not None:
-            # Edges needing a refresh are exactly those sourced at a dirty
-            # node — the rows of the scatter operator list them directly.
-            indptr, positions = _csr_rows(scatter, dirty_m)
-            dirty_edges = scatter.indices[positions]
-            if len(dirty_edges):
-                src = objective._edge_index[0]
-                values, g_edges = _pnorm_rows_and_grad(
-                    m_hat[src[dirty_edges]] - objective._m_orig_dst[dirty_edges],
-                    objective.p,
-                    prefactor=objective.lam,
-                )
-                self._edge_values[dirty_edges] = values
-                # Row i of the sub-scatter sums its edges' slab rows in
-                # storage order — the same sum ``scatter[dirty] @ g_glob``
-                # forms over the persistent per-edge gradients.
-                node_rows = _csr_product(
-                    indptr,
-                    np.arange(len(dirty_edges), dtype=indptr.dtype),
-                    scatter.data[positions],
-                    len(dirty_edges),
-                    g_edges,
-                )
-                changed_glob = dirty_m[
-                    (node_rows != self._node_glob[dirty_m]).any(axis=1)
-                ]
-                self._node_glob[dirty_m] = node_rows
-        return _node_union(len(m_hat), changed_self, changed_glob)

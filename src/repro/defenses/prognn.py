@@ -11,8 +11,11 @@ parameters ``θ`` (Def. 2 instantiated):
   smoothness on the learned graph), followed by the two proximal operators
   of the original method — nuclear-norm shrinkage (low rank) and L1
   soft-thresholding (sparsity) — then projection to [0,1] and
-  symmetrization.  The gradient runs through autodiff with θ held
-  constant, so only ``∂/∂S`` is formed.
+  symmetrization.  ``∂/∂S`` is formed in closed form with θ held
+  constant: the θ kernel, built over the epoch's normalized S, gives the
+  GCN term's gradient with respect to that operator, and
+  :func:`~repro.graph.gcn_normalize_dense_backward` carries it back to S.
+  Each epoch normalizes S once and builds no autodiff graph.
 
 S and its gradient are symmetric, so the nuclear prox shrinks eigenvalues
 through one symmetric eigendecomposition per epoch instead of a full SVD.
@@ -25,10 +28,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph import Graph, gcn_normalize_dense
+from ..graph import Graph, gcn_normalize_dense, gcn_normalize_dense_backward
 from ..nn import GCN, accuracy
 from ..nn.fastpath import _FusedGCN
-from ..tensor import Adam, CSRConstant, Tensor, functional as F
+from ..tensor import Adam, CSRConstant
 from ..utils.rng import SeedLike
 from .base import Defender
 
@@ -100,30 +103,22 @@ class ProGNN(Defender):
 
     # ------------------------------------------------------------------
     def _structure_grad(
-        self, s: np.ndarray, observed: np.ndarray, pairwise_sq: Tensor,
-        features: CSRConstant, model: GCN, graph: Graph,
+        self, s: np.ndarray, observed: np.ndarray, pairwise_sq: np.ndarray,
+        theta: _FusedGCN,
     ) -> np.ndarray:
         """``∂/∂S`` of the S objective at ``s``, with θ held constant.
 
-        The parameters are traced as constants, so the backward forms no
-        parameter gradient (the next θ-step would overwrite it unread).
+        ``theta`` is the kernel over ``gcn_normalize_dense(s)``.  The three
+        terms are summed in the order the autodiff tape of the whole
+        objective accumulates them (GCN term, smoothness, fidelity), each
+        formed by the tape's operations, so the result is bitwise that
+        tape's ``S.grad``.
         """
-        s_tensor = Tensor(s, requires_grad=True)
-        params = model.parameters()
-        for param in params:
-            param.requires_grad = False
-        try:
-            fidelity = ((s_tensor - Tensor(observed)) ** 2).sum() * self.alpha_fidelity
-            # Feature smoothness tr(X^T L X) = 0.5 Σ_uv S_uv ||x_u − x_v||².
-            smooth = (s_tensor * pairwise_sq).sum() * (0.5 * self.lambda_smooth)
-            logits = model.forward(gcn_normalize_dense(s_tensor), features)
-            gnn_term = F.cross_entropy(logits, graph.labels, graph.train_mask) * self.tau_gnn
-            loss = fidelity + smooth + gnn_term
-        finally:
-            for param in params:
-                param.requires_grad = True
-        loss.backward()
-        return s_tensor.grad if s_tensor.grad is not None else np.zeros_like(s)
+        grad = gcn_normalize_dense_backward(s, theta.operator_grad(self.tau_gnn))
+        # Feature smoothness tr(X^T L X) = 0.5 Σ_uv S_uv ||x_u − x_v||².
+        grad = grad + pairwise_sq * (0.5 * self.lambda_smooth)
+        # Fidelity α‖S − Â‖_F².
+        return grad + (self.alpha_fidelity * 2.0) * (s - observed)
 
     @staticmethod
     def _proximal(s: np.ndarray, beta_nuclear: float, gamma_l1: float) -> np.ndarray:
@@ -154,10 +149,10 @@ class ProGNN(Defender):
         """Run the alternation; return the best-validation model (weights
         restored), its structure ``S``, validation accuracy and eval logits."""
         observed = graph.dense_adjacency()
-        # One feature CSR for the fit: every θ-step kernel and S-step forward
+        # One feature CSR for the fit: every θ-step and S-step kernel
         # multiplies W⁰ through it.
         features = CSRConstant(graph.features)
-        pairwise_sq = Tensor(pairwise_sq_distances(features))
+        pairwise_sq = pairwise_sq_distances(features)
 
         model = GCN(
             graph.num_features,
@@ -168,11 +163,12 @@ class ProGNN(Defender):
         )
         optimizer = Adam(model.parameters(), lr=self.lr, weight_decay=self.weight_decay)
         # The fused training forward applies dropout whatever the mode flag;
-        # eval mode is for the S-step's autodiff forward.
+        # the fitted model is handed back in eval mode.
         model.eval()
         s = observed.copy()
         # One normalization of S per epoch: the kernel over it runs that
-        # epoch's validation forward and the next epoch's θ-steps.
+        # epoch's validation forward, and the next epoch's θ-steps and
+        # S-step.
         theta = _FusedGCN(model, [gcn_normalize_dense(s).data], graph, features)
 
         best_val, best_state, best_s, best_logits = -1.0, model.state_dict(), s, None
@@ -183,7 +179,7 @@ class ProGNN(Defender):
                 optimizer.step()
 
             # S-step: one gradient step + proximal operators.
-            grad = self._structure_grad(s, observed, pairwise_sq, features, model, graph)
+            grad = self._structure_grad(s, observed, pairwise_sq, theta)
             s = self._proximal(
                 s - self.structure_lr * (grad + grad.T) * 0.5,
                 self.beta_nuclear,

@@ -6,6 +6,7 @@ from .normalize import (
     add_self_loops,
     gcn_normalize,
     gcn_normalize_dense,
+    gcn_normalize_dense_backward,
     inv_sqrt_degrees,
 )
 from .perturb import (
@@ -37,6 +38,7 @@ __all__ = [
     "Graph",
     "gcn_normalize",
     "gcn_normalize_dense",
+    "gcn_normalize_dense_backward",
     "add_self_loops",
     "inv_sqrt_degrees",
     "NORMALIZE_EPS",

@@ -155,12 +155,14 @@ class _MaskedCrossEntropy:
         picked = self._logp[self.rows, self.targets]
         return float(-picked.sum() * self.inv)
 
-    def backward(self) -> np.ndarray:
-        # NLL backward is a scatter of -1/k into the picked entries; the
+    def backward(self, scale: float = 1.0) -> np.ndarray:
+        """d(scale · loss)/d(logits); ``scale`` enters where the tape's
+        upstream gradient would."""
+        # NLL backward is a scatter of -scale/k into the picked entries; the
         # log-softmax backward is g - softmax * rowsum(g).
         grad = self._grad
         grad[...] = 0.0
-        grad[self.rows, self.targets] = -self.inv
+        grad[self.rows, self.targets] = -(scale * self.inv)
         softmax = np.exp(self._logp, out=self._scratch)
         np.sum(grad, axis=-1, keepdims=True, out=self._row)
         np.multiply(softmax, self._row, out=softmax)
@@ -447,6 +449,34 @@ class _FusedGCN:
         the hidden-dim tails, skipping ``X @ W⁰`` and the first propagation."""
         logits = [stack.eval_logits() for stack in self.stacks]
         return self._output(logits, training=False)
+
+    def operator_grad(self, scale: float = 1.0) -> np.ndarray:
+        """``∂(scale · loss)/∂A`` for the one dense operator ``A``, in eval
+        mode at the current weights, with the weights held constant.
+
+        Autodiff's operations in its order: each layer's propagation adds
+        ``g @ supportᵀ``, the last layer's first, and the gradient reaches
+        the layer below through ``Aᵀ``, ``Wᵀ`` and the ReLU mask.  So the
+        result is bitwise the tape's ``A.grad``.
+        """
+        (stack,) = self.stacks
+        matrix, matrix_t = stack.props[0].matrix, stack.props[0].matrix_t
+        layers = self.model.layers
+        supports = [self.support.forward(self.features)]
+        hidden = [np.matmul(matrix, supports[0]) + layers[0].bias.data]
+        for layer in layers[1:]:
+            supports.append(np.maximum(hidden[-1], 0.0) @ layer.weight.data)
+            hidden.append(np.matmul(matrix, supports[-1]) + layer.bias.data)
+        self.loss.forward(hidden[-1])
+        g = self.loss.backward(scale)
+        grad = None
+        for i in range(len(layers) - 1, -1, -1):
+            part = g @ supports[i].T
+            grad = part if grad is None else grad + part
+            if i:
+                g = (matrix_t @ g) @ layers[i].weight.data.T
+                g = g * (hidden[i - 1] > 0)
+        return grad
 
 
 class _FusedSGC:

@@ -223,6 +223,20 @@ class TestProGNN:
         result = ProGNN(outer_epochs=5, seed=0).fit(small_cora)
         assert (result.test_accuracy, result.val_accuracy) == (oracle_test, oracle_val)
 
+    def test_closed_form_s_step_matches_autodiff_with_weighted_terms(self, small_cora):
+        """The S-step's closed form scales the GCN term where the tape seeds
+        it, so non-unit τ, α and λ_s stay bitwise on the oracle."""
+        config = dict(
+            outer_epochs=3, tau_gnn=0.7, alpha_fidelity=1.3, lambda_smooth=0.01, seed=0
+        )
+        _, oracle_s, oracle_val, _, oracle_logits = _autodiff_prognn(
+            ProGNN(**config), small_cora
+        )
+        _, best_s, best_val, logits = ProGNN(**config)._learn(small_cora)
+        assert np.array_equal(best_s, oracle_s)
+        assert np.array_equal(logits, oracle_logits)
+        assert best_val == oracle_val
+
     def test_proximal_operator_properties(self):
         rng = np.random.default_rng(0)
         s = rng.normal(size=(8, 8))

@@ -69,6 +69,19 @@ def counting_clock(step=1.0):
     return clock
 
 
+def tick_deadlines(monkeypatch, step=1.0):
+    """Give every :class:`CancelToken` the supervisor builds a counting
+    clock: each deadline check advances it by ``step`` seconds, so a
+    deadline trips at a fixed poll, with no wall-clock wait."""
+    clock = counting_clock(step)
+
+    class TickingToken(CancelToken):
+        def __init__(self, **kwargs):
+            super().__init__(clock=clock, **kwargs)
+
+    monkeypatch.setattr(cancellation, "CancelToken", TickingToken)
+
+
 def run_sweep(
     jobs=1,
     checkpoint=None,
@@ -124,31 +137,35 @@ def journal_records(checkpoint_dir):
 
 
 class TestSupervisorDeadline:
-    def test_deadline_trip_leaks_no_threads(self):
+    def test_deadline_trip_leaks_no_threads(self, monkeypatch):
         """A deadlined trial runs in the caller's thread and starts none:
         the deadline is a token its poll sites observe."""
+        tick_deadlines(monkeypatch)
         caller = threading.current_thread()
         threads = threading.active_count()
-        seen = []
+        seen, polls = [], []
 
         def cooperative(attempt):
             seen.append((threading.current_thread(), threading.active_count()))
             while True:
-                time.sleep(0.02)
+                polls.append(attempt)
                 cancellation.checkpoint("loop")
 
         supervisor = TrialSupervisor(
-            TrialPolicy(max_attempts=1, deadline_seconds=0.2, backoff_seconds=0.0)
+            TrialPolicy(max_attempts=1, deadline_seconds=2.5, backoff_seconds=0.0)
         )
         outcome = supervisor.run(KEY, cooperative)
         assert not outcome.ok
         assert outcome.failure.error_type == "DeadlineError"
+        # The token reads 1 when built (deadline 3.5), then 2, 3 and 4.
+        assert polls == [0, 0, 0]
         assert seen == [(caller, threads)]
         assert threading.active_count() == threads
 
-    def test_deadline_resume_runs_each_unit_exactly_once(self, tmp_path):
+    def test_deadline_resume_runs_each_unit_exactly_once(self, tmp_path, monkeypatch):
         """A deadline-tripped trial resumes from its snapshot: work units
         completed before the trip are never re-executed."""
+        tick_deadlines(monkeypatch)
         executed = []
 
         def trial(attempt):
@@ -156,20 +173,21 @@ class TestSupervisorDeadline:
             resumed = unit.resume_state()
             start = int(resumed[1]["step"]) if resumed is not None else 0
             for step in range(start, 6):
-                time.sleep(0.1)
                 executed.append(step)
                 state = lambda s=step: ({}, {"step": s + 1})
                 cancellation.checkpoint("steps", unit=unit, state=state)
             return "done"
 
         supervisor = TrialSupervisor(
-            TrialPolicy(max_attempts=4, deadline_seconds=0.35, backoff_seconds=0.0)
+            TrialPolicy(max_attempts=4, deadline_seconds=2.5, backoff_seconds=0.0)
         )
         sink = TrialSnapshotter(tmp_path / "snap.npz", interval=0)
         with trial_scope(sink=sink):
             outcome = supervisor.run(KEY, trial)
         assert outcome.ok and outcome.value == "done"
-        assert outcome.attempts > 1  # the deadline really tripped
+        # Each attempt's third poll trips its deadline: steps 0-2, then 3-5,
+        # then a resumed attempt with nothing left to run.
+        assert outcome.attempts == 3
         assert executed == list(range(6))  # exactly once each, in order
         assert not (tmp_path / "snap.npz").exists()  # discarded on success
 
