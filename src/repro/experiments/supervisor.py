@@ -561,25 +561,44 @@ class SweepCheckpoint:
         result: AttackResult,
     ) -> Path:
         path = self.poison_path(dataset, attacker, rate, dataset_seed, scale)
-
-        def write() -> None:
-            # In-memory footprint over-estimates the compressed archive, so
-            # the preflight errs on the safe side of a torn write.
-            require_free_disk(
-                path,
-                estimate_nbytes(result),
-                site="poison_disk",
-                dataset=dataset,
-                attacker=attacker,
-            )
-            save_attack_result(result, path)
-
-        with_disk_retry(write)
+        write_poison(
+            path,
+            estimate_nbytes(result),
+            lambda: save_attack_result(result, path),
+            dataset=dataset,
+            attacker=attacker,
+        )
         if faults.damage(
             "poison_archive", dataset=dataset, attacker=attacker, rate=rate
         ):
             _corrupt_file_byte(path)
         return path
+
+
+def write_poison(
+    path: Union[str, Path],
+    nbytes: int,
+    write: Callable[[], None],
+    *,
+    dataset: str,
+    attacker: str,
+) -> None:
+    """Run ``write`` (which writes a poison to ``path``) behind the
+    ``poison_disk`` free-space preflight, with bounded retries.
+
+    A full disk fails as a structured ``ResourceError`` naming the path,
+    the checkpoint's archive or a sweep's private spill alike.  ``nbytes``
+    is the poison's in-memory footprint, which over-estimates the archive,
+    so the preflight errs on the safe side of a torn write.
+    """
+
+    def attempt() -> None:
+        require_free_disk(
+            path, nbytes, site="poison_disk", dataset=dataset, attacker=attacker
+        )
+        write()
+
+    with_disk_retry(attempt)
 
 
 def _corrupt_file_byte(path: Path) -> None:

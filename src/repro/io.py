@@ -38,6 +38,8 @@ __all__ = [
     "load_graph",
     "save_attack_result",
     "load_attack_result",
+    "spill_graph",
+    "load_spilled_graph",
     "array_digest",
     "journal_record_digest",
     "atomic_write_json",
@@ -253,6 +255,23 @@ def load_graph(path: PathLike, validate: str = "strict") -> Graph:
     return _graph_from_payload(
         data, prefix="", name=meta.get("name", "graph"), path=path, validate=validate
     )
+
+
+def spill_graph(graph: Graph, path: PathLike) -> None:
+    """Write ``graph`` to an uncompressed ``.npz`` for a sibling process.
+
+    A scratch hand-off, not an archive: no digests, no fsync, no rename.
+    The file lives in a private directory only as long as its writer, so
+    durable copies go through :func:`save_graph` instead.
+    """
+    np.savez(path, **_graph_payload(graph))
+
+
+def load_spilled_graph(path: PathLike, name: str) -> Graph:
+    """Read a graph written by :func:`spill_graph` (no validation)."""
+    with np.load(path) as archive:
+        data = {key: archive[key] for key in archive.files}
+    return _graph_from_payload(data, "", name, path)
 
 
 def save_attack_result(result: AttackResult, path: PathLike) -> None:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -499,6 +500,25 @@ class TestSweepDiskFaults:
             )
         assert info.value.resource == "disk"
         assert "journal" in str(info.value.path)
+
+    def test_transient_poison_spill_disk_full_absorbed(self):
+        """Without a checkpoint, a pool sweep spills each poison for its
+        workers behind the same preflight and retries as the archive."""
+        reference, _, _ = run_sweep(jobs=1)
+        table, _, injector = run_sweep(
+            jobs=JOBS, fault_spec="poison_disk:disk_full:times=1"
+        )
+        assert injector.specs[0].fired == 1
+        assert cells_of(table) == cells_of(reference)
+
+    def test_persistent_poison_spill_disk_full_raises_structured(self):
+        with pytest.raises(ResourceError) as info:
+            run_sweep(jobs=JOBS, fault_spec="poison_disk:disk_full")
+        assert info.value.resource == "disk"
+        spill = Path(info.value.path)
+        assert spill.parent.name.startswith("repro-poisons-")
+        # The private spill directory is removed on the way out.
+        assert not spill.parent.exists()
 
 
 class TestWorkerDeathRecovery:
