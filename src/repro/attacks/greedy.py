@@ -8,8 +8,8 @@ ranked ``(kind, u, v, cost)`` candidates, best first, and the objective at
 the current state.  :class:`GreedyRun` does the rest: it appends ``loss``
 to the trace, commits the first ``flips_per_step`` candidates that fit
 (stopping when none does), keeps the poisoned buffers and the propagation
-cache in step, and polls once per step (fault injection, heartbeat,
-snapshot offer, cancellation).
+cache in step, and polls once per step (fault injection, snapshot
+offer, cancellation).
 
 A snapshot holds the interleaved flip log, the objective trace, the budget
 spent and the attacker's RNG state.  On resume, whatever the attacker drew

@@ -18,6 +18,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..graph import Graph, apply_perturbations, gcn_normalize_dense
 from ..tensor import Adam, Tensor, functional as F
+from ..utils import cancellation
 from ..utils.rng import SeedLike
 from .base import AttackBudget, AttackResult
 from .pgd import PGDAttack, project_budget_box
@@ -60,6 +61,7 @@ class MinMaxAttack(PGDAttack):
         s = np.zeros((n, n))
 
         for step in range(self.steps):
+            cancellation.checkpoint("minmax")
             # Max step on S (model frozen).
             model.eval()
             s_tensor = Tensor(s, requires_grad=True)

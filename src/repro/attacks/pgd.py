@@ -22,6 +22,7 @@ from ..errors import ConfigError
 from ..graph import EdgeFlip, Graph, apply_perturbations, gcn_normalize_dense
 from ..nn import GCN, TrainConfig, train_node_classifier
 from ..tensor import Tensor, functional as F
+from ..utils import cancellation
 from ..utils.rng import SeedLike
 from .base import AttackBudget, Attacker, AttackResult
 
@@ -115,6 +116,7 @@ class PGDAttack(Attacker):
         triu = np.triu(np.ones((n, n), dtype=bool), k=1)
         s = np.zeros((n, n))
         for step in range(self.steps):
+            cancellation.checkpoint("pgd")
             s_tensor = Tensor(s, requires_grad=True)
             loss = self._attack_loss(model, s_tensor, graph, labels)
             loss.backward()

@@ -211,15 +211,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help="per-trial wall-clock deadline in seconds (default: none); "
-        "deadline-cancelled trials snapshot and resume mid-flight on retry",
-    )
-    p_table.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=None,
-        help="with --jobs >= 2: workers beat a liveness beacon at every "
-        "poll site; a worker silent for 2x this interval is terminated and "
-        "its trial requeued (default: no liveness monitoring)",
+        "deadline-cancelled trials snapshot and resume mid-flight on retry; "
+        "with --jobs >= 2, a worker still running a trial after every "
+        "attempt's deadline is stopped and the trial requeued",
     )
     _add_validate_flag(p_table)
     _add_resource_flags(p_table)
@@ -315,7 +309,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
         if args.checkpoint_dir
         else None
     )
-    executor = make_executor(args.jobs, heartbeat_interval=args.heartbeat_interval)
+    executor = make_executor(args.jobs)
     runner = ExperimentRunner(
         config,
         supervisor=supervisor,

@@ -839,10 +839,11 @@ class IncrementalScorer:
         ``s ⊙ U`` is dirty on ``E_1 ∪ dirty(A_n)`` (``E_1`` contains every
         deeper adjoint level via the self-loop neighborhoods), ``s ⊙ Z`` on
         ``D_{l-1} ∪ dirty(A_n)``.  Row- and column-sliced GEMM patches then
-        restore ``C`` to exactly what a full rebuild would produce (BLAS
-        accumulates each output dot over the inner dimension identically
-        regardless of row slicing — the equivalence suite locks this down
-        against the dense oracle).
+        bring ``C`` to within ulps of a full rebuild, not bitwise: BLAS picks
+        its kernel by the row count, so a row slice of a product can differ
+        from the same rows of the full product in the last bits.  The p = 1
+        tie order this could move is locked only as far as the equivalence
+        suites against the dense oracle reach.
         """
         layers = self.objective.layers
         zs, us = self._zs, self._us

@@ -18,6 +18,7 @@ from ..errors import ConfigError
 from ..graph import Graph, gcn_normalize
 from ..nn import GCN, TrainConfig, accuracy
 from ..tensor import Adam, Tensor, functional as F, no_grad
+from ..utils import cancellation
 from ..utils.rng import SeedLike, ensure_rng
 from .base import Defender
 
@@ -81,6 +82,7 @@ class DropEdgeGCN(Defender):
 
         best_val, best_state, stall = -1.0, model.state_dict(), 0
         for _ in range(config.epochs):
+            cancellation.checkpoint("dropedge")
             model.train()
             optimizer.zero_grad()
             sampled = sample_edge_subgraph(graph.adjacency, self.keep_prob, rng)

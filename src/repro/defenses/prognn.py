@@ -32,6 +32,7 @@ from ..graph import Graph, gcn_normalize_dense, gcn_normalize_dense_backward
 from ..nn import GCN, accuracy
 from ..nn.fastpath import _FusedGCN
 from ..tensor import Adam, CSRConstant
+from ..utils import cancellation
 from ..utils.rng import SeedLike
 from .base import Defender
 
@@ -173,6 +174,7 @@ class ProGNN(Defender):
 
         best_val, best_state, best_s, best_logits = -1.0, model.state_dict(), s, None
         for _ in range(self.outer_epochs):
+            cancellation.checkpoint("prognn")
             for _ in range(self.inner_theta_steps):
                 theta.train_forward()
                 theta.backward()

@@ -104,8 +104,9 @@ CLEAN_ROW = "Clean"
 # failure instead of an endless kill loop.
 _MAX_WORKER_DEATHS = 3
 
-# How long a hung worker the heartbeat monitor SIGTERMs gets to snapshot
-# and exit before it is SIGKILLed.
+# How long the workers of a stopped pool get to snapshot and exit before
+# they are SIGKILLed.  A pool trial's wall-clock budget allows this much
+# per attempt on top of its deadline.
 _KILL_GRACE_SECONDS = 2.0
 
 
@@ -301,16 +302,20 @@ def trial_body(
 # same row loads/derives the graph once.
 _WORKER_GRAPHS: dict[tuple, Graph] = {}
 
+# Whether this worker is running a trial (see _worker_sigterm).
+_IN_TRIAL = False
+
 
 def _worker_sigterm(signum, frame) -> None:
     """Worker SIGTERM: cooperative shutdown first, hard exit second.
 
     The first signal flips the process-global shutdown flag — the running
     trial observes it at its next poll site, writes a final snapshot, and
-    unwinds (``_execute_trial`` then exits 143).  A second SIGTERM means
-    the parent lost patience (or the trial never polls): exit immediately.
+    unwinds (``_execute_trial`` then exits 143).  An idle worker has
+    nothing to save, and a second SIGTERM means the parent lost patience:
+    both exit immediately.
     """
-    if not cancellation.request_shutdown("worker received SIGTERM"):
+    if not _IN_TRIAL or not cancellation.request_shutdown("worker received SIGTERM"):
         os._exit(143)
 
 
@@ -331,36 +336,6 @@ def _worker_init(memory_limit: Optional[int], cache_limit: Optional[int]) -> Non
     try:
         signal.signal(signal.SIGTERM, _worker_sigterm)
     except ValueError:  # pragma: no cover - non-main-thread initializer
-        pass
-
-
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except OSError:
-        return False
-    return True
-
-
-def _terminate_pid(pid: int, grace: float) -> None:
-    """SIGTERM ``pid``, give it ``grace`` seconds to unwind, then SIGKILL.
-
-    The grace window is what lets a cooperative worker reach a poll site,
-    persist its mid-trial snapshot, and exit on its own terms; only a
-    worker that stays wedged past it is killed outright.
-    """
-    try:
-        os.kill(pid, signal.SIGTERM)
-    except OSError:
-        return
-    deadline = time.monotonic() + grace
-    while time.monotonic() < deadline:
-        if not _pid_alive(pid):
-            return
-        time.sleep(0.05)
-    try:
-        os.kill(pid, signal.SIGKILL)
-    except OSError:
         pass
 
 
@@ -402,7 +377,8 @@ class _TaskPayload:
     ``prior_kills`` counts the pool workers that died running this trial:
     the replacement worker pre-fires its worker-lethal fault specs by that
     amount so a bounded kill rule does not re-fire forever on the requeued
-    trial.
+    trial.  ``snapshot_path`` is the trial's mid-trial snapshot archive
+    (see :mod:`repro.utils.snapshots`), if the sweep is checkpointed.
     """
 
     kind: str
@@ -413,15 +389,7 @@ class _TaskPayload:
     site_ordinal: int
     validate: str = "strict"
     prior_kills: int = 0
-    # Preemption plumbing (see repro.utils.cancellation / .snapshots).
-    # ``prior_kills`` doubles as the heartbeat incarnation: the parent only
-    # trusts beacons stamped with the current dispatch's kill count, so a
-    # stale file from a killed predecessor can never vouch for its
-    # replacement.
-    task_index: int = 0
     snapshot_path: Optional[str] = None
-    beacon_path: Optional[str] = None
-    heartbeat_interval: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -452,8 +420,8 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
             spec,
             # A kill erased the injector that fired it; seed the replacement
             # with the prior kill count so bounded worker-lethal rules
-            # (oomkill, sigterm, and a hang long enough that the heartbeat
-            # monitor killed the worker) stay spent.
+            # (oomkill, sigterm, and a hang that outlived the trial's
+            # deadline budget) stay spent.
             fired=(
                 payload.prior_kills
                 if spec.action in ("oomkill", "sigterm", "hang")
@@ -472,23 +440,15 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
         payload.kind, key, _worker_graph(payload.graph_ref), payload.validate
     )
 
-    beacon = None
-    if payload.beacon_path is not None:
-        beacon = cancellation.Beacon(
-            payload.beacon_path,
-            task_index=payload.task_index,
-            incarnation=payload.prior_kills,
-            interval=payload.heartbeat_interval,
-        )
     sink = (
         TrialSnapshotter(payload.snapshot_path)
         if payload.snapshot_path is not None
         else None
     )
+    global _IN_TRIAL
+    _IN_TRIAL = True
     try:
-        with cancellation.trial_scope(beacon=beacon, sink=sink):
-            if beacon is not None:
-                beacon.beat("dispatch")
+        with cancellation.trial_scope(sink=sink):
             with faults.active(injector):
                 outcome = supervisor.run(key, trial)
     except cancellation.CancelledError as error:
@@ -499,6 +459,8 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
             # which requeues or resumes the trial.
             os._exit(143)
         raise
+    finally:
+        _IN_TRIAL = False
     return _WorkerResult(
         outcome=outcome,
         events=tuple(injector.events) if injector is not None else (),
@@ -509,6 +471,26 @@ def _execute_trial(payload: _TaskPayload) -> _WorkerResult:
 
 # ---------------------------------------------------------------------------
 # Scheduling
+
+
+def _stop_workers(pool: ProcessPoolExecutor) -> None:
+    """SIGTERM every live worker of ``pool``; SIGKILL those still alive
+    ``_KILL_GRACE_SECONDS`` later.
+
+    A running trial snapshots at its next poll site and exits 143; an idle
+    worker exits at once; only a worker that never polls is killed.  This
+    is what a pool break already does to a dead worker's siblings, so
+    stopping the pool costs no trial more than a break would.
+    """
+    procs = [p for p in (pool._processes or {}).values() if p.is_alive()]
+    for proc in procs:
+        proc.terminate()
+    grace_ends = time.monotonic() + _KILL_GRACE_SECONDS
+    for proc in procs:
+        proc.join(max(0.0, grace_ends - time.monotonic()))
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
 
 
 class ParallelTrialExecutor:
@@ -531,8 +513,8 @@ class ParallelTrialExecutor:
       task's snapshot sink, on the runner's in-memory graphs.  Each result
       is processed before the next pop, so the heap alone yields exactly
       ``plan.tasks`` order — the order ``at=N`` counters, sweep-global
-      ``times=N`` budgets and the journal depend on.  No pool, beacon or
-      worker graph cache is created.
+      ``times=N`` budgets and the journal depend on.  No pool or worker
+      graph cache is created.
     * ``jobs >= 2`` — on a process pool, with at most ``jobs`` futures in
       flight.  In-flight trials of a just-quarantined method are left to
       finish; the canonical merge (:func:`assemble_table`) normalizes any
@@ -542,33 +524,29 @@ class ParallelTrialExecutor:
     ``BaseException`` from a trial (injected kill, operator interrupt)
     drains the pool, if any, and propagates.
 
-    Worker *death* (kernel OOM kill, segfault, injected ``oomkill``, a
-    heartbeat-stall termination) is not fatal: the scheduler salvages
-    every future that finished before the pool broke, rebuilds the pool,
-    and requeues the trials that were running, unchanged.  When several
-    trials died together, each is re-run alone, so a death is only ever
-    charged to the one trial in flight.  A trial charged more than three
-    deaths becomes a structured :class:`TrialFailure` instead of an
-    endless kill loop.
+    Worker *death* (kernel OOM kill, segfault, injected ``oomkill``) is
+    not fatal: the scheduler salvages every future that finished before
+    the pool broke, rebuilds the pool, and requeues the trials that were
+    running, unchanged.  When several trials died together, each is re-run
+    alone, so a death is only ever charged to the one trial in flight.  A
+    trial charged more than three deaths becomes a structured
+    :class:`TrialFailure` instead of an endless kill loop.
+
+    A deadline (``TrialPolicy.deadline_seconds``) is enforced inside each
+    trial at its poll sites.  On the pool it is also enforced from
+    outside, as a backstop for a trial wedged where it never polls: a
+    trial in flight longer than every attempt its policy allows — each
+    attempt's deadline plus ``_KILL_GRACE_SECONDS``, plus the backoffs
+    between them — is overdue.  The scheduler then stops the pool
+    (:func:`_stop_workers`) and requeues its trials as after a worker
+    death.  Without a deadline, or in-process, a wedged trial is waited
+    for.
     """
 
-    def __init__(self, jobs: int, heartbeat_interval: Optional[float] = None) -> None:
+    def __init__(self, jobs: int) -> None:
         if jobs < 1:
             raise ConfigError(f"jobs must be >= 1, got {jobs}")
-        if heartbeat_interval is not None and heartbeat_interval <= 0:
-            raise ConfigError(
-                f"heartbeat_interval must be positive, got {heartbeat_interval}"
-            )
         self.jobs = int(jobs)
-        # Liveness monitoring (None = disabled): workers beat a per-task
-        # beacon file at every poll site; a worker whose beacon stalls for
-        # 2x the interval is terminated (SIGTERM, grace, SIGKILL) and its
-        # trial requeued.  The contract is that trial code visits a poll
-        # site at least once per interval during normal operation — choose
-        # the interval accordingly.
-        self.heartbeat_interval = (
-            float(heartbeat_interval) if heartbeat_interval is not None else None
-        )
         self.timings: Optional[SweepTimings] = None
 
     def _context(self):
@@ -637,20 +615,17 @@ class ParallelTrialExecutor:
         # The trials of a pool break with several victims, re-run one at a
         # time with nothing else in flight until each has a result.
         suspects: list[TrialTask] = []
-        # Per task index: pool workers that died running the trial, the
-        # deaths charged to it (it was the only trial in flight), and how
-        # long the beacon of a worker the heartbeat monitor killed had
-        # stalled.
+        # Per task index: pool workers that died running the trial, and
+        # the deaths charged to it (it was the only trial in flight).
         deaths: dict[int, int] = {}
         kill_counts: dict[int, int] = {}
-        stalls: dict[int, float] = {}
-        # Heartbeat state: per-task beacon progress as observed by *this*
-        # process's clock — (beat count, monotonic time it was first seen).
-        # No cross-process clock comparison is ever made.
-        beacon_dir: Optional[str] = None
-        if self.heartbeat_interval is not None and not in_process:
-            beacon_dir = tempfile.mkdtemp(prefix="repro-beacons-")
-        progress: dict[int, tuple[int, float]] = {}
+        # How long a pool trial may stay in flight (None: no backstop).
+        policy = supervisor.policy
+        budget: Optional[float] = None
+        if policy.deadline_seconds is not None and not in_process:
+            budget = policy.max_attempts * (
+                policy.deadline_seconds + _KILL_GRACE_SECONDS
+            ) + sum(policy.backoff_for(a) for a in range(1, policy.max_attempts))
         # Poisons without a checkpoint archive, spilled once each for the
         # pool workers; removed when the sweep ends.
         spill_dir: Optional[str] = None
@@ -743,20 +718,13 @@ class ParallelTrialExecutor:
             payload = _TaskPayload(
                 kind=task.kind,
                 key=task.key,
-                policy=supervisor.policy,
+                policy=policy,
                 graph_ref=graph_ref,
                 fault_specs=fault_specs,
                 site_ordinal=task.site_ordinal,
                 validate=runner.validate,
                 prior_kills=deaths.get(task.index, 0),
-                task_index=task.index,
                 snapshot_path=snapshot_path(task.key),
-                beacon_path=(
-                    os.path.join(beacon_dir, f"beacon_{task.index}.json")
-                    if beacon_dir is not None
-                    else None
-                ),
-                heartbeat_interval=self.heartbeat_interval,
             )
             dispatch_times[task.index] = time.monotonic()
             try:
@@ -821,8 +789,11 @@ class ParallelTrialExecutor:
             else:
                 cells.offer(task, float(outcome.value))
 
-        def recover(broken: ProcessPoolExecutor) -> ProcessPoolExecutor:
-            """Rebuild the pool after a worker death and requeue the trials
+        def recover(
+            broken: ProcessPoolExecutor, overdue: Optional[TrialTask] = None
+        ) -> ProcessPoolExecutor:
+            """Rebuild the pool after a worker death, or after the scheduler
+            stopped it for the ``overdue`` trial, and requeue the trials
             that were running, as they were.
 
             Futures that finished before the pool broke are salvaged and
@@ -830,11 +801,10 @@ class ParallelTrialExecutor:
             break cannot tell which of several victims killed its worker,
             so several victims become ``suspects`` and re-run alone; a
             death is charged only to a trial that was alone.  Each requeue
-            names its cause: a heartbeat stall for the workers
-            :func:`scan_beacons` terminated, a death (kernel OOM kill,
-            segfault, injected ``oomkill``, or a sibling's death breaking
-            the pool) for the rest.  A trial charged more than
-            ``_MAX_WORKER_DEATHS`` deaths becomes a structured
+            names its cause: the deadline overrun for the overdue trial, a
+            death (kernel OOM kill, segfault, injected ``oomkill``, or the
+            pool stopping under it) for the rest.  A trial charged more
+            than ``_MAX_WORKER_DEATHS`` deaths becomes a structured
             infrastructure failure instead of an endless kill loop.
             """
             salvaged: list[tuple[TrialTask, _WorkerResult]] = []
@@ -853,8 +823,6 @@ class ParallelTrialExecutor:
             for task, result in salvaged:
                 process(task, result)
             for task in victims:
-                progress.pop(task.index, None)
-                stalled = stalls.pop(task.index, None)
                 deaths[task.index] = deaths.get(task.index, 0) + 1
                 if len(victims) == 1:
                     kill_counts[task.index] = kill_counts.get(task.index, 0) + 1
@@ -865,10 +833,14 @@ class ParallelTrialExecutor:
                     )
                     process(task, _infrastructure_failure(task, error))
                     continue
-                if stalled is None:
-                    cause = "pool worker died"
+                if task is overdue:
+                    cause = (
+                        f"worker stopped: trial overran its "
+                        f"{policy.deadline_seconds:g}s deadline "
+                        f"({budget:.1f}s in flight over {policy.max_attempts} attempts)"
+                    )
                 else:
-                    cause = f"worker terminated after a heartbeat stall ({stalled:.1f}s)"
+                    cause = "pool worker died"
                 warnings.warn(
                     f"{task.key.label()}: {cause}; requeued",
                     DegradedWarning,
@@ -877,47 +849,19 @@ class ParallelTrialExecutor:
                 requeue(task)
             return self._make_pool()
 
-        def scan_beacons() -> None:
-            """Terminate workers whose beacons stalled past 2x the interval.
-
-            A beacon only *arms* its task once a beat stamped with the
-            current dispatch's incarnation appears — a file left behind by
-            a killed predecessor can neither vouch for nor condemn the
-            replacement.  Progress is judged purely by the beat counter
-            against this process's monotonic clock.
-            """
-            assert self.heartbeat_interval is not None and beacon_dir is not None
+        def first_overdue() -> Optional[TrialTask]:
+            """The lowest-index trial in flight for longer than ``budget``."""
+            if budget is None:
+                return None
             now = time.monotonic()
-            for task in list(inflight.values()):
-                record = cancellation.read_beacon(
-                    os.path.join(beacon_dir, f"beacon_{task.index}.json")
-                )
-                if record is None or int(record.get("incarnation", -1)) != (
-                    deaths.get(task.index, 0)
-                ):
-                    continue
-                count = int(record.get("count", 0))
-                seen = progress.get(task.index)
-                if seen is None or seen[0] != count:
-                    progress[task.index] = (count, now)
-                    continue
-                if now - seen[1] > 2.0 * self.heartbeat_interval:
-                    stalls[task.index] = now - seen[1]
-                    progress.pop(task.index, None)
-                    _terminate_pid(int(record.get("pid", 0)), _KILL_GRACE_SECONDS)
-                    # The dead worker breaks the pool; the scheduler loop's
-                    # BrokenProcessPool handler requeues this trial through
-                    # recover(), which names the stall.
+            late = [
+                task
+                for task in inflight.values()
+                if now - dispatch_times[task.index] > budget
+            ]
+            return min(late, key=lambda task: task.index, default=None)
 
         pool = None if in_process else self._make_pool()
-        # A timed wait keeps the scheduler responsive to shutdown requests
-        # (the SIGINT handler only flips a flag) and paces beacon scans at
-        # half the heartbeat interval so a stall is caught within 2x.
-        wait_timeout = (
-            self.heartbeat_interval / 2.0
-            if self.heartbeat_interval is not None
-            else 0.5
-        )
         try:
             while True:
                 try:
@@ -925,11 +869,10 @@ class ParallelTrialExecutor:
                     dispatch(pool)
                     if not inflight:
                         break
-                    done, _ = wait(
-                        inflight, timeout=wait_timeout, return_when=FIRST_COMPLETED
-                    )
-                    if beacon_dir is not None:
-                        scan_beacons()
+                    # A timed wait keeps the scheduler responsive to
+                    # shutdown requests (the SIGINT handler only flips a
+                    # flag) and to overdue trials.
+                    done, _ = wait(inflight, timeout=0.5, return_when=FIRST_COMPLETED)
                     # Canonical-index order within a completion batch keeps
                     # the parent's bookkeeping deterministic under ties.
                     for future in sorted(done, key=lambda f: inflight[f].index):
@@ -944,29 +887,30 @@ class ParallelTrialExecutor:
                             result = _infrastructure_failure(task, error)
                         del inflight[future]
                         process(task, result)
+                    overdue = first_overdue()
+                    if overdue is not None:
+                        _stop_workers(pool)
+                        pool = recover(pool, overdue)
                 except BrokenProcessPool:
                     pool = recover(pool)
         except BaseException as error:
-            # Graceful shutdown first SIGTERMs every live worker so
-            # in-flight trials snapshot at their next poll site and exit 143
-            # (an in-process trial already did).  Any interrupt then drains
-            # the pool before propagating.  The journal holds every
+            # Graceful shutdown first stops every live worker so in-flight
+            # trials snapshot at their next poll site and exit 143 (an
+            # in-process trial already did).  Any interrupt then drains the
+            # pool before propagating.  The journal holds every
             # completed cell and the snapshots every interrupted trial, so
             # --resume finishes the sweep bit-identically.
             if pool is not None:
                 if isinstance(error, cancellation.CancelledError):
-                    for proc in list(getattr(pool, "_processes", {}).values()):
-                        if proc.is_alive():
-                            proc.terminate()
+                    _stop_workers(pool)
                 pool.shutdown(wait=True, cancel_futures=True)
             raise
         else:
             if pool is not None:
                 pool.shutdown(wait=True)
         finally:
-            for scratch in (beacon_dir, spill_dir):
-                if scratch is not None:
-                    shutil.rmtree(scratch, ignore_errors=True)
+            if spill_dir is not None:
+                shutil.rmtree(spill_dir, ignore_errors=True)
             timings.finish()
         return outcomes
 
@@ -990,11 +934,7 @@ def _infrastructure_failure(task: TrialTask, error: Exception) -> _WorkerResult:
     )
 
 
-def make_executor(
-    jobs: int = 1,
-    total_cores: Optional[int] = None,
-    heartbeat_interval: Optional[float] = None,
-):
+def make_executor(jobs: int = 1, total_cores: Optional[int] = None):
     """The executor for ``--jobs N``: trials run in this process for 1, on a
     process pool otherwise.
 
@@ -1018,7 +958,7 @@ def make_executor(
             stacklevel=2,
         )
         jobs = limit
-    return ParallelTrialExecutor(jobs, heartbeat_interval=heartbeat_interval)
+    return ParallelTrialExecutor(jobs)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
-"""Cooperative cancellation, liveness beacons, and the trial-scope context.
+"""Cooperative cancellation and the trial-scope context.
 
 Every long-running loop in the system (training epochs, greedy attack
 iterations, block-sampled attack epochs) calls :func:`checkpoint` once per
-iteration.  That single poll site does triple duty:
+iteration.  That single poll site does double duty:
 
-* **liveness** — if the ambient :class:`trial_scope` carries a
-  :class:`Beacon`, the poll emits a heartbeat so a parent process can tell
-  a slow worker from a hung one;
 * **snapshots** — if the caller passes a snapshot unit and a state builder,
   the poll offers the current loop state to the ambient snapshot sink
   (throttled by the sink; see :mod:`repro.utils.snapshots`);
@@ -23,7 +20,10 @@ iteration::
 where ``unit`` comes from :func:`repro.utils.snapshots.begin_unit` and
 ``build_state`` is a zero-argument callable returning ``(arrays, meta)``.
 Code that never snapshots may call ``checkpoint("my-site")`` bare; the
-uninstalled path is a couple of attribute reads.
+uninstalled path is a couple of attribute reads.  A loop with no poll site
+cannot be cancelled: in-process its trial runs to the end, and in a pool
+only the scheduler's deadline backstop (:mod:`repro.experiments.parallel`)
+stops it, by stopping its worker.
 
 :class:`CancelledError` derives from ``BaseException`` (like
 ``KeyboardInterrupt`` and the fault injector's ``InjectedKill``) so a
@@ -35,8 +35,6 @@ propagates and aborts.
 
 from __future__ import annotations
 
-import json
-import os
 import time
 from contextlib import contextmanager
 from typing import Callable, Iterator, Optional
@@ -46,8 +44,6 @@ __all__ = [
     "CAUSE_SHUTDOWN",
     "CancelledError",
     "CancelToken",
-    "Beacon",
-    "read_beacon",
     "trial_scope",
     "current_token",
     "current_sink",
@@ -166,83 +162,14 @@ def reset_shutdown() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Heartbeat beacons.  A worker writes a tiny JSON file at poll sites
-# (throttled); the parent reads it to distinguish slow from hung.
-
-
-class Beacon:
-    """Progress beacon written at poll sites, throttled to ``interval/4``.
-
-    The beacon file is atomically replaced so the parent never reads a
-    torn write.  ``incarnation`` identifies the worker generation for a
-    requeued task: beats from a killed predecessor carry a lower
-    incarnation and are ignored by the monitor.
-    """
-
-    def __init__(
-        self,
-        path: str,
-        *,
-        task_index: int,
-        incarnation: int = 0,
-        interval: float = 1.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self.path = path
-        self.task_index = int(task_index)
-        self.incarnation = int(incarnation)
-        self._clock = clock
-        self._min_gap = max(interval, 1e-6) / 4.0
-        self._last: Optional[float] = None
-        self._count = 0
-
-    def beat(self, site: str = "") -> None:
-        now = self._clock()
-        if self._last is not None and now - self._last < self._min_gap:
-            return
-        self._last = now
-        self._count += 1
-        payload = {
-            "task": self.task_index,
-            "incarnation": self.incarnation,
-            "pid": os.getpid(),
-            "count": self._count,
-            "site": site,
-            "time": now,
-        }
-        tmp = f"{self.path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
-            os.replace(tmp, self.path)
-        except OSError:
-            # Liveness reporting must never take down the trial it reports
-            # on; a missed beat at worst looks like a brief stall.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-
-def read_beacon(path: str) -> Optional[dict]:
-    """Parse a beacon file; ``None`` when absent or unreadable."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-# ---------------------------------------------------------------------------
-# Ambient trial scope: token + beacon + snapshot sink.
+# Ambient trial scope: token + snapshot sink.
 
 
 class _Scope:
-    __slots__ = ("token", "beacon", "sink")
+    __slots__ = ("token", "sink")
 
-    def __init__(self, token=None, beacon=None, sink=None):
+    def __init__(self, token=None, sink=None):
         self.token = token
-        self.beacon = beacon
         self.sink = sink
 
 
@@ -261,13 +188,12 @@ def current_sink():
 @contextmanager
 def trial_scope(
     token: Optional[CancelToken] = None,
-    beacon: Optional[Beacon] = None,
     sink=None,
 ) -> Iterator[_Scope]:
     """Install an ambient trial scope for the duration of the block.
 
     Unspecified fields are inherited from the innermost enclosing scope, so
-    the supervisor's deadline token keeps the sweep's beacon and sink.
+    the supervisor's deadline token keeps the sweep's snapshot sink.
     The scope is process-wide: trials run one at a time, in the thread
     that calls them.
     """
@@ -275,7 +201,6 @@ def trial_scope(
     base = _SCOPE
     scope = _Scope(
         token=token if token is not None else (base.token if base else None),
-        beacon=beacon if beacon is not None else (base.beacon if base else None),
         sink=sink if sink is not None else (base.sink if base else None),
     )
     _SCOPE = scope
@@ -291,7 +216,7 @@ def checkpoint(
     state: Optional[Callable[[], tuple]] = None,
     **context,
 ) -> None:
-    """Poll site: heartbeat, snapshot offer, then cancellation check.
+    """Poll site: snapshot offer, then cancellation check.
 
     ``unit`` is a snapshot unit handle (``utils.snapshots.begin_unit``)
     and ``state`` a zero-argument callable returning ``(arrays, meta)``;
@@ -300,9 +225,6 @@ def checkpoint(
     the trial resumes from the exact iteration it was cancelled at.
     """
     scope = _SCOPE
-    beacon = scope.beacon if scope is not None else None
-    if beacon is not None:
-        beacon.beat(site)
     if unit is not None and state is not None:
         unit.offer(state)
     cause = _SHUTDOWN.cause

@@ -16,8 +16,9 @@ Fault actions:
     ``times=N`` the fault disarms after N triggers, modelling a transient
     failure that retries can ride out.
 ``hang``
-    Sleep for ``seconds``, or until the trial is cancelled — used to
-    exercise trial deadlines and heartbeat detection.
+    Sleep for ``seconds``, or until the trial is cancelled (its deadline
+    passed, or shutdown was requested) — used to exercise trial deadlines
+    and their mid-trial resume.
 ``kill``
     Raise :class:`InjectedKill`, which derives from ``BaseException`` (like
     ``KeyboardInterrupt``), simulating an operator interrupt or OOM kill.
@@ -135,7 +136,9 @@ class FaultSpec:
     site:
         Instrumented call site to target (``attacker``/``defender``/``trainer``).
     action:
-        One of ``throw``, ``hang``, ``kill``, ``nan``.
+        One of ``throw``, ``hang``, ``kill``, ``oom``, ``oomkill`` and
+        ``sigterm`` (:func:`perturb` sites), ``nan`` (:func:`corrupt`),
+        ``bitflip`` (:func:`damage`) or ``disk_full`` (:func:`exhausted`).
     times:
         Trigger at most this many times (``None`` = permanent).
     at:
@@ -330,10 +333,9 @@ class FaultInjector:
 def _hang(seconds: float) -> None:
     """Sleep up to ``seconds``; return early once the trial is cancelled.
 
-    Polls the ambient token and the shutdown token
-    directly, not through :func:`~repro.utils.cancellation.checkpoint`, so
-    a hang never beats the heartbeat beacon.  It returns rather than
-    raises: the trial's next poll site writes the final snapshot.
+    Polls the ambient token and the shutdown token directly, not through
+    :func:`~repro.utils.cancellation.checkpoint`: it returns rather than
+    raises, so the trial's next poll site writes the final snapshot.
     """
     token = cancellation.current_token()
     end = time.monotonic() + seconds

@@ -115,7 +115,6 @@ class StoreStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    rejected_pins: int = 0
     entries: int = 0
     bytes: int = 0
 
@@ -130,22 +129,15 @@ class KeyedArtifactStore:
     ----------
     name:
         Label for :func:`cache_report`.
-    capacity_bytes / max_entries:
-        Per-store ceilings (``None`` = only the global budget applies).
+    max_entries:
+        Per-store entry ceiling (``None`` = only the global byte budget
+        applies).
     """
 
-    def __init__(
-        self,
-        name: str,
-        capacity_bytes: Optional[int] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if capacity_bytes is not None and capacity_bytes < 0:
-            raise ConfigError(f"capacity_bytes must be >= 0, got {capacity_bytes}")
+    def __init__(self, name: str, max_entries: Optional[int] = None) -> None:
         if max_entries is not None and max_entries < 1:
             raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
         self.name = name
-        self.capacity_bytes = capacity_bytes
         self.max_entries = max_entries
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._stats = StoreStats()
@@ -216,7 +208,6 @@ class KeyedArtifactStore:
         stats = self._stats.as_dict()
         stats["entries"] = len(self._entries)
         stats["bytes"] = self.total_bytes
-        stats["capacity_bytes"] = self.capacity_bytes
         stats["max_entries"] = self.max_entries
         return stats
 
@@ -234,20 +225,11 @@ class KeyedArtifactStore:
         self._stats.evictions += 1
 
     def _enforce_local(self) -> None:
-        """Evict (globally-oldest-first is irrelevant within one store —
-        OrderedDict order IS this store's LRU) until local ceilings hold."""
+        """Evict this store's LRU evictable entries (OrderedDict order IS
+        this store's LRU) until ``max_entries`` holds or only pins remain."""
         while self.max_entries is not None and len(self._entries) > self.max_entries:
             key = self._lru_evictable()
             if key is None:
-                self._stats.rejected_pins += 1
-                break
-            self._evict_one(key)
-        while (
-            self.capacity_bytes is not None and self.total_bytes > self.capacity_bytes
-        ):
-            key = self._lru_evictable()
-            if key is None:
-                self._stats.rejected_pins += 1
                 break
             self._evict_one(key)
 

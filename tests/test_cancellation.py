@@ -1,7 +1,7 @@
 """Unit tests for the cooperative-cancellation and snapshot primitives.
 
 Covers :mod:`repro.utils.cancellation` (tokens, deadlines, shutdown flag,
-beacons, scopes, poll sites) and :mod:`repro.utils.snapshots` (unit
+scopes, poll sites) and :mod:`repro.utils.snapshots` (unit
 ordinals, resume handoff, throttling, corruption handling) in isolation —
 the integration with attackers/trainers lives in ``test_preemption.py``.
 """
@@ -24,11 +24,9 @@ from repro.utils import cancellation, faults, snapshots
 from repro.utils.cancellation import (
     CAUSE_DEADLINE,
     CAUSE_SHUTDOWN,
-    Beacon,
     CancelledError,
     CancelToken,
     checkpoint,
-    read_beacon,
     request_shutdown,
     reset_shutdown,
     shutdown_requested,
@@ -176,8 +174,7 @@ class TestScopes:
 
 
 class TestHangFault:
-    """A ``hang`` fault returns as soon as its trial is cancelled, without
-    a heartbeat: it must still look hung to the heartbeat monitor."""
+    """A ``hang`` fault returns as soon as its trial is cancelled."""
 
     HANG = [FaultSpec(site="slow", action="hang", seconds=30.0)]
 
@@ -189,61 +186,15 @@ class TestHangFault:
 
         monkeypatch.setattr(faults.time, "sleep", sleep)
 
-    def test_cancelled_ambient_token_cuts_the_hang(self, tmp_path):
+    def test_cancelled_ambient_token_cuts_the_hang(self):
         token = CancelToken()
         token.cancel(CAUSE_SHUTDOWN, "stop")
-        beacon = Beacon(tmp_path / "beacon.json", task_index=0)
-        with trial_scope(token=token, beacon=beacon):
+        with trial_scope(token=token):
             FaultInjector(self.HANG).perturb("slow")
-        assert not (tmp_path / "beacon.json").exists()
 
-    def test_shutdown_request_cuts_the_hang(self, tmp_path):
+    def test_shutdown_request_cuts_the_hang(self):
         request_shutdown("operator")
-        beacon = Beacon(tmp_path / "beacon.json", task_index=0)
-        with trial_scope(beacon=beacon):
-            FaultInjector(self.HANG).perturb("slow")
-        assert not (tmp_path / "beacon.json").exists()
-
-
-class TestBeacon:
-    def test_beat_writes_readable_record(self, tmp_path):
-        path = tmp_path / "beacon.json"
-        beacon = Beacon(path, task_index=7, incarnation=2, interval=1.0,
-                        clock=counting_clock())
-        beacon.beat("site-a")
-        record = read_beacon(path)
-        assert record is not None
-        assert record["task"] == 7
-        assert record["incarnation"] == 2
-        assert record["count"] == 1
-        assert record["site"] == "site-a"
-        assert record["pid"] > 0
-
-    def test_beats_throttled_below_quarter_interval(self, tmp_path):
-        path = tmp_path / "beacon.json"
-        # Clock advances 0.1 per call; interval 1.0 → flush every >= 0.25.
-        beacon = Beacon(path, task_index=0, interval=1.0,
-                        clock=counting_clock(step=0.1))
-        for _ in range(20):
-            beacon.beat("s")
-        record = read_beacon(path)
-        # 20 beats over 2.0 clock-seconds flush at most every interval/4
-        # (0.25s) — far fewer writes than beats, but strictly monotone.
-        assert 1 <= record["count"] < 20
-
-    def test_read_beacon_missing_or_corrupt_returns_none(self, tmp_path):
-        assert read_beacon(tmp_path / "absent.json") is None
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        assert read_beacon(bad) is None
-
-    def test_checkpoint_beats_the_scope_beacon(self, tmp_path):
-        path = tmp_path / "beacon.json"
-        beacon = Beacon(path, task_index=3, interval=0.0, clock=counting_clock())
-        with trial_scope(beacon=beacon):
-            checkpoint("epoch-loop")
-        record = read_beacon(path)
-        assert record is not None and record["site"] == "epoch-loop"
+        FaultInjector(self.HANG).perturb("slow")
 
 
 class TestTrialSnapshotter:

@@ -2,9 +2,9 @@
 and GRBCD's exhaustive→sampled fallback when a block runs out of memory.
 
 Every greedy attacker — PEEGA, GRBCD, Metattack, GF-Attack, Nettack —
-runs through :class:`repro.attacks.greedy.GreedyRun`, so each one beats
-the trial's heartbeat and honours cancellation at its own poll site (and
-resumes bit-identically: ``test_preemption.py::TestBitIdenticalResume``).
+runs through :class:`repro.attacks.greedy.GreedyRun`, so each one polls
+once per step and honours cancellation at its own poll site (and resumes
+bit-identically: ``test_preemption.py::TestBitIdenticalResume``).
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from repro.attacks import AttackBudget, GFAttack, GRBCD, Metattack, Nettack
 from repro.core import PEEGA
 from repro.datasets import load_dataset
 from repro.errors import DegradedWarning
-from repro.utils import faults
+from repro.utils import cancellation, faults
 from repro.utils.cancellation import (
     CAUSE_SHUTDOWN,
-    Beacon,
     CancelledError,
     CancelToken,
     trial_scope,
@@ -37,17 +36,6 @@ def counting_clock():
         return state["t"]
 
     return clock
-
-
-class CountingBeacon(Beacon):
-    """A heartbeat beacon that counts beats per site instead of writing."""
-
-    def __init__(self):
-        super().__init__("unused", task_index=0, interval=0.0)
-        self.sites: list[str] = []
-
-    def beat(self, site: str = "") -> None:
-        self.sites.append(site)
 
 
 def _target(graph):
@@ -111,12 +99,18 @@ def _outputs(result):
     "site,attack", [a[1:] for a in ATTACKERS], ids=[a[0] for a in ATTACKERS]
 )
 class TestEveryGreedyAttackerPolls:
-    def test_beats_once_per_step(self, small_cora, site, attack):
-        beacon = CountingBeacon()
-        with trial_scope(beacon=beacon):
-            result = attack(small_cora)
+    def test_beats_once_per_step(self, small_cora, site, attack, monkeypatch):
+        sites: list[str] = []
+        poll = cancellation.checkpoint
+
+        def counting_checkpoint(where, *args, **kwargs):
+            sites.append(where)
+            return poll(where, *args, **kwargs)
+
+        monkeypatch.setattr(cancellation, "checkpoint", counting_checkpoint)
+        result = attack(small_cora)
         assert result.objective_trace
-        assert beacon.sites.count(site) >= len(result.objective_trace)
+        assert sites.count(site) >= len(result.objective_trace)
 
     def test_cancelled_token_stops_at_its_site(self, small_cora, site, attack):
         token = CancelToken()

@@ -11,13 +11,15 @@ workers with the same trial-index accounting as a serial run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, DegradedWarning
 from repro.experiments import (
     ExperimentRunner,
     ExperimentScale,
@@ -30,7 +32,7 @@ from repro.experiments import (
     make_executor,
     parallel,
 )
-from repro.utils import faults
+from repro.utils import cancellation, faults
 from repro.utils.faults import FaultInjector, InjectedKill
 
 CONFIG = ExperimentScale(scale=0.04, seeds=2, rate=0.1)
@@ -315,16 +317,42 @@ class TestFaultsInWorkers:
         ]
         assert serial_events == parallel_events == [("defender", 3, "GCN-SVD", "1")]
 
-    def test_hang_deadline_enforced_in_worker(self):
-        # The deadline applies to every trial, so it must leave clean PEEGA
-        # and GCN trials room on a loaded host (they overran 0.5 s and 2 s
-        # there) while the planted 15 s hang still overruns it plus grace.
+    def test_hang_deadline_enforced_in_worker(self, monkeypatch):
+        # Every token the supervisor builds reads a clock that advances one
+        # unit per deadline check, so the deadline counts polls, not
+        # seconds: a clean trial polls at most a few hundred times, while
+        # the planted 15 s hang checks its token every millisecond.  The
+        # pool forks after these patches, so its workers carry them.
+        clock = itertools.count(1.0)
+
+        class CountingToken(cancellation.CancelToken):
+            def __init__(self, **kwargs):
+                super().__init__(clock=lambda: next(clock), **kwargs)
+
+        monkeypatch.setattr(cancellation, "CancelToken", CountingToken)
+        monkeypatch.setattr(faults, "_HANG_POLL_SECONDS", 0.001)
         spec = "defender:hang:seconds=15:defender=GCN-SVD"
-        parallel, _, _ = run_sweep(jobs=JOBS, fault_spec=spec, deadline=5.0)
+        parallel, _, _ = run_sweep(jobs=JOBS, fault_spec=spec, deadline=1000.0)
         assert len(parallel.failures) == 1
         assert parallel.failures[0].error_type == "DeadlineError"
         assert parallel.rows["Clean"]["GCN"] is not None
         assert parallel.rows["Clean"]["GCN-SVD"] is None
+
+    def test_deadline_backstop_spares_healthy_workers(self):
+        # PGD's ascent and Pro-GNN's fit poll only at their own loop sites;
+        # under a pool deadline the scheduler must stop none of their
+        # workers, so no trial is requeued and no DegradedWarning raised.
+        sweep = dict(
+            attackers=["PGD"],
+            defenders=["Pro-GNN"],
+            scale=ExperimentScale(scale=0.04, seeds=1, rate=0.1),
+        )
+        serial, _, _ = run_sweep(jobs=1, **sweep)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DegradedWarning)
+            parallel, _, _ = run_sweep(jobs=JOBS, deadline=60.0, **sweep)
+        assert parallel.failures == []
+        assert cells_of(parallel) == cells_of(serial)
 
 
 # ---------------------------------------------------------------------------

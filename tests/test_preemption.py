@@ -1,19 +1,22 @@
-"""Preemptible trials: deadline cancellation, mid-trial resume, heartbeats.
+"""Preemptible trials: deadline cancellation, mid-trial resume, backstop.
 
 Integration layer for the cooperative-cancellation subsystem
-(docs/fault_tolerance.md, "Cancellation, heartbeats, and mid-trial
+(docs/fault_tolerance.md, "Cancellation, deadlines, and mid-trial
 resume"):
 
 * the supervisor's deadline is a cancel token observed in the caller's
   thread — no trial thread is started, and a deadline-tripped trial
   resumes from its snapshot with every work unit executed exactly once;
+* the loops that once never polled (PGD, MinMax, Pro-GNN, DropEdge) poll
+  once per iteration, so a deadline reaches them mid-fit;
 * attacker and trainer epoch loops snapshot at their poll sites and
   resume **bit-identically** — flip sequences, objective traces, and
   weight trajectories match an uninterrupted run exactly;
 * in parallel sweeps, a worker SIGTERM'd or OOM-killed mid-trial is
   requeued and the finished journal is bit-identical to a fault-free
-  serial run; a *hung* worker is detected via heartbeats within twice the
-  heartbeat interval, terminated, and requeued;
+  serial run; a worker wedged where it never polls is stopped by the
+  scheduler once its trial overruns the deadline of every attempt, and
+  its trial requeued;
 * the ``table`` CLI exits with ``EXIT_INTERRUPTED`` on SIGTERM and
   ``--resume`` completes the sweep bit-identically.
 """
@@ -34,9 +37,19 @@ import numpy as np
 import pytest
 
 from repro import io
-from repro.attacks import AttackBudget, GFAttack, GRBCD, Metattack, Nettack, PRBCD
+from repro.attacks import (
+    AttackBudget,
+    GFAttack,
+    GRBCD,
+    Metattack,
+    MinMaxAttack,
+    Nettack,
+    PGDAttack,
+    PRBCD,
+)
 from repro.cli import EXIT_INTERRUPTED
 from repro.core import PEEGA
+from repro.defenses import DropEdgeGCN, ProGNN
 from repro.errors import DegradedWarning
 from repro.experiments import (
     ExperimentRunner,
@@ -47,7 +60,6 @@ from repro.experiments import (
     TrialSupervisor,
     make_executor,
 )
-from repro.experiments import parallel
 from repro.nn import GCN, TrainConfig, train_node_classifier
 from repro.surrogate import PropagationCache
 from repro.utils import cancellation, faults, snapshots
@@ -86,13 +98,15 @@ def run_sweep(
     jobs=1,
     checkpoint=None,
     fault_spec=None,
-    heartbeat=None,
+    deadline=None,
     defenders=("GCN",),
 ):
-    executor = make_executor(jobs, heartbeat_interval=heartbeat)
+    executor = make_executor(jobs)
     runner = ExperimentRunner(
         CONFIG,
-        supervisor=TrialSupervisor(TrialPolicy(max_attempts=2)),
+        supervisor=TrialSupervisor(
+            TrialPolicy(max_attempts=2, deadline_seconds=deadline)
+        ),
         checkpoint=checkpoint,
         executor=executor,
     )
@@ -244,6 +258,72 @@ class TestSnapshotTraffic:
             if values is not None
         )
         assert journal_records(checkpoint_dir) == (expected, [])
+
+
+# ---------------------------------------------------------------------------
+# Loops with a bare poll site: PGD and MinMax ascent, Pro-GNN, DropEdge
+
+BARE_POLL_LOOPS = [
+    (
+        "pgd",
+        lambda g: PGDAttack(steps=4, samples=2, seed=0).attack(g, AttackBudget(total=4.0)),
+        4,
+    ),
+    (
+        "minmax",
+        lambda g: MinMaxAttack(steps=3, samples=2, inner_steps=1, seed=0).attack(
+            g, AttackBudget(total=4.0)
+        ),
+        3,
+    ),
+    ("prognn", lambda g: ProGNN(outer_epochs=3, seed=0).fit(g), 3),
+    (
+        "dropedge",
+        lambda g: DropEdgeGCN(
+            train_config=TrainConfig(epochs=5, patience=100), seed=0
+        ).fit(g),
+        5,
+    ),
+]
+
+
+def record_polls(monkeypatch):
+    """Record the site of every poll; returns the (growing) list."""
+    sites = []
+    poll = cancellation.checkpoint
+
+    def recording(where, *args, **kwargs):
+        sites.append(where)
+        return poll(where, *args, **kwargs)
+
+    monkeypatch.setattr(cancellation, "checkpoint", recording)
+    return sites
+
+
+class TestBarePollSites:
+    @pytest.mark.parametrize(
+        "site,run,iterations", BARE_POLL_LOOPS, ids=[loop[0] for loop in BARE_POLL_LOOPS]
+    )
+    def test_polls_once_per_iteration(
+        self, small_cora, monkeypatch, site, run, iterations
+    ):
+        sites = record_polls(monkeypatch)
+        run(small_cora)
+        assert sites.count(site) == iterations
+
+    def test_prognn_deadline_trips_at_its_poll_site(self, small_cora, monkeypatch):
+        """Pro-GNN's fit polls nowhere else, so before its poll site a
+        deadline could not reach it mid-fit."""
+        tick_deadlines(monkeypatch)
+        # The token reads 1 when built (deadline 4.5): epochs poll at 2, 3,
+        # 4 and trip at 5, the fourth epoch.
+        token = cancellation.CancelToken(deadline_seconds=3.5)
+        polls = record_polls(monkeypatch)
+        with trial_scope(token=token), pytest.raises(CancelledError) as caught:
+            ProGNN(outer_epochs=10, seed=0).fit(small_cora)
+        assert caught.value.cause == cancellation.CAUSE_DEADLINE
+        assert caught.value.site == "prognn"
+        assert polls == ["prognn"] * 4
 
 
 # ---------------------------------------------------------------------------
@@ -461,26 +541,36 @@ class TestParallelPreemption:
         assert journal_records(serial_dir) == journal_records(parallel_dir)
 
     def test_hung_worker_detected_and_requeued(self, tmp_path, monkeypatch):
-        """A worker that stops polling (30s hang at an attack epoch) must be
-        detected by heartbeat within ~2x the interval, terminated, and its
-        trial requeued — the sweep finishes long before the hang would."""
+        """A worker wedged where it never polls (a 60 s hang at an attack
+        step that ignores the trial's deadline) is stopped by the scheduler
+        once the trial overruns every attempt's deadline, and the trial is
+        requeued; the finished sweep equals the serial one."""
         serial_dir = tmp_path / "serial"
         reference = run_sweep(jobs=1, checkpoint=SweepCheckpoint(serial_dir))
 
+        def wedged(seconds):
+            # Deaf to the trial's token: only the worker's shutdown cuts it.
+            end = time.monotonic() + seconds
+            while not cancellation.shutdown_requested() and time.monotonic() < end:
+                time.sleep(0.01)
+
+        # The pool forks after these patches, so its workers carry them.
+        monkeypatch.setattr(faults, "_hang", wedged)
+        # Counting-clock tokens: the 1 s deadline trips a clean trial only
+        # after 1,000 polls, so the cooperative deadline never decides the
+        # outcome; only the scheduler's backstop stops the wedged worker.
+        tick_deadlines(monkeypatch, step=0.001)
         parallel_dir = tmp_path / "parallel"
-        monkeypatch.setattr(parallel, "_KILL_GRACE_SECONDS", 0.2)
-        started = time.monotonic()
-        with pytest.warns(DegradedWarning, match="heartbeat") as caught:
+        with pytest.warns(DegradedWarning) as caught:
             table = run_sweep(
                 jobs=2,
                 checkpoint=SweepCheckpoint(parallel_dir),
-                fault_spec="peega:hang:seconds=30:times=1",
-                heartbeat=0.2,
+                fault_spec="peega:hang:seconds=60:times=1",
+                deadline=1.0,
             )
-        elapsed = time.monotonic() - started
-        # A hang says nothing about memory: the requeue names the stall.
-        assert not [w for w in caught if "OOM" in str(w.message)]
-        assert elapsed < 25.0  # detection, not the 30s hang, set the pace
+        messages = [str(w.message) for w in caught]
+        assert any("overran its 1s deadline" in m for m in messages), messages
+        assert not [m for m in messages if "OOM" in m]
         assert table.failures == []
         assert cells_of(table) == cells_of(reference)
         assert journal_records(serial_dir) == journal_records(parallel_dir)
